@@ -18,7 +18,6 @@ from .permutations import (
     PATTERN_132,
     PatternVerdict,
     Permutation,
-    all_permutations,
     contains_pattern,
     count_maximal_starting_at,
     enumerate_avoiders,
@@ -32,7 +31,6 @@ from .ranks import (
     catalan,
     enumerate_rank_sequences,
     invert,
-    invert_by_search,
     rank_sequence,
     validate,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "SEQUENCE_CAP",
     "SUITE_NAMES",
     "SequenceValidationError",
-    "all_permutations",
     "catalan",
     "census_dp",
     "census_enumerative",
@@ -72,7 +69,6 @@ __all__ = [
     "fixture_text",
     "has_ulis",
     "invert",
-    "invert_by_search",
     "lis_stats",
     "max_profile",
     "parse_bfile",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -39,8 +38,8 @@ from .permutations import (
     format_values,
     start_ranks,
 )
-from .ranks import SEQUENCE_CAP, RankSequence, enumerate_rank_sequences, invert, rank_sequence
-from .ulis import uniquify_lis, uniquify_max
+from .ranks import SEQUENCE_CAP, RankSequence, enumerate_rank_sequences, invert
+from .ulis import uniquify_stages
 from .verify import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
@@ -60,12 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
                      default="plain", help="output format (default plain)")
 
     p_rank = sub.add_parser("rank", help="rank sequence of a permutation")
+    p_rank.set_defaults(run=_cmd_rank)
     p_rank.add_argument("text", help="permutation, e.g. '2 1 3' or '213'")
     p_rank.add_argument("--invert", action="store_true",
                         help="treat input as a rank sequence and print the "
                              "unique 132-avoider having it")
 
     p_map = sub.add_parser("map", help="inject into the unique-subsequence class")
+    p_map.set_defaults(run=_cmd_map)
     p_map.add_argument("text", help="132-avoiding permutation without a "
                                     "unique longest increasing subsequence")
     p_map.add_argument("--trace", action="store_true",
@@ -73,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_avoiders = sub.add_parser("avoiders", parents=[fmt],
                                 help="list or count pattern avoiders")
+    p_avoiders.set_defaults(run=_cmd_avoiders)
     p_avoiders.add_argument("n", type=int)
     p_avoiders.add_argument("--pattern", default="132",
                             help="length-3 pattern to avoid (default 132)")
@@ -83,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sequences = sub.add_parser("sequences", parents=[fmt],
                                  help="list or count rank sequences")
+    p_sequences.set_defaults(run=_cmd_sequences)
     p_sequences.add_argument("n", type=int)
     p_sequences.add_argument("--count", action="store_true",
                              help="print only the count")
@@ -91,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", parents=[fmt],
                               help="exact counts and ratios per length")
+    p_census.set_defaults(run=_cmd_census)
     p_census.add_argument("--max-n", type=int, required=True)
     p_census.add_argument("--engine", choices=("enumerative", "dp"), default="dp")
     p_census.add_argument("--cap", type=int, default=None,
@@ -99,12 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[fmt],
                               help="run an exhaustive verification suite")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("suite", choices=SUITE_NAMES)
     p_verify.add_argument("--max-n", type=int, default=None,
                           help="upper bound; each suite has its own default")
 
     p_oeis = sub.add_parser("oeis", parents=[fmt],
                             help="fetch and print OEIS b-file entries")
+    p_oeis.set_defaults(run=_cmd_oeis)
     p_oeis.add_argument("--id", default=oeis_mod.FIXTURE_ID,
                         help=f"sequence id (default {oeis_mod.FIXTURE_ID})")
     network = p_oeis.add_mutually_exclusive_group()
@@ -121,124 +127,102 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    handler = {
-        "rank": _cmd_rank,
-        "map": _cmd_map,
-        "avoiders": _cmd_avoiders,
-        "sequences": _cmd_sequences,
-        "census": _cmd_census,
-        "verify": _cmd_verify,
-        "oeis": _cmd_oeis,
-    }[args.command]
-    return handler(args)
+def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence],
+          json_value: object = None, plain_lines: Iterable[str] | None = None, *,
+          csv_end: str = "\r\n", csv_note: str | None = None) -> None:
+    """Write one command's output; the only place where formats differ.
+
+    csv: `header`, then `rows`, streamed; `csv_note` goes to stderr.  json: one
+    sorted-key line of `json_value`, by default the rows as a list (of bare
+    values for one column, else of header-keyed objects).  plain:
+    `plain_lines`, by default each row space-joined, streamed."""
+    if fmt == "json":
+        if json_value is None:
+            json_value = [row[0] if len(header) == 1 else dict(zip(header, row))
+                          for row in rows]
+        print(json.dumps(json_value, sort_keys=True))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator=csv_end)
+        writer.writerow(header)
+        writer.writerows(rows)
+        if csv_note is not None:
+            print(csv_note, file=sys.stderr)
+    else:
+        if plain_lines is None:
+            plain_lines = (" ".join(map(str, row)) for row in rows)
+        for line in plain_lines:
+            print(line)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     if args.invert:
-        sequence = RankSequence.from_text(args.text)
-        print(invert(sequence))
+        print(invert(RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
     verdict = contains_pattern(p, PATTERN_132)
     if verdict.contains:
-        print(
-            f"warning: input contains 132 at positions {verdict.witness}; "
-            "ranks are still well-defined",
-            file=sys.stderr,
-        )
+        print(f"warning: input contains 132 at positions {verdict.witness}; "
+              "ranks are still well-defined", file=sys.stderr)
     print(format_values(start_ranks(p)))
     return 0
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    p = Permutation.from_text(args.text)
+    ranks, lifted, image = uniquify_stages(Permutation.from_text(args.text))
     if args.trace:
-        # recomputes the pipeline stages uniquify_lis performs internally
-        verdict = contains_pattern(p, PATTERN_132)
-        if verdict.contains:
-            raise InputError(f"input contains 132 at positions {verdict.witness}: {p}")
-        before = rank_sequence(p)
-        after = uniquify_max(before)  # rejects inputs with a unique subsequence
-        print(f"ranks:  {before}")
-        print(f"lifted: {after}")
-        print(invert(after))
-        return 0
-    print(uniquify_lis(p))
+        print(f"ranks:  {ranks}\nlifted: {lifted}")
+    print(image)
     return 0
 
 
-def _print_listing(rows: Iterable[str], fmt: str, column: str) -> None:
-    if fmt == "json":
-        print(json.dumps(list(rows)))
-    elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow([column])
-        for row in rows:
-            writer.writerow([row])
-        sys.stdout.write(buffer.getvalue())
+def _list_or_count(args: argparse.Namespace, stream: Iterable, column: str) -> int:
+    if args.count:
+        count = sum(1 for _ in stream)
+        # unlike a table, a count's csv ends its lines in LF: fixed output bytes
+        _emit(args.format, ["count"], [[count]], {"count": count}, csv_end="\n")
     else:
-        for row in rows:
-            print(row)
-
-
-def _print_count(count: int, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({"count": count}))
-    elif fmt == "csv":
-        print("count")
-        print(count)
-    else:
-        print(count)
+        _emit(args.format, [column], ([str(item)] for item in stream))
+    return 0
 
 
 def _cmd_avoiders(args: argparse.Namespace) -> int:
     pattern = Permutation.from_text(args.pattern)
-    stream = enumerate_avoiders(args.n, pattern, cap=args.cap)
-    if args.count:
-        _print_count(sum(1 for _ in stream), args.format)
-    else:
-        _print_listing((str(p) for p in stream), args.format, "permutation")
-    return 0
+    return _list_or_count(args, enumerate_avoiders(args.n, pattern, cap=args.cap),
+                          "permutation")
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:
-    stream = enumerate_rank_sequences(args.n, cap=args.cap)
-    if args.count:
-        _print_count(sum(1 for _ in stream), args.format)
-    else:
-        _print_listing((str(t) for t in stream), args.format, "sequence")
-    return 0
+    return _list_or_count(args, enumerate_rank_sequences(args.n, cap=args.cap), "sequence")
 
 
 def _census_rows(args: argparse.Namespace) -> list[census_mod.CensusRow]:
+    cap = args.cap
+    if cap is None:
+        cap = SEQUENCE_CAP if args.engine == "enumerative" else census_mod.DP_CAP
+    # checked before either engine runs: the enumerative one walks every n < max_n first
+    if not 1 <= args.max_n <= cap:
+        raise InputError(f"{args.engine} census capped at n = {cap} (--cap overrides); "
+                         f"--max-n must lie in 1..{cap}, got {args.max_n}")
     if args.engine == "enumerative":
-        cap = args.cap if args.cap is not None else SEQUENCE_CAP
         return [census_mod.census_enumerative(n, cap=cap)
                 for n in range(1, args.max_n + 1)]
-    cap = args.cap if args.cap is not None else census_mod.DP_CAP
     return list(census_mod.census_rows_dp(args.max_n, cap=cap))
 
 
 def _census_summary(rows: list[census_mod.CensusRow]) -> dict:
     half = Fraction(1, 2)
     min_row = min(rows, key=lambda row: row.ratio)
-    nonincreasing_from = rows[-1].n
-    for i in range(len(rows) - 1, 0, -1):
-        if rows[i - 1].ratio >= rows[i].ratio:
-            nonincreasing_from = rows[i - 1].n
-        else:
-            break
+    start = len(rows) - 1  # of the longest non-increasing tail
+    while start and rows[start - 1].ratio >= rows[start].ratio:
+        start -= 1
     return {
         "max_n": rows[-1].n,
         "min_ratio_num": str(min_row.ratio.numerator),
@@ -246,88 +230,51 @@ def _census_summary(rows: list[census_mod.CensusRow]) -> dict:
         "min_ratio_at": min_row.n,
         "all_at_least_half": all(row.ratio >= half for row in rows),
         "equality_at": [row.n for row in rows if row.ratio == half],
-        "nonincreasing_from": nonincreasing_from,
+        "nonincreasing_from": rows[start].n,
     }
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
     rows = _census_rows(args)
     summary = _census_summary(rows)
-    if args.format == "json":
-        print(json.dumps(
-            {"rows": [row.to_json_dict() for row in rows], "summary": summary},
-            sort_keys=True,
-        ))
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(census_mod.CSV_COLUMNS)
-        for row in rows:
-            record = row.to_json_dict()
-            writer.writerow([record[col] for col in census_mod.CSV_COLUMNS])
-        sys.stdout.write(buffer.getvalue())
-        print(f"summary: {json.dumps(summary, sort_keys=True)}", file=sys.stderr)
-    else:
-        print("n catalan u v ratio approx(display-only)")
-        for row in rows:
-            approx = f"{float(row.ratio):.12g}"
-            print(f"{row.n} {row.total} {row.u} {row.v} "
-                  f"{row.ratio.numerator}/{row.ratio.denominator} {approx}")
-        floor = ("every ratio >= 1/2" if summary["all_at_least_half"]
-                 else "RATIO BELOW 1/2 FOUND")
-        print(f"min ratio {summary['min_ratio_num']}/{summary['min_ratio_den']} "
-              f"at n={summary['min_ratio_at']}; {floor}; "
-              f"equality at n={summary['equality_at']}; "
-              f"non-increasing from n={summary['nonincreasing_from']}")
+    records = [row.to_json_dict() for row in rows]
+    floor = ("every ratio >= 1/2" if summary["all_at_least_half"]
+             else "RATIO BELOW 1/2 FOUND")
+    plain = [
+        "n catalan u v ratio approx(display-only)",
+        *(f"{row.n} {row.total} {row.u} {row.v} "
+          f"{row.ratio.numerator}/{row.ratio.denominator} {float(row.ratio):.12g}"
+          for row in rows),
+        f"min ratio {summary['min_ratio_num']}/{summary['min_ratio_den']} "
+        f"at n={summary['min_ratio_at']}; {floor}; "
+        f"equality at n={summary['equality_at']}; "
+        f"non-increasing from n={summary['nonincreasing_from']}",
+    ]
+    _emit(args.format, census_mod.CSV_COLUMNS,
+          [[record[col] for col in census_mod.CSV_COLUMNS] for record in records],
+          {"rows": records, "summary": summary}, plain,
+          csv_note=f"summary: {json.dumps(summary, sort_keys=True)}")
     return 0 if summary["all_at_least_half"] else VERIFICATION_FAILURE
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.suite, args.max_n)
-    payload = report.to_payload()
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["suite", "max_n", "status", "outcome"])
-        writer.writerow([
-            args.suite,
-            report.parameters["max_n"],
-            report.outcome["status"],
-            json.dumps(report.outcome, sort_keys=True),
-        ])
-        sys.stdout.write(buffer.getvalue())
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        stats = {k: v for k, v in report.outcome.items() if k != "status"}
-        print(f"{status} {args.suite} max_n={report.parameters['max_n']} "
-              f"{json.dumps(stats, sort_keys=True)}")
+    max_n = report.parameters["max_n"]
+    stats = {k: v for k, v in report.outcome.items() if k != "status"}
+    _emit(args.format, ["suite", "max_n", "status", "outcome"],
+          [[args.suite, max_n, report.outcome["status"],
+            json.dumps(report.outcome, sort_keys=True)]], report.to_payload(),
+          [f"{'PASS' if report.passed else 'FAIL'} {args.suite} max_n={max_n} "
+           f"{json.dumps(stats, sort_keys=True)}"])
     print(f"duration_ms={report.duration_ms:.1f}", file=sys.stderr)
     return 0 if report.passed else VERIFICATION_FAILURE
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
-    text = oeis_mod.fetch_bfile(
-        args.id,
-        online=args.online,
-        cache_dir=args.cache_dir,
-    )
-    entries = oeis_mod.parse_bfile(text)
-    if args.format == "json":
-        print(json.dumps(
-            [{"index": e.index, "value": str(e.value)} for e in entries]
-        ))
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["index", "value"])
-        for e in entries:
-            writer.writerow([e.index, e.value])
-        sys.stdout.write(buffer.getvalue())
-    else:
-        for e in entries:
-            print(f"{e.index} {e.value}")
+    text = oeis_mod.fetch_bfile(args.id, online=args.online, cache_dir=args.cache_dir)
+    # values as strings: json keeps big integers exact as decimal text
+    _emit(args.format, ["index", "value"],
+          [(e.index, str(e.value)) for e in oeis_mod.parse_bfile(text)])
     return 0
 
 

@@ -109,7 +109,8 @@ def fetch_bfile(
     Offline (the default) serves the bundled fixture.  With `online=True` the
     canonical OEIS b-file URL is fetched over HTTPS, consulting and filling
     an optional on-disk cache (`cache_dir` argument, or the directory named
-    by the ULISPERM_OEIS_CACHE_DIR environment variable).  Any fetch failure
+    by the ULISPERM_OEIS_CACHE_DIR environment variable).  Text is parsed
+    before it is cached or served.  Any failure to fetch, read or parse
     falls back to the bundled fixture with a FetchFallbackWarning; if there
     is no fixture for the id either, the failure propagates as InputError.
 
@@ -124,26 +125,28 @@ def fetch_bfile(
         return fixture_text(sequence_id)
 
     cache_path = _cache_path(sequence_id, cache_dir)
-    if cache_path and os.path.exists(cache_path):
-        with open(cache_path, encoding="utf-8") as handle:
-            return handle.read()
-
-    get = opener if opener is not None else _http_get
+    cached = cache_path is not None and os.path.exists(cache_path)
+    source = f"reading {cache_path}" if cached else f"fetch of {sequence_id}"
     try:
-        text = get(bfile_url(sequence_id), timeout)
+        if cached:
+            with open(cache_path, encoding="utf-8") as handle:
+                text = handle.read()
+        else:
+            text = (opener or _http_get)(bfile_url(sequence_id), timeout)
+        parse_bfile(text)
     except Exception as exc:
         if sequence_id == FIXTURE_ID:
             warnings.warn(
-                f"fetch of {sequence_id} failed ({exc}); serving bundled fixture",
+                f"{source} failed ({exc}); serving bundled fixture",
                 FetchFallbackWarning,
                 stacklevel=2,
             )
             return fixture_text(sequence_id)
         raise InputError(
-            f"fetch of {sequence_id} failed and no fixture is bundled: {exc}"
+            f"{source} failed and no fixture is bundled: {exc}"
         ) from exc
 
-    if cache_path:
+    if cache_path and not cached:
         _write_atomically(cache_path, text)
     return text
 

@@ -19,7 +19,6 @@ kept as Python ints, never floats.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -327,9 +326,3 @@ def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutatio
             used[v] = 0
 
     yield from extend(0, n + 1, 0)
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All n! permutations of length n, lexicographic order."""
-    for entries in itertools.permutations(range(1, n + 1)):
-        yield Permutation(entries)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ConstructionError, InputError, SequenceValidationError
-from .permutations import (
-    Permutation,
-    enumerate_avoiders,
-    format_values,
-    parse_values,
-    start_ranks,
-)
+from .permutations import Permutation, format_values, parse_values, start_ranks
 
 # Exhaustive generation visits catalan(n) sequences (catalan(12) = 208012).
 SEQUENCE_CAP = 12
@@ -202,20 +196,3 @@ def invert(t: RankSequence) -> Permutation:
     result = Permutation(tuple(entries))
     assert start_ranks(result) == values, (t, result)
     return result
-
-
-def invert_by_search(t: RankSequence, *, cap: int = SEQUENCE_CAP) -> Permutation:
-    """Reference inverse: exhaustive search over all 132-avoiders.
-
-    Exponentially slower than `invert` and independent of it; exists so test
-    suites can check the direct construction against ground truth.
-    """
-    matches = [
-        p for p in enumerate_avoiders(t.n, cap=cap)
-        if start_ranks(p) == t.values
-    ]
-    if len(matches) != 1:
-        raise ConstructionError(
-            f"expected exactly one 132-avoiding preimage of {t}, found {len(matches)}"
-        )
-    return matches[0]

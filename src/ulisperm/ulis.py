@@ -86,24 +86,35 @@ def uniquify_max(t: RankSequence) -> RankSequence:
     return result
 
 
+def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permutation]:
+    """`uniquify_lis` stage by stage: the rank sequence of `p`, that sequence
+    with its maximum made unique by `uniquify_max`, and its inverse, the image
+    of `p`.  Preconditions are recomputed here rather than trusted, which is
+    cheap at the scales this library targets.
+
+    >>> [str(stage) for stage in uniquify_stages(Permutation.from_text("321"))]
+    ['1 1 1', '1 2 1', '3 1 2']
+    """
+    verdict = contains_pattern(p, PATTERN_132)
+    if verdict.contains:
+        raise InputError(f"input contains 132 at positions {verdict.witness}: {p}")
+    if has_ulis(p):
+        raise InputError(f"input already has a unique longest increasing subsequence: {p}")
+    ranks = rank_sequence(p)
+    lifted = uniquify_max(ranks)
+    return ranks, lifted, invert(lifted)
+
+
 def uniquify_lis(p: Permutation) -> Permutation:
     """Carry a 132-avoider without a unique longest increasing subsequence to
     one with a unique longest increasing subsequence.
 
     Conjugation of `uniquify_max` by the rank bijection: take ranks, make the
-    maximum unique, reconstruct.  Preconditions are recomputed here rather
-    than trusted, which is cheap at the scales this library targets.
+    maximum unique, reconstruct (see `uniquify_stages`).
 
     >>> print(uniquify_lis(Permutation.from_text("213")))
     1 2 3
     >>> print(uniquify_lis(Permutation.from_text("321")))
     3 1 2
     """
-    verdict = contains_pattern(p, PATTERN_132)
-    if verdict.contains:
-        raise InputError(
-            f"input contains 132 at positions {verdict.witness}: {p}"
-        )
-    if has_ulis(p):
-        raise InputError(f"input already has a unique longest increasing subsequence: {p}")
-    return invert(uniquify_max(rank_sequence(p)))
+    return uniquify_stages(p)[2]

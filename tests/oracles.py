@@ -2,12 +2,23 @@
 
 Everything here is deliberately naive: subset enumeration, full n! filters,
 direct expansion of defining conditions.  None of it shares code with the
-implementations under test.
+implementations under test, except `invert_by_search`, which inverts rank
+sequences from the library's avoider enumeration and ranks, independently of
+`ulisperm.invert`.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from ulisperm import (
+    SEQUENCE_CAP,
+    ConstructionError,
+    Permutation,
+    RankSequence,
+    enumerate_avoiders,
+    start_ranks,
+)
 
 
 def triple_pattern(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -77,3 +88,20 @@ def start_ranks_by_subsets(entries: tuple[int, ...]) -> tuple[int, ...]:
                     best = max(best, r + 1)
         out.append(best)
     return tuple(out)
+
+
+def invert_by_search(t: RankSequence, *, cap: int = SEQUENCE_CAP) -> Permutation:
+    """Reference inverse: exhaustive search over all 132-avoiders.
+
+    Exponentially slower than `invert` and independent of it; exists so test
+    suites can check the direct construction against ground truth.
+    """
+    matches = [
+        p for p in enumerate_avoiders(t.n, cap=cap)
+        if start_ranks(p) == t.values
+    ]
+    if len(matches) != 1:
+        raise ConstructionError(
+            f"expected exactly one 132-avoiding preimage of {t}, found {len(matches)}"
+        )
+    return matches[0]

@@ -1,16 +1,31 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from ulisperm import Permutation
+from ulisperm import InputError, Permutation, RankSequence
+from ulisperm import census as census_mod
+from ulisperm import cli as cli_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
+
+# Exact stdout and exit code per argv, one case per line: every output
+# format of every listing, count, census, verify and oeis command, and the
+# rank/map variants.  The bytes are the specification; refactors keep them.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=lambda case: "_".join(a.replace(" ", "") for a in case["argv"]))
+def test_golden_stdout(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 # --- rank ------------------------------------------------------------------
@@ -75,6 +90,14 @@ def test_map_rejects_pattern(capsys):
     assert "contains 132" in err
 
 
+def test_map_trace_rejects_like_map(capsys):
+    plain = run(capsys, "map", "1 2 3")
+    traced = run(capsys, "map", "1 2 3", "--trace")
+    assert plain == traced
+    assert plain[0] == 2
+    assert "unique longest increasing subsequence" in plain[2]
+
+
 def test_map_trace_rejects_pattern(capsys):
     code, _, err = run(capsys, "map", "1 3 2", "--trace")
     assert code == 2
@@ -110,6 +133,19 @@ def test_sequences_list(capsys):
     code, out, _ = run(capsys, "sequences", "3")
     assert out.splitlines() == ["1 1 1", "1 2 1", "2 1 1", "2 2 1", "3 2 1"]
     assert code == 0
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_listing_is_streamed(capsys, monkeypatch, fmt):
+    def first_then_fail(n, *, cap):
+        yield RankSequence((1,))
+        raise InputError("stopped after the first row")
+
+    monkeypatch.setattr(cli_mod, "enumerate_rank_sequences", first_then_fail)
+    code, out, err = run(capsys, "sequences", "1", "--format", fmt)
+    assert code == 2
+    assert "stopped" in err
+    assert out.splitlines()[-1] == "1"  # written before the stream failed
 
 
 def test_sequences_count_csv(capsys):
@@ -168,6 +204,28 @@ def test_census_over_cap(capsys):
     code, _, err = run(capsys, "census", "--max-n", "13", "--engine", "enumerative")
     assert code == 2
     assert "capped" in err
+
+
+@pytest.mark.parametrize("engine", ["enumerative", "dp"])
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_census_below_one(capsys, engine, max_n):
+    code, out, err = run(capsys, "census", "--max-n", max_n, "--engine", engine)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_census_over_cap_enumerates_nothing(capsys, monkeypatch):
+    calls = []
+
+    def recording(n, *, cap):
+        calls.append(n)
+        return iter(())
+
+    monkeypatch.setattr(census_mod, "enumerate_rank_sequences", recording)
+    code, out, err = run(capsys, "census", "--max-n", "13", "--engine", "enumerative")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "capped" in err
+    assert calls == []
 
 
 # --- verify ---------------------------------------------------------------------

@@ -124,3 +124,43 @@ def test_cache_env_var(tmp_path, monkeypatch):
     fetch_bfile("A167995", online=True, opener=opener)
     assert (tmp_path / "b167995.txt").read_text() == "1 7\n"
     assert os.listdir(tmp_path) == ["b167995.txt"]  # no leftover temp files
+
+
+def test_malformed_response_is_neither_served_nor_cached(tmp_path):
+    def html(url, timeout):
+        return "<html><body>Service unavailable</body></html>\n"
+
+    def good(url, timeout):
+        return "1 1\n2 1\n"
+
+    with pytest.warns(FetchFallbackWarning, match="bundled fixture"):
+        text = fetch_bfile("A167995", online=True, cache_dir=str(tmp_path), opener=html)
+    assert text == fixture_text()
+    assert os.listdir(tmp_path) == []
+
+    # the next fetch is not shadowed by the bad response
+    assert fetch_bfile("A167995", online=True, cache_dir=str(tmp_path), opener=good) == good("", 0)
+    assert (tmp_path / "b167995.txt").read_text() == good("", 0)
+
+
+def test_malformed_response_without_fixture(tmp_path):
+    def html(url, timeout):
+        return "<html></html>\n"
+
+    with pytest.raises(InputError, match="no fixture"):
+        fetch_bfile("A000001", online=True, cache_dir=str(tmp_path), opener=html)
+    assert os.listdir(tmp_path) == []
+
+
+def test_unparsable_cache_falls_back_like_a_failed_fetch(tmp_path):
+    (tmp_path / "b167995.txt").write_text("<html>cached error page</html>\n")
+    calls = []
+
+    def opener(url, timeout):
+        calls.append(url)
+        return "1 1\n"
+
+    with pytest.warns(FetchFallbackWarning, match="b167995.txt"):
+        text = fetch_bfile("A167995", online=True, cache_dir=str(tmp_path), opener=opener)
+    assert text == fixture_text()
+    assert calls == []

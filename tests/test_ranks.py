@@ -14,13 +14,17 @@ from ulisperm import (
     enumerate_avoiders,
     enumerate_rank_sequences,
     invert,
-    invert_by_search,
     rank_sequence,
     start_ranks,
     validate,
 )
 
-from oracles import catalan_by_recurrence, rank_sequences_by_filter, start_ranks_by_subsets
+from oracles import (
+    catalan_by_recurrence,
+    invert_by_search,
+    rank_sequences_by_filter,
+    start_ranks_by_subsets,
+)
 
 
 @st.composite
