@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-import urllib.request
 import warnings
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -92,6 +91,10 @@ def bfile_url(sequence_id: str) -> str:
 
 
 def _http_get(url: str, timeout: float) -> str:
+    # imported here: the HTTP stack (ssl, http.client) costs every other
+    # command memory and start-up time, and only --online needs it
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.read().decode("utf-8")
 
@@ -110,9 +113,11 @@ def fetch_bfile(
     canonical OEIS b-file URL is fetched over HTTPS, consulting and filling
     an optional on-disk cache (`cache_dir` argument, or the directory named
     by the ULISPERM_OEIS_CACHE_DIR environment variable).  Text is parsed
-    before it is cached or served.  Any failure to fetch, read or parse
-    falls back to the bundled fixture with a FetchFallbackWarning; if there
-    is no fixture for the id either, the failure propagates as InputError.
+    before it is cached or served; a cache file that does not parse counts
+    as a miss, so it is fetched again and replaced.  Any failure to fetch,
+    read or parse falls back to the bundled fixture with a
+    FetchFallbackWarning; if there is no fixture for the id either, the
+    failure propagates as InputError.
 
     `opener` exists for tests: a callable (url, timeout) -> text replacing
     the real HTTP client.
@@ -125,14 +130,13 @@ def fetch_bfile(
         return fixture_text(sequence_id)
 
     cache_path = _cache_path(sequence_id, cache_dir)
-    cached = cache_path is not None and os.path.exists(cache_path)
-    source = f"reading {cache_path}" if cached else f"fetch of {sequence_id}"
+    source = f"reading {cache_path}"
     try:
-        if cached:
-            with open(cache_path, encoding="utf-8") as handle:
-                text = handle.read()
-        else:
-            text = (opener or _http_get)(bfile_url(sequence_id), timeout)
+        text = _read_cache(cache_path)
+        if text is not None:
+            return text
+        source = f"fetch of {sequence_id}"
+        text = (opener or _http_get)(bfile_url(sequence_id), timeout)
         parse_bfile(text)
     except Exception as exc:
         if sequence_id == FIXTURE_ID:
@@ -146,7 +150,7 @@ def fetch_bfile(
             f"{source} failed and no fixture is bundled: {exc}"
         ) from exc
 
-    if cache_path and not cached:
+    if cache_path is not None:
         _write_atomically(cache_path, text)
     return text
 
@@ -156,6 +160,20 @@ def _cache_path(sequence_id: str, cache_dir: str | None) -> str | None:
     if not directory:
         return None
     return os.path.join(directory, f"b{sequence_id[1:]}.txt")
+
+
+def _read_cache(path: str | None) -> str | None:
+    """The cached text, or None when there is no cache file or it does not
+    decode and parse (a miss: the caller fetches and replaces it)."""
+    if path is None or not os.path.exists(path):
+        return None
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        parse_bfile(text)
+    except (UnicodeDecodeError, BFileParseError):
+        return None
+    return text
 
 
 def _write_atomically(path: str, text: str) -> None:

@@ -105,21 +105,16 @@ def format_values(values: Sequence[int]) -> str:
     return " ".join(str(v) for v in values)
 
 
-def _triple_pattern(a: int, b: int, c: int) -> tuple[int, int, int]:
-    # Relative order of three distinct values, as a permutation of 1..3.
-    return (
-        1 + (a > b) + (a > c),
-        1 + (b > a) + (b > c),
-        1 + (c > a) + (c > b),
-    )
-
-
 def contains_pattern(p: Permutation, pattern: Permutation) -> PatternVerdict:
     """Decide whether `p` contains the length-3 `pattern`.
 
     Containment means some positions i < j < k carry entries order-isomorphic
     to the pattern.  The witness returned is the lexicographically least such
-    triple.  Cubic scan; permutations here live at desk scale.
+    triple.  Quadratic scan: for each i in turn, one right-to-left pass keeps
+    the extreme value so far among later entries on the pattern's k side of
+    e[i] (the minimum when the pattern puts e[j] above e[k], else the
+    maximum); the last entry on the j side that beats it is the least j, and
+    a forward scan from j finds the least k.  The first i with a j wins.
 
     >>> contains_pattern(Permutation.from_text("2413"), PATTERN_132)
     PatternVerdict(contains=True, witness=(1, 2, 4))
@@ -128,14 +123,28 @@ def contains_pattern(p: Permutation, pattern: Permutation) -> PatternVerdict:
     """
     if pattern.n != 3:
         raise InputError(f"pattern must have length 3, got length {pattern.n}")
-    sig = pattern.entries
+    a, b, c = pattern.entries
+    j_above_i, k_above_i, j_above_k = b > a, c > a, b > c
     e = p.entries
     n = len(e)
+    # a sentinel no entry beats: above every value for a minimum, below for a maximum
+    sentinel = n + 1 if j_above_k else 0
     for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                if _triple_pattern(e[i], e[j], e[k]) == sig:
-                    return PatternVerdict(True, (i + 1, j + 1, k + 1))
+        ei = e[i]
+        extreme = sentinel
+        j = 0
+        for m in range(n - 1, i, -1):
+            em = e[m]
+            if (em > extreme) == j_above_k:
+                if (em > ei) == j_above_i:
+                    j = m
+            elif (em > ei) == k_above_i:
+                extreme = em
+        if j:
+            ej = e[j]
+            k = next(k for k in range(j + 1, n)
+                     if (e[k] > ei) == k_above_i and (ej > e[k]) == j_above_k)
+            return PatternVerdict(True, (i + 1, j + 1, k + 1))
     return PatternVerdict(False)
 
 

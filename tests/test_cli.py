@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ulisperm import InputError, Permutation, RankSequence
+from ulisperm import (
+    ALL_PERMUTATION_CAP,
+    AVOIDER_CAP,
+    SEQUENCE_CAP,
+    InputError,
+    Permutation,
+    RankSequence,
+)
 from ulisperm import census as census_mod
 from ulisperm import cli as cli_mod
 from ulisperm import verify as verify_mod
@@ -300,3 +310,86 @@ def test_oeis_json(capsys):
     assert code == 0
     entries = json.loads(out)
     assert entries[0] == {"index": 1, "value": "1"}
+
+
+# --- any argv ---------------------------------------------------------------------
+
+SMALL_INTS = (-1, 0, 1, 2, 3, 4, 5, 6)
+# one past the avoider, sequence and DP caps, and one far past every cap
+EDGE_INTS = (AVOIDER_CAP + 1, SEQUENCE_CAP + 1, census_mod.DP_CAP + 1, 10**6)
+TOKENS = ("", "x", "-", "1.5", "213", "1 3 2", "3 2 1", "2 1 3", "1 1 2", "1 1 1",
+          "1 3 1", "A167995", "A000001")
+
+
+def _ints(*extra):
+    return st.sampled_from(tuple(map(str, SMALL_INTS + EDGE_INTS + extra)) + ("", "x", "1.5"))
+
+
+def _caps(default):
+    # never above the default: a larger cap admits cases that run for seconds
+    return st.sampled_from([i for i in SMALL_INTS + EDGE_INTS if i <= default]).map(str)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for any subcommand with any subset of its flags, in any order,
+    from small and edge integers and short text; never --online."""
+    formats = st.sampled_from(("plain", "json", "csv", "x"))
+    texts = st.sampled_from(TOKENS)
+    command = draw(st.sampled_from(("rank", "map", "avoiders", "sequences",
+                                    "census", "verify", "oeis")))
+    required = []
+    if command in ("rank", "map"):
+        positionals = [draw(texts)]
+        flags = {"--invert" if command == "rank" else "--trace": None}
+    elif command in ("avoiders", "sequences"):
+        positionals = [draw(_ints())]
+        flags = {"--format": formats, "--count": None,
+                 "--cap": _caps(AVOIDER_CAP if command == "avoiders" else SEQUENCE_CAP)}
+        if command == "avoiders":
+            flags["--pattern"] = texts
+    elif command == "census":
+        positionals = []
+        flags = {"--format": formats, "--max-n": _ints(),
+                 "--engine": st.sampled_from(("dp", "enumerative", "x")),
+                 # the smaller of the two engines' defaults
+                 "--cap": _caps(min(SEQUENCE_CAP, census_mod.DP_CAP))}
+        required = ["--max-n"]
+    elif command == "verify":
+        suite = draw(st.sampled_from(verify_mod.SUITE_NAMES + ("x",)))
+        positionals = [suite]
+        # always bounded, since the default bounds run for seconds; the oeis
+        # suite alone has a cap (ALL_PERMUTATION_CAP) below the others
+        extra = (ALL_PERMUTATION_CAP + 1,) if suite == "oeis" else ()
+        flags = {"--format": formats, "--max-n": _ints(*extra)}
+        required = ["--max-n"]
+    else:
+        positionals = []
+        flags = {"--format": formats, "--id": texts, "--offline": None, "--cache-dir": texts}
+    chosen = draw(st.lists(st.sampled_from(sorted(set(flags) - set(required))), unique=True))
+    argv = [command, *positionals]
+    for flag in required + chosen:
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    if draw(st.integers(0, 3)) == 0:  # now and then a stray token
+        argv.append(draw(st.sampled_from(TOKENS + ("-h", "--bogus"))))
+    return argv
+
+
+def _run_captured(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_any_argv_exits_cleanly_and_deterministically(argv):
+    code, out = _run_captured(argv)
+    assert code in (0, 1, 2), argv
+    assert _run_captured(argv) == (code, out), argv

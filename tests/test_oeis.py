@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from ulisperm import (
     ulis_count_all,
 )
 from ulisperm.oeis import CACHE_ENV_VAR, BFileParseError, bfile_url
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # --- parsing -----------------------------------------------------------------
@@ -152,7 +157,7 @@ def test_malformed_response_without_fixture(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_unparsable_cache_falls_back_like_a_failed_fetch(tmp_path):
+def test_unparsable_cache_is_fetched_again_and_replaced(tmp_path):
     (tmp_path / "b167995.txt").write_text("<html>cached error page</html>\n")
     calls = []
 
@@ -160,7 +165,40 @@ def test_unparsable_cache_falls_back_like_a_failed_fetch(tmp_path):
         calls.append(url)
         return "1 1\n"
 
-    with pytest.warns(FetchFallbackWarning, match="b167995.txt"):
+    text = fetch_bfile("A167995", online=True, cache_dir=str(tmp_path), opener=opener)
+    assert text == "1 1\n"
+    assert calls == [bfile_url("A167995")]
+    assert (tmp_path / "b167995.txt").read_text() == "1 1\n"
+    assert os.listdir(tmp_path) == ["b167995.txt"]
+
+
+def test_unparsable_cache_and_failed_fetch_serve_fixture(tmp_path):
+    (tmp_path / "b167995.txt").write_text("<html>cached error page</html>\n")
+
+    def opener(url, timeout):
+        raise OSError("no route to host")
+
+    with pytest.warns(FetchFallbackWarning, match="no route to host"):
         text = fetch_bfile("A167995", online=True, cache_dir=str(tmp_path), opener=opener)
     assert text == fixture_text()
-    assert calls == []
+    (tmp_path / "b000001.txt").write_text("<html></html>\n")
+    with pytest.raises(InputError, match="no fixture"):
+        fetch_bfile("A000001", online=True, cache_dir=str(tmp_path), opener=opener)
+
+
+def test_undecodable_cache_is_a_miss(tmp_path):
+    (tmp_path / "b167995.txt").write_bytes(b"\xff\xfe\x00junk")
+    text = fetch_bfile("A167995", online=True, cache_dir=str(tmp_path),
+                       opener=lambda url, timeout: "1 1\n")
+    assert text == (tmp_path / "b167995.txt").read_text() == "1 1\n"
+
+
+def test_cli_import_leaves_http_stack_unloaded():
+    # only `oeis --online` needs urllib.request and ssl; they load on first use
+    probe = ("import sys, ulisperm.cli; "
+             "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

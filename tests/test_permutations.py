@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from ulisperm import (
     InputError,
     PATTERN_132,
+    PatternVerdict,
     Permutation,
     contains_pattern,
     count_maximal_starting_at,
@@ -79,12 +80,31 @@ def test_pattern_must_have_length_3():
         contains_pattern(perm("123"), perm("1234"))
 
 
-@given(permutations_st(max_n=9), st.sampled_from(ALL_SIGS))
+@given(permutations_st(max_n=40), st.sampled_from(ALL_SIGS))
 def test_containment_matches_triple_scan(p, sig):
     verdict = contains_pattern(p, Permutation(sig))
     expected = contains_by_triples(p.entries, sig)
     assert verdict.contains == (expected is not None)
     assert verdict.witness == expected
+
+
+def test_containment_matches_triple_scan_exhaustively():
+    patterns = [Permutation(sig) for sig in ALL_SIGS]
+    for n in range(7):
+        for entries in itertools.permutations(range(1, n + 1)):
+            p = Permutation(entries)
+            for pattern in patterns:
+                expected = contains_by_triples(entries, pattern.entries)
+                assert contains_pattern(p, pattern) == PatternVerdict(
+                    expected is not None, expected), (entries, pattern)
+
+
+def test_containment_worst_cases_at_n_1000():
+    # every i before the witness scans the whole suffix: quadratic, not cubic
+    yes = Permutation(tuple(range(1000, 3, -1)) + (1, 3, 2))
+    assert contains_pattern(yes, PATTERN_132) == PatternVerdict(True, (998, 999, 1000))
+    reversed_identity = Permutation(tuple(range(1000, 0, -1)))
+    assert contains_pattern(reversed_identity, PATTERN_132) == PatternVerdict(False)
 
 
 @given(permutations_st(min_n=3, max_n=10), st.sampled_from(ALL_SIGS))
