@@ -9,9 +9,12 @@ Two independent engines produce the same rows:
 - `census_dp` runs an exact dynamic program over the same family, building
   sequences right to left.  The state is (leftmost value, maximum so far,
   whether the maximum is currently unique); prepending x to a suffix whose
-  leftmost value is w is legal for 1 <= x <= w + 1.  Suffix sums over w turn
-  the transition into O(1) per state, so a sweep to n = 300 takes seconds.
-  All counts are exact big integers.
+  leftmost value is w is legal for 1 <= x <= w + 1.  For each (maximum,
+  uniqueness) column over w, the bulk of the next length's column is a
+  re-indexing of this column's suffix sums, with no additions; only its last
+  entry takes the moves that tie or raise the maximum, and the column totals
+  give the row for the length from the same pass.  All counts are exact big
+  integers.
 
 Also here: the brute-force count of ALL permutations (no avoidance
 restriction) with a unique longest increasing subsequence, used to
@@ -96,7 +99,10 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
     maximum m and the given uniqueness.  Prepending x maps
     (w, m, unique) -> (x, max(m, x), unique') for x <= w + 1, where unique'
     is True if x > m, False if x == m, else unchanged.  For fixed target x
-    the sources form the tail w >= x - 1, hence the suffix sums.
+    the sources form the tail w >= x - 1, so each column's suffix sums give
+    the row total (the sum over every w) and, re-indexed, entries 1..m-1 of
+    the same column at length L + 1; x == m and x == m + 1 add only to the
+    last entry of (m, False) and (m + 1, True).
     """
     if max_n < 1:
         raise InputError(f"census needs n >= 1, got {max_n}")
@@ -106,26 +112,29 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
             f"pass a higher cap to override"
         )
     columns: dict[tuple[int, bool], list[int]] = {(1, True): [1]}
-    yield _make_row(1, 1, 0)
-    for _length in range(2, max_n + 1):
+    for length in range(1, max_n + 1):
+        u = v = 0
         new: dict[tuple[int, bool], list[int]] = {}
+        tips: dict[tuple[int, bool], int] = {}
         for (m, unique), column in columns.items():
             # acc[k] = sum of column over the top k+1 values of w, so the
-            # sum over w >= x is acc[m - x].
+            # sum over w >= y is acc[m - y] and acc[-1] is the column total.
             acc = list(itertools.accumulate(reversed(column)))
-            target = new.setdefault((m, unique), [0] * m)
-            for x in range(1, m):
-                target[x - 1] += acc[m - max(1, x - 1)]
-            # x == m ties the maximum
-            tied = new.setdefault((m, False), [0] * m)
-            tied[m - 1] += acc[m - max(1, m - 1)]
-            # x == m + 1 (only reachable from w == m) sets a fresh maximum
-            fresh = new.setdefault((m + 1, True), [0] * (m + 1))
-            fresh[m] += column[m - 1]
+            if unique:
+                u += acc[-1]
+            else:
+                v += acc[-1]
+            # x = 1..m-1 keeps (m, unique) and takes the sum over
+            # w >= max(1, x - 1): acc[-1], acc[-1], acc[-2], ..., acc[2].
+            new[m, unique] = [acc[-1], *acc[-1:1:-1], 0] if m > 1 else [0]
+            # x == m ties the maximum (w >= m - 1); x == m + 1 sets a fresh
+            # one (w == m).  Both land on the last entry of their column.
+            tips[m, False] = tips.get((m, False), 0) + sum(column[-2:])
+            tips[m + 1, True] = tips.get((m + 1, True), 0) + column[-1]
+        for (m, unique), tip in tips.items():
+            new.setdefault((m, unique), [0] * m)[-1] += tip
         columns = {key: col for key, col in new.items() if any(col)}
-        u = sum(sum(col) for (m, q), col in columns.items() if q)
-        v = sum(sum(col) for (m, q), col in columns.items() if not q)
-        yield _make_row(_length, u, v)
+        yield _make_row(length, u, v)
 
 
 def census_dp(n: int, *, cap: int = DP_CAP) -> CensusRow:
@@ -162,6 +171,8 @@ def ulis_count_all(n: int, *, cap: int = ALL_PERMUTATION_CAP) -> int:
     total = 0
     lengths = [0] * n
     counts = [0] * n
+    # A saturating copy of start_lengths_counts: has_ulis(Permutation(p)) counts
+    # the same 90 449 at n = 9 but took 3.0 s to this loop's 2.0 s (2-vCPU VM).
     for p in itertools.permutations(range(n)):
         for i in range(n - 1, -1, -1):
             pi = p[i]

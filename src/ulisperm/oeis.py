@@ -26,7 +26,8 @@ _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
 
 
 class FetchFallbackWarning(UserWarning):
-    """A live fetch failed and the bundled fixture was served instead."""
+    """A live fetch failed and the bundled fixture was served instead, or
+    the fetched text was served but could not be cached."""
 
 
 class BFileEntry(NamedTuple):
@@ -117,7 +118,8 @@ def fetch_bfile(
     as a miss, so it is fetched again and replaced.  Any failure to fetch,
     read or parse falls back to the bundled fixture with a
     FetchFallbackWarning; if there is no fixture for the id either, the
-    failure propagates as InputError.
+    failure propagates as InputError.  A failure to write the cache only
+    warns: the fetched text is still served.
 
     `opener` exists for tests: a callable (url, timeout) -> text replacing
     the real HTTP client.
@@ -151,7 +153,15 @@ def fetch_bfile(
         ) from exc
 
     if cache_path is not None:
-        _write_atomically(cache_path, text)
+        try:
+            _write_atomically(cache_path, text)
+        except OSError as exc:
+            warnings.warn(
+                f"caching {sequence_id} at {cache_path} failed ({exc}); "
+                f"serving the fetched text uncached",
+                FetchFallbackWarning,
+                stacklevel=2,
+            )
     return text
 
 

@@ -105,3 +105,37 @@ def invert_by_search(t: RankSequence, *, cap: int = SEQUENCE_CAP) -> Permutation
             f"expected exactly one 132-avoiding preimage of {t}, found {len(matches)}"
         )
     return matches[0]
+
+
+def census_u_by_first_passage(max_n: int) -> list[int]:
+    """u(1..max_n): rank sequences of each length with a unique maximum, by
+    the first-passage decomposition of height-bounded paths.
+
+    Read right to left, a rank sequence is a path r with r_1 = 1,
+    r_{j+1} <= r_j + 1 and every r >= 1.  A unique maximum b + 1 at position
+    k + 1 splits it into a prefix of length k from 1 that stays in 1..b and
+    ends at b, and a suffix of length n - 1 - k with any start that stays in
+    1..b.  Shares no code with `census_rows_dp`.
+    """
+
+    def step(counts: list[int]) -> list[int]:
+        # counts over values 1..b; value y is reachable from every x >= y - 1
+        tail = [0] * (len(counts) + 1)  # tail[i] = sum(counts[i:])
+        for i in range(len(counts) - 1, -1, -1):
+            tail[i] = tail[i + 1] + counts[i]
+        return [tail[max(0, y - 2)] for y in range(1, len(counts) + 1)]
+
+    u = [0] * (max_n + 1)
+    u[1] = 1  # the single entry 1 is its own unique maximum
+    for b in range(1, max_n):
+        ends_at_b = [0]  # P_b(k): paths of length k from 1 ending at b
+        counts = [1] + [0] * (b - 1)
+        free = [1]  # S_b(m): paths of length m from any start
+        anywhere = [1] * b
+        for _ in range(1, max_n):
+            ends_at_b.append(counts[-1])
+            free.append(sum(anywhere))
+            counts, anywhere = step(counts), step(anywhere)
+        for n in range(b + 1, max_n + 1):
+            u[n] += sum(ends_at_b[k] * free[n - 1 - k] for k in range(b, n))
+    return u[1:]

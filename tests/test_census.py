@@ -10,7 +10,9 @@ from ulisperm import (
     census_rows_dp,
     ulis_count_all,
 )
-from ulisperm.census import CSV_COLUMNS
+from ulisperm.census import CSV_COLUMNS, DP_CAP
+
+from oracles import census_u_by_first_passage
 
 # Frozen small rows, derived once by classifying every rank sequence of each
 # length by maximum multiplicity (and double-checked against the avoider
@@ -58,6 +60,14 @@ def test_dp_rows_sum_to_catalan_and_keep_floor():
         assert row.u >= row.v
         assert row.ratio >= half
         assert (row.ratio == half) == (row.n == 2)
+
+
+@pytest.mark.parametrize("max_n", [
+    150,
+    pytest.param(DP_CAP, marks=pytest.mark.slow),
+])
+def test_dp_matches_first_passage_oracle(max_n):
+    assert [row.u for row in census_rows_dp(max_n)] == census_u_by_first_passage(max_n)
 
 
 def test_dp_deterministic():

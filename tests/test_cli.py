@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -165,6 +166,17 @@ def test_sequences_count_csv(capsys):
 
 
 # --- census --------------------------------------------------------------------
+
+# sha256 of the stdout of `census --max-n 300` (the default DP cap), recorded
+# at 22f063a, before any change to the dynamic program.
+CENSUS_300_SHA256 = "7a8a65b26f9d577e5b594d6d91cf7c7c4db71c261f012c06371649c9984e78b7"
+
+
+def test_census_to_cap_stdout_bytes(capsys):
+    code, out, _ = run(capsys, "census", "--max-n", "300")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_300_SHA256
+
 
 def test_census_plain(capsys):
     code, out, _ = run(capsys, "census", "--max-n", "3", "--engine", "enumerative")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,17 @@ def test_undecodable_cache_is_a_miss(tmp_path):
     text = fetch_bfile("A167995", online=True, cache_dir=str(tmp_path),
                        opener=lambda url, timeout: "1 1\n")
     assert text == (tmp_path / "b167995.txt").read_text() == "1 1\n"
+
+
+def test_failed_cache_write_warns_and_serves_fetched_text(tmp_path):
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("a file, not a directory\n")
+
+    with pytest.warns(FetchFallbackWarning, match=re.escape(str(not_a_directory))):
+        text = fetch_bfile("A167995", online=True, cache_dir=str(not_a_directory),
+                           opener=lambda url, timeout: "1 1\n2 1\n")
+    assert text == "1 1\n2 1\n"
+    assert not_a_directory.read_text() == "a file, not a directory\n"
 
 
 def test_cli_import_leaves_http_stack_unloaded():
