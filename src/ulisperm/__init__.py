@@ -5,7 +5,6 @@ on it, exact censuses proving the one-half floor, and OEIS cross-checks."""
 from .census import (
     CensusRow,
     DP_CAP,
-    census_dp,
     census_enumerative,
     census_rows_dp,
     ulis_count_all,
@@ -19,7 +18,6 @@ from .permutations import (
     PatternVerdict,
     Permutation,
     contains_pattern,
-    count_maximal_starting_at,
     enumerate_avoiders,
     has_ulis,
     lis_stats,
@@ -32,7 +30,6 @@ from .ranks import (
     enumerate_rank_sequences,
     invert,
     rank_sequence,
-    validate,
 )
 from .ulis import MaxProfile, max_profile, uniquify_lis, uniquify_max
 from .verify import SUITE_NAMES, RunReport, run_suite
@@ -58,11 +55,9 @@ __all__ = [
     "SUITE_NAMES",
     "SequenceValidationError",
     "catalan",
-    "census_dp",
     "census_enumerative",
     "census_rows_dp",
     "contains_pattern",
-    "count_maximal_starting_at",
     "enumerate_avoiders",
     "enumerate_rank_sequences",
     "fetch_bfile",
@@ -78,5 +73,4 @@ __all__ = [
     "ulis_count_all",
     "uniquify_lis",
     "uniquify_max",
-    "validate",
 ]

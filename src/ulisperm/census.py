@@ -6,10 +6,10 @@ Two independent engines produce the same rows:
 - `census_enumerative` walks every rank sequence of length n and classifies
   it by maximum multiplicity.  Transparent, but bounded by the Catalan
   explosion (the default cap is 12).
-- `census_dp` runs an exact dynamic program over the same family, building
-  sequences right to left.  The state is (leftmost value, maximum so far,
-  whether the maximum is currently unique); prepending x to a suffix whose
-  leftmost value is w is legal for 1 <= x <= w + 1.  For each (maximum,
+- `census_rows_dp` runs an exact dynamic program over the same family,
+  building sequences right to left.  The state is (leftmost value, maximum
+  so far, whether the maximum is currently unique); prepending x to a suffix
+  whose leftmost value is w is legal for 1 <= x <= w + 1.  For each (maximum,
   uniqueness) column over w, the bulk of the next length's column is a
   re-indexing of this column's suffix sums, with no additions; only its last
   entry takes the moves that tie or raise the maximum, and the column totals
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import ConstructionError, InputError
-from .permutations import ALL_PERMUTATION_CAP
+from .permutations import ALL_PERMUTATION_CAP, _fill_starts
 from .ranks import SEQUENCE_CAP, catalan, enumerate_rank_sequences
 from .ulis import max_profile
 
@@ -137,24 +137,15 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
         yield _make_row(length, u, v)
 
 
-def census_dp(n: int, *, cap: int = DP_CAP) -> CensusRow:
-    """The exact row for a single n via the dynamic program.
-
-    >>> census_dp(3) == census_enumerative(3)
-    True
-    """
-    for row in census_rows_dp(n, cap=cap):
-        if row.n == n:
-            return row
-    raise AssertionError("unreachable")
-
-
 def ulis_count_all(n: int, *, cap: int = ALL_PERMUTATION_CAP) -> int:
     """Number of ALL permutations of length n with a unique longest
     increasing subsequence, by brute force over n! permutations.
 
-    The subsequence-count bookkeeping saturates at 2, since only the
-    distinction "exactly one" versus "more" matters here.
+    Permutations are built right to left by depth-first search, so those
+    sharing a suffix share that suffix's start lengths and counts: each placed
+    entry costs one `_fill_starts` step.  The suffix's longest length and the
+    number of subsequences of that length go down the recursion, and a full
+    permutation counts when that number is 1.
 
     >>> [ulis_count_all(n) for n in range(1, 5)]
     [1, 1, 3, 10]
@@ -168,33 +159,31 @@ def ulis_count_all(n: int, *, cap: int = ALL_PERMUTATION_CAP) -> int:
         )
     if n == 0:
         return 1
-    total = 0
+    entries = [0] * n
     lengths = [0] * n
     counts = [0] * n
-    # A saturating copy of start_lengths_counts: has_ulis(Permutation(p)) counts
-    # the same 90 449 at n = 9 but took 3.0 s to this loop's 2.0 s (2-vCPU VM).
-    for p in itertools.permutations(range(n)):
-        for i in range(n - 1, -1, -1):
-            pi = p[i]
-            best = 0
-            c = 1
-            for j in range(i + 1, n):
-                if p[j] > pi:
-                    lj = lengths[j]
-                    if lj > best:
-                        best = lj
-                        c = counts[j]
-                    elif lj == best:
-                        c += counts[j]
-            lengths[i] = best + 1
-            counts[i] = c if c < 2 else 2
-        longest = max(lengths)
-        tally = 0
-        for l, c in zip(lengths, counts):
-            if l == longest:
-                tally += c
-                if tally > 1:
-                    break
-        if tally == 1:
-            total += 1
-    return total
+    used = bytearray(n + 1)
+
+    def place(i: int, longest: int, tally: int) -> int:
+        found = 0
+        for v in range(1, n + 1):
+            if used[v]:
+                continue
+            entries[i] = v
+            _fill_starts(entries, lengths, counts, i, i)
+            length = lengths[i]
+            if length > longest:
+                top, ties = length, counts[i]
+            elif length == longest:
+                top, ties = longest, tally + counts[i]
+            else:
+                top, ties = longest, tally
+            if i:
+                used[v] = 1
+                found += place(i - 1, top, ties)
+                used[v] = 0
+            elif ties == 1:
+                found += 1
+        return found
+
+    return place(n - 1, 0, 0)

@@ -22,7 +22,7 @@ from .errors import InputError
 FIXTURE_ID = "A167995"
 CACHE_ENV_VAR = "ULISPERM_OEIS_CACHE_DIR"
 
-_ID_PATTERN = re.compile(r"\AA\d{6}\Z")
+_ID_PATTERN = re.compile(r"\AA[0-9]{6}\Z")
 
 
 class FetchFallbackWarning(UserWarning):
@@ -114,9 +114,9 @@ def fetch_bfile(
     canonical OEIS b-file URL is fetched over HTTPS, consulting and filling
     an optional on-disk cache (`cache_dir` argument, or the directory named
     by the ULISPERM_OEIS_CACHE_DIR environment variable).  Text is parsed
-    before it is cached or served; a cache file that does not parse counts
-    as a miss, so it is fetched again and replaced.  Any failure to fetch,
-    read or parse falls back to the bundled fixture with a
+    before it is cached or served; a cache file that cannot be read or does
+    not parse counts as a miss, so it is fetched again and replaced.  Any
+    failure to fetch or parse falls back to the bundled fixture with a
     FetchFallbackWarning; if there is no fixture for the id either, the
     failure propagates as InputError.  A failure to write the cache only
     warns: the fetched text is still served.
@@ -132,24 +132,22 @@ def fetch_bfile(
         return fixture_text(sequence_id)
 
     cache_path = _cache_path(sequence_id, cache_dir)
-    source = f"reading {cache_path}"
+    text = _read_cache(cache_path)
+    if text is not None:
+        return text
     try:
-        text = _read_cache(cache_path)
-        if text is not None:
-            return text
-        source = f"fetch of {sequence_id}"
         text = (opener or _http_get)(bfile_url(sequence_id), timeout)
         parse_bfile(text)
     except Exception as exc:
         if sequence_id == FIXTURE_ID:
             warnings.warn(
-                f"{source} failed ({exc}); serving bundled fixture",
+                f"fetch of {sequence_id} failed ({exc}); serving bundled fixture",
                 FetchFallbackWarning,
                 stacklevel=2,
             )
             return fixture_text(sequence_id)
         raise InputError(
-            f"{source} failed and no fixture is bundled: {exc}"
+            f"fetch of {sequence_id} failed and no fixture is bundled: {exc}"
         ) from exc
 
     if cache_path is not None:
@@ -173,15 +171,15 @@ def _cache_path(sequence_id: str, cache_dir: str | None) -> str | None:
 
 
 def _read_cache(path: str | None) -> str | None:
-    """The cached text, or None when there is no cache file or it does not
-    decode and parse (a miss: the caller fetches and replaces it)."""
+    """The cached text, or None when there is no cache file or it cannot be
+    read, decoded or parsed (a miss: the caller fetches and replaces it)."""
     if path is None or not os.path.exists(path):
         return None
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         parse_bfile(text)
-    except (UnicodeDecodeError, BFileParseError):
+    except (OSError, UnicodeDecodeError, BFileParseError):
         return None
     return text
 

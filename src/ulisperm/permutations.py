@@ -160,14 +160,24 @@ def start_lengths_counts(p: Permutation) -> tuple[list[int], list[int]]:
     right to left: a subsequence starting here continues at any later, larger
     entry.  Quadratic, which keeps the count bookkeeping transparent.
     """
-    e = p.entries
-    n = len(e)
+    n = len(p.entries)
     lengths = [1] * n
     counts = [1] * n
-    for i in range(n - 2, -1, -1):
+    _fill_starts(p.entries, lengths, counts, n - 2, 0)
+    return lengths, counts
+
+
+def _fill_starts(e: Sequence[int], lengths: list[int], counts: list[int],
+                 start: int, stop: int) -> None:
+    """The package's one LIS kernel: set lengths[i] and counts[i] for
+    i = start down to stop, reading only the positions right of i, which
+    must already be set.  Both are always written, so reused lists stay
+    correct."""
+    n = len(e)
+    for i in range(start, stop - 1, -1):
         ei = e[i]
         best = 0
-        total = 0
+        total = 1
         for j in range(i + 1, n):
             if e[j] > ei:
                 lj = lengths[j]
@@ -176,10 +186,8 @@ def start_lengths_counts(p: Permutation) -> tuple[list[int], list[int]]:
                     total = counts[j]
                 elif lj == best:
                     total += counts[j]
-        if best:
-            lengths[i] = best + 1
-            counts[i] = total
-    return lengths, counts
+        lengths[i] = best + 1
+        counts[i] = total
 
 
 def start_ranks(p: Permutation) -> tuple[int, ...]:
@@ -221,19 +229,6 @@ def has_ulis(p: Permutation) -> bool:
     False
     """
     return lis_stats(p)[1] == 1
-
-
-def count_maximal_starting_at(p: Permutation, i: int) -> int:
-    """Number of position sets realizing a maximum-length increasing
-    subsequence that begins at position `i` (1-based).
-
-    Maximality is relative to subsequences starting at `i`, not to the whole
-    permutation.  For 132-avoiders this is always 1.
-    """
-    if not 1 <= i <= p.n:
-        raise InputError(f"position {i} out of range 1..{p.n}")
-    _, counts = start_lengths_counts(p)
-    return counts[i - 1]
 
 
 # --- enumeration of pattern avoiders -------------------------------------

@@ -82,15 +82,6 @@ def validate_values(values: tuple[int, ...]) -> None:
     assert all(v <= n - i for i, v in enumerate(values))
 
 
-def validate(values) -> RankSequence:
-    """Validate an integer sequence as a member of the family.
-
-    >>> validate([2, 2, 1]).values
-    (2, 2, 1)
-    """
-    return RankSequence(tuple(values))
-
-
 def rank_sequence(p: Permutation) -> RankSequence:
     """The rank sequence of `p`.
 

@@ -32,11 +32,10 @@ from .ulis import max_profile, uniquify_lis, uniquify_max
 
 @dataclass
 class RunReport:
-    """One verification (or census) run: what ran, with which parameters,
-    and how it came out.  Durations live outside the deterministic payload so
-    identical runs stay byte-identical on standard output."""
+    """One verification run: its parameters and how it came out.  The
+    duration lives outside the deterministic payload so identical runs stay
+    byte-identical on standard output."""
 
-    command: str
     parameters: dict[str, Any]
     outcome: dict[str, Any]
     duration_ms: float = field(default=0.0, compare=False)
@@ -45,15 +44,8 @@ class RunReport:
     def passed(self) -> bool:
         return self.outcome.get("status") == "pass"
 
-    def to_payload(self, *, include_duration: bool = False) -> dict[str, Any]:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "outcome": self.outcome,
-        }
-        if include_duration:
-            payload["duration_ms"] = self.duration_ms
-        return payload
+    def to_payload(self) -> dict[str, Any]:
+        return {"command": "verify", "parameters": self.parameters, "outcome": self.outcome}
 
 
 def _fail(counterexample: dict[str, Any], **stats: Any) -> dict[str, Any]:
@@ -245,10 +237,6 @@ _SUITES: dict[str, tuple[Callable[[int], dict[str, Any]], int, int]] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def suite_default_max_n(suite: str) -> int:
-    return _SUITES[suite][1]
-
-
 def run_suite(suite: str, max_n: int | None = None) -> RunReport:
     """Run one named suite up to `max_n` (its default bound if omitted)."""
     if suite not in _SUITES:
@@ -265,7 +253,6 @@ def run_suite(suite: str, max_n: int | None = None) -> RunReport:
     outcome = runner(bound)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return RunReport(
-        command="verify",
         parameters={"suite": suite, "max_n": bound},
         outcome=outcome,
         duration_ms=elapsed_ms,

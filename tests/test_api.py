@@ -1,0 +1,7 @@
+import ulisperm
+
+
+def test_every_export_resolves_once():
+    names = ulisperm.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(ulisperm, name)] == []

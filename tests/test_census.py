@@ -5,7 +5,6 @@ import pytest
 from ulisperm import (
     InputError,
     catalan,
-    census_dp,
     census_enumerative,
     census_rows_dp,
     ulis_count_all,
@@ -47,9 +46,11 @@ def test_dp_equals_enumerative():
 
 
 def test_dp_single_row():
-    assert (census_dp(1).total, census_dp(1).u, census_dp(1).v) == (1, 1, 0)
-    assert census_dp(3) == census_enumerative(3)
-    row = census_dp(12)
+    first = list(census_rows_dp(1))[-1]
+    assert (first.n, first.total, first.u, first.v) == (1, 1, 1, 0)
+    assert list(census_rows_dp(3))[-1] == census_enumerative(3)
+    row = list(census_rows_dp(12))[-1]
+    assert row.n == 12
     assert row.u + row.v == 208012
 
 
@@ -86,7 +87,7 @@ def test_census_caps():
 
 
 def test_row_serialization():
-    record = census_dp(3).to_json_dict()
+    record = list(census_rows_dp(3))[-1].to_json_dict()
     assert record == {
         "n": 3, "catalan": "5", "u": "3", "v": "2",
         "ratio_num": "3", "ratio_den": "5",

@@ -73,9 +73,15 @@ def test_fetch_offline_serves_fixture():
 
 
 def test_fetch_rejects_bad_ids():
-    for bad in ("B12", "A123", "A1234567", "a167995", "167995"):
+    calls = []
+    # the last id has Arabic-Indic digits, which a Unicode \d would accept
+    for bad in ("B12", "A123", "A1234567", "a167995", "167995",
+                "A\u0661\u0666\u0667\u0669\u0669\u0665"):
         with pytest.raises(InputError, match="six digits"):
             fetch_bfile(bad)
+        with pytest.raises(InputError, match="six digits"):
+            fetch_bfile(bad, online=True, opener=lambda url, timeout: calls.append(url))
+    assert calls == []
 
 
 def test_fetch_offline_unknown_id():
@@ -192,6 +198,21 @@ def test_undecodable_cache_is_a_miss(tmp_path):
     text = fetch_bfile("A167995", online=True, cache_dir=str(tmp_path),
                        opener=lambda url, timeout: "1 1\n")
     assert text == (tmp_path / "b167995.txt").read_text() == "1 1\n"
+
+
+def test_unreadable_cache_is_a_miss(tmp_path):
+    # a directory where the cache file belongs: reading and writing both fail
+    (tmp_path / "b167995.txt").mkdir()
+    calls = []
+
+    def opener(url, timeout):
+        calls.append(url)
+        return "1 1\n"
+
+    with pytest.warns(FetchFallbackWarning, match="caching A167995"):
+        text = fetch_bfile("A167995", online=True, cache_dir=str(tmp_path), opener=opener)
+    assert text == "1 1\n"
+    assert calls == [bfile_url("A167995")]
 
 
 def test_failed_cache_write_warns_and_serves_fetched_text(tmp_path):

@@ -9,7 +9,6 @@ from ulisperm import (
     PatternVerdict,
     Permutation,
     contains_pattern,
-    count_maximal_starting_at,
     enumerate_avoiders,
     has_ulis,
     lis_stats,
@@ -151,19 +150,6 @@ def test_start_ranks_examples():
     assert start_ranks(perm("213")) == (2, 2, 1)
     assert start_ranks(perm("321")) == (1, 1, 1)
     assert start_ranks(perm("123")) == (3, 2, 1)
-
-
-def test_count_maximal_starting_at():
-    assert count_maximal_starting_at(perm("34256178"), 1) == 1
-    assert count_maximal_starting_at(perm("321"), 2) == 1
-    assert count_maximal_starting_at(perm("32456178"), 1) == 1
-
-
-def test_count_maximal_position_range():
-    with pytest.raises(InputError):
-        count_maximal_starting_at(perm("321"), 0)
-    with pytest.raises(InputError):
-        count_maximal_starting_at(perm("321"), 4)
 
 
 # --- avoider enumeration ------------------------------------------------------

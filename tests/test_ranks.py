@@ -16,7 +16,6 @@ from ulisperm import (
     invert,
     rank_sequence,
     start_ranks,
-    validate,
 )
 
 from oracles import (
@@ -39,12 +38,12 @@ def rank_sequences_st(draw, max_n=32):
 # --- validation -----------------------------------------------------------
 
 def test_validate_accepts_member():
-    assert validate([2, 2, 1]).values == (2, 2, 1)
+    assert RankSequence((2, 2, 1)).values == (2, 2, 1)
 
 
 def test_validate_reports_drop():
     with pytest.raises(SequenceValidationError) as exc:
-        validate([1, 3, 1])
+        RankSequence((1, 3, 1))
     assert exc.value.condition == "adjacent-drop"
     assert exc.value.position == 2
     assert "2->3" in str(exc.value)
@@ -52,21 +51,21 @@ def test_validate_reports_drop():
 
 def test_validate_reports_final_entry():
     with pytest.raises(SequenceValidationError) as exc:
-        validate([1, 1, 2])
+        RankSequence((1, 1, 2))
     assert exc.value.condition == "final-entry"
     assert exc.value.position == 3
 
 
 def test_validate_reports_nonpositive():
     with pytest.raises(SequenceValidationError) as exc:
-        validate([1, 0, 1])
+        RankSequence((1, 0, 1))
     assert exc.value.condition == "positive"
     assert exc.value.position == 2
 
 
 def test_validate_rejects_empty():
     with pytest.raises(SequenceValidationError) as exc:
-        validate([])
+        RankSequence(())
     assert exc.value.condition == "empty"
 
 

@@ -1,7 +1,22 @@
 import pytest
 
-from ulisperm import InputError, Permutation, RunReport, SUITE_NAMES, run_suite
+from ulisperm import (
+    InputError,
+    Permutation,
+    RankSequence,
+    RunReport,
+    SUITE_NAMES,
+    catalan,
+    census_enumerative,
+    contains_pattern,
+    enumerate_rank_sequences,
+    invert,
+    rank_sequence,
+    run_suite,
+    ulis_count_all,
+)
 from ulisperm import verify as verify_mod
+from ulisperm.permutations import start_lengths_counts
 
 
 def test_suite_names():
@@ -42,15 +57,14 @@ def test_max_n_over_cap():
 def test_defaults_applied():
     report = run_suite("oeis", 4)
     assert report.parameters["max_n"] == 4
-    assert verify_mod.suite_default_max_n("bijection") == 10
+    assert run_suite("lemma1").parameters["max_n"] == 9
 
 
 def test_payload_shape():
     report = run_suite("catalan", 4)
     payload = report.to_payload()
     assert set(payload) == {"command", "parameters", "outcome"}
-    timed = report.to_payload(include_duration=True)
-    assert "duration_ms" in timed
+    assert payload["command"] == "verify"
     assert payload["outcome"]["status"] == "pass"
     assert payload["outcome"]["counts"] == [1, 2, 5, 14]
 
@@ -72,6 +86,94 @@ def test_failure_reports_least_counterexample(monkeypatch):
 
 
 def test_run_report_is_dataclass():
-    report = RunReport("verify", {"suite": "catalan", "max_n": 2},
-                       {"status": "pass"}, 1.0)
+    report = RunReport({"suite": "catalan", "max_n": 2}, {"status": "pass"}, 1.0)
     assert report.passed
+
+
+class _ForeignRankSequence(RankSequence):
+    """Equal in values to a RankSequence, but never equal to one.  `invert`
+    asserts its own round trip, so only a `rank_sequence` whose results
+    compare unequal reaches the bijection suite's sequence-side check."""
+
+
+def _checks_123(p, pattern):
+    return contains_pattern(p, Permutation((1, 2, 3)))
+
+
+def _miscounts_3124(p):
+    lengths, counts = start_lengths_counts(p)
+    if p.entries == (3, 1, 2, 4):
+        counts[1] = 2
+    return lengths, counts
+
+
+# One case per failure site of every suite: the name broken in
+# ulisperm.verify, its replacement, and the counterexample and counters of
+# the failing run at max_n = 6.
+FAILURE_CASES = [
+    pytest.param(
+        "bijection", "invert", lambda t: Permutation(tuple(reversed(invert(t).entries))),
+        {"n": 2, "permutation": "1 2", "rank_sequence": "2 1", "reconstructed": "2 1"},
+        {"round_trips": 3}, id="bijection-avoider-round-trip"),
+    pytest.param(
+        "bijection", "rank_sequence", lambda p: _ForeignRankSequence(rank_sequence(p).values),
+        {"n": 1, "sequence": "1", "permutation": "1", "ranks": "1"},
+        {"round_trips": 2}, id="bijection-sequence-round-trip"),
+    pytest.param(
+        "bijection", "contains_pattern", _checks_123,
+        {"n": 3, "sequence": "3 2 1", "permutation": "1 2 3", "pattern_at": (1, 2, 3)},
+        {"round_trips": 16}, id="bijection-contains-132"),
+    pytest.param(
+        "lemma1", "start_lengths_counts", _miscounts_3124,
+        {"n": 4, "permutation": "3 1 2 4", "position": 2, "count": 2},
+        {"permutations": 13}, id="lemma1-count"),
+    pytest.param(
+        "injection-f", "uniquify_max", lambda t: RankSequence((1,) * t.n),
+        {"n": 3, "first": "1 1 1", "second": "2 2 1", "image": "1 1 1"},
+        {"inputs": 3}, id="injection-f-collision"),
+    pytest.param(
+        "injection-g", "uniquify_lis", lambda p: p,
+        {"n": 2, "permutation": "2 1", "image": "2 1",
+         "reason": "image lacks a unique longest increasing subsequence"},
+        {"domain": 1}, id="injection-g-no-ulis"),
+    pytest.param(
+        "injection-g", "contains_pattern", _checks_123,
+        {"n": 3, "permutation": "2 1 3", "image": "1 2 3", "pattern_at": (1, 2, 3)},
+        {"domain": 2}, id="injection-g-contains-132"),
+    pytest.param(
+        "injection-g", "uniquify_lis", lambda p: Permutation(tuple(range(1, p.n + 1))),
+        {"n": 3, "first": "2 1 3", "second": "3 2 1", "image": "1 2 3"},
+        {"domain": 3}, id="injection-g-collision"),
+    pytest.param(
+        "characterization", "has_ulis", lambda p: True,
+        {"n": 2, "permutation": "2 1", "has_ulis": True, "unique_max": False},
+        {"permutations": 3}, id="characterization-object"),
+    pytest.param(
+        "characterization", "census_enumerative", lambda n: census_enumerative(n + 1),
+        {"n": 2, "avoider_count": 1, "census_u": 3},
+        {"permutations": 3}, id="characterization-census-u"),
+    pytest.param(
+        "catalan", "catalan", lambda n: catalan(n + 1),
+        {"n": 1, "avoiders": 1, "catalan": 2}, {}, id="catalan-avoiders"),
+    pytest.param(
+        "catalan", "enumerate_rank_sequences", lambda n: list(enumerate_rank_sequences(n))[:-1],
+        {"n": 1, "sequences": 0, "catalan": 1}, {}, id="catalan-sequences"),
+    pytest.param(
+        "oeis", "fixture_text", lambda: "1 1\n2 1\n",
+        {"n": 3, "reason": "missing from bundled A167995"}, {}, id="oeis-missing"),
+    pytest.param(
+        "oeis", "ulis_count_all", lambda n: ulis_count_all(n - 1),
+        {"n": 3, "computed": 1, "fixture": 3},
+        {"compared": 2}, id="oeis-mismatch"),
+]
+
+
+@pytest.mark.parametrize("suite,name,fake,counterexample,stats", FAILURE_CASES)
+def test_failure_payload(monkeypatch, suite, name, fake, counterexample, stats):
+    monkeypatch.setattr(verify_mod, name, fake)
+    report = run_suite(suite, 6)
+    assert report.to_payload() == {
+        "command": "verify",
+        "parameters": {"suite": suite, "max_n": 6},
+        "outcome": {"status": "fail", "counterexample": counterexample, **stats},
+    }
