@@ -6,15 +6,20 @@ Two independent engines produce the same rows:
 - `census_enumerative` walks every rank sequence of length n and classifies
   it by maximum multiplicity.  Transparent, but bounded by the Catalan
   explosion (the default cap is 12).
-- `census_rows_dp` runs an exact dynamic program over the same family,
-  building sequences right to left.  The state is (leftmost value, maximum
-  so far, whether the maximum is currently unique); prepending x to a suffix
-  whose leftmost value is w is legal for 1 <= x <= w + 1.  For each (maximum,
-  uniqueness) column over w, the bulk of the next length's column is a
-  re-indexing of this column's suffix sums, with no additions; only its last
-  entry takes the moves that tie or raise the maximum, and the column totals
-  give the row for the length from the same pass.  All counts are exact big
-  integers.
+- `census_rows_dp` (the `dp` engine) evaluates a closed form.  Read right
+  to left, a rank sequence of length n is the preorder depth sequence of a
+  plane tree with n + 1 nodes, and a unique maximum is a unique deepest node.
+  Trees whose unique deepest node sits at depth h have generating function
+  z^h / F_{h-1}(z)^2, where F_h are the continued-fraction denominators of
+  height-bounded plane trees (de Bruijn, Knuth & Rice 1972; Flajolet 1980).
+  The substitution z = x/(1+x)^2 turns their sum into the divisor sums
+  sigma(N), and Lagrange inversion gives
+
+      u(n) = [x^(n+1)] (1-x)(1+x)^(2n-1) ((1-x)^2 S(x) - x),
+      S(x) = sum over N >= 1 of sigma(N) x^N,
+
+  so each length costs one binomial row and one dot product.  All counts
+  are exact big integers.
 
 Also here: the brute-force count of ALL permutations (no avoidance
 restriction) with a unique longest increasing subsequence, used to
@@ -23,7 +28,6 @@ cross-check the bundled OEIS data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -92,17 +96,16 @@ def census_enumerative(n: int, *, cap: int = SEQUENCE_CAP) -> CensusRow:
 
 
 def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
-    """Yield exact rows for n = 1..max_n in one incremental sweep.
+    """Yield exact rows for n = 1..max_n from the closed form
+    u(n) = [x^(n+1)] (1-x)(1+x)^(2n-1) ((1-x)^2 S(x) - x), where S(x) sums
+    sigma(N) x^N over N >= 1 and sigma(N) is the sum of the divisors of N
+    (de Bruijn, Knuth & Rice 1972; Flajolet 1980; derived in the module
+    docstring).  The series g = (1-x)((1-x)^2 S(x) - x) is expanded once;
+    each u(n) is the dot product of the binomial row C(2n-1, j), j <= n + 1,
+    with g[n+1-j], and v = catalan(n) - u.
 
-    State after processing suffixes of length L: columns[(m, unique)] is a
-    list over leftmost value w = 1..m of counts of valid suffixes with
-    maximum m and the given uniqueness.  Prepending x maps
-    (w, m, unique) -> (x, max(m, x), unique') for x <= w + 1, where unique'
-    is True if x > m, False if x == m, else unchanged.  For fixed target x
-    the sources form the tail w >= x - 1, so each column's suffix sums give
-    the row total (the sum over every w) and, re-indexed, entries 1..m-1 of
-    the same column at length L + 1; x == m and x == m + 1 add only to the
-    last entry of (m, False) and (m + 1, True).
+    >>> [r.u for r in census_rows_dp(6)]
+    [1, 1, 3, 8, 23, 71]
     """
     if max_n < 1:
         raise InputError(f"census needs n >= 1, got {max_n}")
@@ -111,30 +114,25 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
             f"dynamic-program census capped at n = {cap} (requested {max_n}); "
             f"pass a higher cap to override"
         )
-    columns: dict[tuple[int, bool], list[int]] = {(1, True): [1]}
-    for length in range(1, max_n + 1):
-        u = v = 0
-        new: dict[tuple[int, bool], list[int]] = {}
-        tips: dict[tuple[int, bool], int] = {}
-        for (m, unique), column in columns.items():
-            # acc[k] = sum of column over the top k+1 values of w, so the
-            # sum over w >= y is acc[m - y] and acc[-1] is the column total.
-            acc = list(itertools.accumulate(reversed(column)))
-            if unique:
-                u += acc[-1]
-            else:
-                v += acc[-1]
-            # x = 1..m-1 keeps (m, unique) and takes the sum over
-            # w >= max(1, x - 1): acc[-1], acc[-1], acc[-2], ..., acc[2].
-            new[m, unique] = [acc[-1], *acc[-1:1:-1], 0] if m > 1 else [0]
-            # x == m ties the maximum (w >= m - 1); x == m + 1 sets a fresh
-            # one (w == m).  Both land on the last entry of their column.
-            tips[m, False] = tips.get((m, False), 0) + sum(column[-2:])
-            tips[m + 1, True] = tips.get((m + 1, True), 0) + column[-1]
-        for (m, unique), tip in tips.items():
-            new.setdefault((m, unique), [0] * m)[-1] += tip
-        columns = {key: col for key, col in new.items() if any(col)}
-        yield _make_row(length, u, v)
+    top = max_n + 1
+    sigma = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for multiple in range(d, top + 1, d):
+            sigma[multiple] += d
+
+    def times_one_minus_x(series: list[int]) -> list[int]:
+        return [a - b for a, b in zip(series, [0, *series])]
+
+    inner = times_one_minus_x(times_one_minus_x(sigma))  # (1-x)^2 S(x)
+    inner[1] -= 1
+    g = times_one_minus_x(inner)
+    for n in range(1, max_n + 1):
+        u, binomial = 0, 1
+        for j in range(n + 2):
+            u += binomial * g[n + 1 - j]
+            binomial = binomial * (2 * n - 1 - j) // (j + 1)
+        # v is catalan(n) - u, so u is checked by the test oracles, not here
+        yield _make_row(n, u, catalan(n) - u)
 
 
 def ulis_count_all(n: int, *, cap: int = ALL_PERMUTATION_CAP) -> int:

@@ -7,7 +7,8 @@ Subcommands:
              subsequence to one with a unique one
   avoiders   list or count pattern-avoiding permutations of a given length
   sequences  list or count rank sequences of a given length
-  census     exact per-length counts and ratios, enumerative or DP engine
+  census     exact per-length counts and ratios, enumerative engine or dp
+             engine (a closed form over divisor sums; see ulisperm.census)
   verify     run an exhaustive verification suite
   oeis       fetch (or serve bundled) OEIS b-file data
 

@@ -8,12 +8,19 @@ def pytest_addoption(parser):
         default=False,
         help="also run tests marked slow (minutes of brute force)",
     )
+    parser.addoption(
+        "--run-network",
+        action="store_true",
+        default=False,
+        help="also run tests marked network (they fetch from oeis.org)",
+    )
 
 
 def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-slow"):
-        return
-    skip = pytest.mark.skip(reason="needs --run-slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
+    for marker, option in (("slow", "--run-slow"), ("network", "--run-network")):
+        if config.getoption(option):
+            continue
+        skip = pytest.mark.skip(reason=f"needs {option}")
+        for item in items:
+            if marker in item.keywords:
+                item.add_marker(skip)

@@ -4,7 +4,8 @@ Everything here is deliberately naive: subset enumeration, full n! filters,
 direct expansion of defining conditions.  None of it shares code with the
 implementations under test, except `invert_by_search`, which inverts rank
 sequences from the library's avoider enumeration and ranks, independently of
-`ulisperm.invert`.
+`ulisperm.invert`, and `census_u_by_dp`, which checks its totals against
+`ulisperm.catalan`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from ulisperm import (
     ConstructionError,
     Permutation,
     RankSequence,
+    catalan,
     enumerate_avoiders,
     start_ranks,
 )
@@ -139,3 +141,48 @@ def census_u_by_first_passage(max_n: int) -> list[int]:
         for n in range(b + 1, max_n + 1):
             u[n] += sum(ends_at_b[k] * free[n - 1 - k] for k in range(b, n))
     return u[1:]
+
+
+def census_u_by_dp(max_n: int) -> list[int]:
+    """u(1..max_n) by the exact dynamic program over rank sequences built
+    right to left, which `census_rows_dp` ran before it took the closed form.
+
+    State after processing suffixes of length L: columns[(m, unique)] is a
+    list over leftmost value w = 1..m of counts of valid suffixes with
+    maximum m and the given uniqueness.  Prepending x maps
+    (w, m, unique) -> (x, max(m, x), unique') for x <= w + 1, where unique'
+    is True if x > m, False if x == m, else unchanged.  For fixed target x
+    the sources form the tail w >= x - 1, so each column's suffix sums give
+    the row total (the sum over every w) and, re-indexed, entries 1..m-1 of
+    the same column at length L + 1; x == m and x == m + 1 add only to the
+    last entry of (m, False) and (m + 1, True).  The counts without a unique
+    maximum are summed too, and each length's u + v must be catalan(length).
+    Shares no code with `census_rows_dp`.
+    """
+    out = []
+    columns: dict[tuple[int, bool], list[int]] = {(1, True): [1]}
+    for length in range(1, max_n + 1):
+        u = v = 0
+        new: dict[tuple[int, bool], list[int]] = {}
+        tips: dict[tuple[int, bool], int] = {}
+        for (m, unique), column in columns.items():
+            # acc[k] = sum of column over the top k+1 values of w, so the
+            # sum over w >= y is acc[m - y] and acc[-1] is the column total.
+            acc = list(itertools.accumulate(reversed(column)))
+            if unique:
+                u += acc[-1]
+            else:
+                v += acc[-1]
+            # x = 1..m-1 keeps (m, unique) and takes the sum over
+            # w >= max(1, x - 1): acc[-1], acc[-1], acc[-2], ..., acc[2].
+            new[m, unique] = [acc[-1], *acc[-1:1:-1], 0] if m > 1 else [0]
+            # x == m ties the maximum (w >= m - 1); x == m + 1 sets a fresh
+            # one (w == m).  Both land on the last entry of their column.
+            tips[m, False] = tips.get((m, False), 0) + sum(column[-2:])
+            tips[m + 1, True] = tips.get((m + 1, True), 0) + column[-1]
+        for (m, unique), tip in tips.items():
+            new.setdefault((m, unique), [0] * m)[-1] += tip
+        columns = {key: col for key, col in new.items() if any(col)}
+        assert u + v == catalan(length), length
+        out.append(u)
+    return out

@@ -126,7 +126,7 @@ def test_criterion_8_extension_n10():
         assert table[10] == ulis_count_all(10)
 
 
-@pytest.mark.slow
+@pytest.mark.network
 def test_criterion_8_live_fetch_overlap():
     with criterion("8n", "live b-file agrees with the bundled data on overlap"):
         import warnings

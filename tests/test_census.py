@@ -11,7 +11,7 @@ from ulisperm import (
 )
 from ulisperm.census import CSV_COLUMNS, DP_CAP
 
-from oracles import census_u_by_first_passage
+from oracles import census_u_by_dp, census_u_by_first_passage
 
 # Frozen small rows, derived once by classifying every rank sequence of each
 # length by maximum multiplicity (and double-checked against the avoider
@@ -56,7 +56,7 @@ def test_dp_single_row():
 
 def test_dp_rows_sum_to_catalan_and_keep_floor():
     half = Fraction(1, 2)
-    for row in census_rows_dp(60):
+    for row in census_rows_dp(DP_CAP):
         assert row.total == catalan(row.n)
         assert row.u >= row.v
         assert row.ratio >= half
@@ -69,6 +69,10 @@ def test_dp_rows_sum_to_catalan_and_keep_floor():
 ])
 def test_dp_matches_first_passage_oracle(max_n):
     assert [row.u for row in census_rows_dp(max_n)] == census_u_by_first_passage(max_n)
+
+
+def test_dp_matches_dynamic_program_oracle():
+    assert [row.u for row in census_rows_dp(DP_CAP)] == census_u_by_dp(DP_CAP)
 
 
 def test_dp_deterministic():
