@@ -236,11 +236,10 @@ def has_ulis(p: Permutation) -> bool:
 # Lexicographic backtracking.  A prefix is extended one value at a time; a
 # candidate value completes the pattern only as its final element (earlier
 # completions would have been caught when their own final element was
-# appended), and for each length-3 pattern the set of values that would do so
-# with some existing pair is a union of contiguous ranges, one range added
-# per appended element.  A blocked-value table therefore makes the per
-# candidate test O(1).  New range when `u` is appended after a nonempty
-# prefix with minimum `lo` and maximum `hi`:
+# appended), and for each length-3 pattern the values that would do so with
+# some existing pair form a union of open intervals, one interval added per
+# appended element.  The interval added when `u` is appended after a prefix
+# with minimum `lo` and maximum `hi` (none after an empty prefix):
 #
 #   1 3 2:  (lo, u)          ascent pairs below u, future middle values
 #   3 1 2:  (u, hi)          descent pairs above u, future middle values
@@ -249,12 +248,20 @@ def has_ulis(p: Permutation) -> bool:
 #   2 1 3:  (above(u), +inf) smallest prefix value above u caps new descents
 #   2 3 1:  (-inf, below(u)) largest prefix value below u floors new ascents
 #
-# All ranges are open intervals of values.
+# One rule decides each candidate: append it only if every value in its new
+# interval is already placed.  The rule is necessary, because a blocked value
+# stays blocked for the rest of the branch and every value must still be
+# placed.  It is sufficient, because any prefix that obeys it completes:
+# append the remaining values in increasing order for 132, 321 and 231, in
+# decreasing order for 123, 312 and 213, and each one blocks only values
+# already placed.  So no table of blocked values is needed (under the rule it
+# would hold placed values only), and every visited prefix completes: the
+# search visits catalan(n+1) prefixes for catalan(n) avoiders.
 
 
 def _block_bounds(sig: tuple[int, int, int], u: int, lo: int, hi: int,
                   used: bytearray, n: int) -> tuple[int, int] | None:
-    """Open interval (a, b) of values newly unusable after appending u."""
+    """Open interval (a, b) of values that appending u forbids, or None."""
     if sig == (1, 3, 2):
         return (lo, u) if lo < u else None
     if sig == (3, 1, 2):
@@ -264,15 +271,11 @@ def _block_bounds(sig: tuple[int, int, int], u: int, lo: int, hi: int,
     if sig == (3, 2, 1):
         return (0, u) if hi > u else None
     if sig == (2, 1, 3):
-        for w in range(u + 1, n + 1):
-            if used[w]:
-                return (w, n + 1)
-        return None
+        w = used.find(1, u + 1)
+        return (w, n + 1) if w > 0 else None
     # (2, 3, 1)
-    for w in range(u - 1, 0, -1):
-        if used[w]:
-            return (0, w)
-    return None
+    w = used.rfind(1, 1, u)
+    return (0, w) if w > 0 else None
 
 
 def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
@@ -300,33 +303,27 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
 
 
 def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutation]:
-    if n == 0:
-        yield Permutation(())
-        return
     used = bytearray(n + 1)
-    blocked = bytearray(n + 1)
-    out = [0] * n
-
-    def extend(depth: int, lo: int, hi: int) -> Iterator[Permutation]:
-        if depth == n:
+    out: list[int] = []
+    bounds = [(n + 1, 0)]  # (min, max) of out[:d] for each depth d
+    v = 1  # next candidate for position len(out)
+    while True:
+        if len(out) == n:
             yield Permutation(tuple(out))
+        elif v <= n:
+            if not used[v]:
+                lo, hi = bounds[-1]
+                block = _block_bounds(sig, v, lo, hi, used, n)
+                if block is None or used.find(0, block[0] + 1, block[1]) < 0:
+                    used[v] = 1
+                    out.append(v)
+                    bounds.append((min(lo, v), max(hi, v)))
+                    v = 1
+                    continue
+            v += 1
+            continue
+        if not out:
             return
-        for v in range(1, n + 1):
-            if used[v] or blocked[v]:
-                continue
-            used[v] = 1
-            out[depth] = v
-            newly = []
-            if depth:
-                bounds = _block_bounds(sig, v, lo, hi, used, n)
-                if bounds is not None:
-                    for w in range(bounds[0] + 1, bounds[1]):
-                        if not blocked[w]:
-                            blocked[w] = 1
-                            newly.append(w)
-            yield from extend(depth + 1, min(lo, v), max(hi, v))
-            for w in newly:
-                blocked[w] = 0
-            used[v] = 0
-
-    yield from extend(0, n + 1, 0)
+        used[out[-1]] = 0
+        bounds.pop()
+        v = out.pop() + 1

@@ -114,9 +114,9 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     """Yield every rank sequence of length n exactly once, in lexicographic
     order.  There are catalan(n) of them.
 
-    Generated left to right: after a value v the next position may hold
-    anything from max(1, v - 1) up to the slack bound n - i, which is exactly
-    what reaching the final 1 by drops of at most 1 permits.
+    Generated as lexicographic successors, without recursion: raise the
+    rightmost entry below n - i (the most that still reaches the final 1 by
+    drops of at most 1), then refill the rest with max(1, previous - 1).
 
     >>> [str(t) for t in enumerate_rank_sequences(3)]
     ['1 1 1', '1 2 1', '2 1 1', '2 2 1', '3 2 1']
@@ -132,18 +132,17 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
 
 
 def _generate_sequences(n: int) -> Iterator[RankSequence]:
-    prefix = [0] * n
-
-    def extend(i: int) -> Iterator[RankSequence]:
-        if i == n:
-            yield RankSequence(tuple(prefix))
+    values = [1] * n
+    while True:
+        yield RankSequence(tuple(values))
+        i = n - 2
+        while i >= 0 and values[i] == n - i:
+            i -= 1
+        if i < 0:
             return
-        low = max(1, prefix[i - 1] - 1) if i else 1
-        for v in range(low, n - i + 1):
-            prefix[i] = v
-            yield from extend(i + 1)
-
-    yield from extend(0)
+        values[i] += 1
+        for j in range(i + 1, n):
+            values[j] = max(1, values[j - 1] - 1)
 
 
 def invert(t: RankSequence) -> Permutation:

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -405,3 +408,17 @@ def test_any_argv_exits_cleanly_and_deterministically(argv):
     code, out = _run_captured(argv)
     assert code in (0, 1, 2), argv
     assert _run_captured(argv) == (code, out), argv
+
+
+def test_listing_into_a_closed_pipe_exits_quietly():
+    # `ulisperm avoiders 12 | head -1`: the reader leaves after one line
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "ulisperm.cli", "avoiders", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1 2 3 4 5 6 7 8 9 10 11 12\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")

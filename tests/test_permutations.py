@@ -10,10 +10,13 @@ from ulisperm import (
     Permutation,
     contains_pattern,
     enumerate_avoiders,
+    enumerate_rank_sequences,
     has_ulis,
+    invert,
     lis_stats,
     start_ranks,
 )
+from ulisperm import permutations as permutations_mod
 from ulisperm.permutations import parse_values
 
 from oracles import avoiders_by_filter, contains_by_triples, lis_by_subsets
@@ -173,13 +176,55 @@ def test_avoiders_cap():
     assert sum(1 for _ in enumerate_avoiders(4, cap=4)) == 14
 
 
+def _check_against_filter(sig, n):
+    got = [p.entries for p in enumerate_avoiders(n, Permutation(sig))]
+    assert got == sorted(got), "not lexicographic"
+    assert got == avoiders_by_filter(n, sig)
+
+
 @pytest.mark.parametrize("sig", ALL_SIGS)
 def test_avoiders_match_filter_oracle(sig):
-    pattern = Permutation(sig)
-    for n in range(7):
-        got = [p.entries for p in enumerate_avoiders(n, pattern)]
-        assert got == sorted(got), "not lexicographic"
-        assert got == avoiders_by_filter(n, sig)
+    for n in range(8):
+        _check_against_filter(sig, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_avoiders_match_filter_oracle_at_n_8(sig):
+    _check_against_filter(sig, 8)
+
+
+def test_avoiders_are_the_inverted_rank_sequences():
+    # completeness and order at a size the n! filter cannot reach
+    expected = sorted(invert(t).entries for t in enumerate_rank_sequences(10))
+    assert [p.entries for p in enumerate_avoiders(10)] == expected
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
+def test_avoider_search_has_no_dead_ends(sig, monkeypatch):
+    # the search tests every unused value at every prefix it visits, so the
+    # call count is this sum exactly when every visited prefix completes
+    calls = 0
+    block_bounds = permutations_mod._block_bounds
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return block_bounds(*args)
+
+    monkeypatch.setattr(permutations_mod, "_block_bounds", counting)
+    for n in range(8):
+        calls = 0
+        out = [p.entries for p in enumerate_avoiders(n, Permutation(sig))]
+        expected = sum((n - d) * len({e[:d] for e in out}) for d in range(n))
+        assert calls == expected, (n, calls, expected)
+
+
+def test_enumerations_go_deep_without_recursion():
+    # recursing once per position, both generators failed before their first
+    # item at this length
+    assert next(enumerate_avoiders(1200, cap=1200)).entries == tuple(range(1, 1201))
+    assert next(enumerate_rank_sequences(1200, cap=1200)).values == (1,) * 1200
 
 
 def test_all_six_patterns_equinumerous():
