@@ -10,8 +10,10 @@ Conventions used throughout the package:
   they occupy the same set of positions; since a permutation has no repeated
   values, this coincides with comparing value sets.
 - The text form of a permutation is space-separated values on one line, e.g.
-  "3 4 2 5 6 1 7 8".  For lengths up to 9 the compact digit form "34256178"
-  is accepted on input.
+  "3 4 2 5 6 1 7 8".  On input, a single token of two or more of the digits
+  1-9, such as "34256178", is read as one value per digit.  A permutation can
+  use this compact form only up to length 9; a rank sequence of any length
+  can, as long as its entries are at most 9.
 
 All counting here is exact: subsequence counts grow exponentially and are
 kept as Python ints, never floats.

@@ -7,6 +7,11 @@ sequences that end in 1 and never drop by more than 1 between neighbours;
 this module owns that family (membership validation, exhaustive generation,
 exact counting) and the inverse map reconstructing the unique 132-avoider
 from its rank sequence.
+
+In a 132-avoider the entries right of p_i that are larger than p_i increase
+(two of them in decreasing order would make a 132 with p_i), so the rank of
+p_i is one more than their number: the rank sequence minus one is the
+avoider's larger-to-the-right inversion table, which `invert` decodes.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ConstructionError, InputError, SequenceValidationError
+from .errors import InputError, SequenceValidationError
 from .permutations import Permutation, format_values, parse_values, start_ranks
 
 # Exhaustive generation visits catalan(n) sequences (catalan(12) = 208012).
@@ -148,41 +153,21 @@ def _generate_sequences(n: int) -> Iterator[RankSequence]:
 def invert(t: RankSequence) -> Permutation:
     """The unique 132-avoiding permutation whose rank sequence is `t`.
 
-    Values are placed in decreasing order, n first.  At the moment value v is
-    placed, the filled positions hold exactly the values above v, so the rank
-    demanded at v's position must equal one more than the highest rank among
-    filled positions to its right (or 1 if there are none).  At each step the
-    leftmost free position satisfying that equation is the only choice that
-    extends to a 132-avoider, so the whole construction is forced:
+    In a 132-avoider the entries right of p_i that are larger than p_i
+    increase from left to right: two of them in decreasing order would make
+    a 132 with p_i.  So p_i followed by all of them is the longest increasing
+    subsequence starting at p_i, r_i = 1 + #{j > i : p_j > p_i}, and t minus
+    one is the avoider's larger-to-the-right inversion table.
+    Decoding it left to right, p_i is the r_i-th largest value not yet
+    placed (r_i <= n - i + 1, the number of such values, by membership):
 
     >>> print(invert(RankSequence.from_text("121")))
     3 1 2
     >>> print(invert(RankSequence.from_text("221")))
     2 1 3
-
-    Raises ConstructionError if no position satisfies the equation, which no
-    valid rank sequence can trigger.
     """
     values = t.values
-    n = len(values)
-    entries = [0] * n
-    # best_right[s] = highest rank among already-filled positions right of s
-    best_right = [0] * n
-    for v in range(n, 0, -1):
-        target = -1
-        for s in range(n):
-            if not entries[s] and values[s] == best_right[s] + 1:
-                target = s
-                break
-        if target < 0:
-            raise ConstructionError(
-                f"no admissible position for value {v} inverting {t}"
-            )
-        entries[target] = v
-        k = values[target]
-        for s in range(target):
-            if best_right[s] < k:
-                best_right[s] = k
-    result = Permutation(tuple(entries))
+    free = list(range(len(values), 0, -1))
+    result = Permutation(tuple(free.pop(r - 1) for r in values))
     assert start_ranks(result) == values, (t, result)
     return result

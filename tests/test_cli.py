@@ -168,6 +168,13 @@ def test_sequences_count_csv(capsys):
     assert out.splitlines() == ["count", "208012"]
 
 
+def test_count_does_not_enumerate(capsys):
+    # catalan(30) objects are out of any walk's reach; the count is immediate
+    for argv in (["avoiders", "30", "--count", "--cap", "30", "--pattern", "3 2 1"],
+                 ["sequences", "30", "--count", "--cap", "30"]):
+        assert run(capsys, *argv)[:2] == (0, "3814986502092304\n")
+
+
 # --- census --------------------------------------------------------------------
 
 # sha256 of the stdout of `census --max-n 300` (the default DP cap), recorded

@@ -149,6 +149,10 @@ def test_avoider_ranks_satisfy_conditions():
     ("221", "2 1 3"),
     ("321", "1 2 3"),
     ("1", "1"),
+    pytest.param(" ".join(["1"] * 1000), " ".join(map(str, range(1000, 0, -1))),
+                 id="ones-1000"),
+    pytest.param(" ".join(map(str, range(1000, 0, -1))), " ".join(map(str, range(1, 1001))),
+                 id="staircase-1000"),
 ])
 def test_invert_examples(text, expected):
     assert str(invert(RankSequence.from_text(text))) == expected
