@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, _check_length
 from .permutations import ALL_PERMUTATION_CAP, _fill_starts
 from .ranks import SEQUENCE_CAP, catalan, enumerate_rank_sequences
 from .ulis import max_profile
@@ -107,13 +107,7 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
     >>> [r.u for r in census_rows_dp(6)]
     [1, 1, 3, 8, 23, 71]
     """
-    if max_n < 1:
-        raise InputError(f"census needs n >= 1, got {max_n}")
-    if max_n > cap:
-        raise InputError(
-            f"dynamic-program census capped at n = {cap} (requested {max_n}); "
-            f"pass a higher cap to override"
-        )
+    _check_length("dynamic-program census", max_n, 1, cap)
     top = max_n + 1
     sigma = [0] * (top + 1)
     for d in range(1, top + 1):
@@ -148,13 +142,7 @@ def ulis_count_all(n: int, *, cap: int = ALL_PERMUTATION_CAP) -> int:
     >>> [ulis_count_all(n) for n in range(1, 5)]
     [1, 1, 3, 10]
     """
-    if n < 0:
-        raise InputError(f"length must be nonnegative, got {n}")
-    if n > cap:
-        raise InputError(
-            f"all-permutation scan capped at n = {cap} (requested {n}); "
-            f"pass a higher cap to override"
-        )
+    _check_length("all-permutation scan", n, 0, cap)
     if n == 0:
         return 1
     entries = [0] * n

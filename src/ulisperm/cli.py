@@ -21,16 +21,17 @@ There is no randomness anywhere: every command is deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import census as census_mod
 from . import oeis as oeis_mod
-from .errors import InputError
+from .errors import InputError, _check_length
 from .permutations import (
     AVOIDER_CAP,
     PATTERN_132,
@@ -143,6 +144,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
 
+@contextlib.contextmanager
+def _whole_integers() -> Iterator[None]:
+    """Let str() print integers of any size while a command writes results it
+    computed itself, such as catalan(7153) with 4301 digits.  Python 3.10.7+
+    caps int-to-str conversion at 4300 digits by default; the cap is restored
+    afterwards, so parsing input stays limited."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence],
           json_value: object = None, plain_lines: Iterable[str] | None = None, *,
           csv_end: str = "\r\n", csv_note: str | None = None) -> None:
@@ -191,6 +208,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
+@_whole_integers()
 def _list_or_count(args: argparse.Namespace, stream: Iterable, column: str) -> int:
     """List `stream` or print its length.  The enumerator call that made
     `stream` has already checked the arguments, and the length is catalan(n)
@@ -220,9 +238,7 @@ def _census_rows(args: argparse.Namespace) -> list[census_mod.CensusRow]:
     if cap is None:
         cap = SEQUENCE_CAP if args.engine == "enumerative" else census_mod.DP_CAP
     # checked before either engine runs: the enumerative one walks every n < max_n first
-    if not 1 <= args.max_n <= cap:
-        raise InputError(f"{args.engine} census capped at n = {cap} (--cap overrides); "
-                         f"--max-n must lie in 1..{cap}, got {args.max_n}")
+    _check_length(f"{args.engine} census", args.max_n, 1, cap)
     if args.engine == "enumerative":
         return [census_mod.census_enumerative(n, cap=cap)
                 for n in range(1, args.max_n + 1)]
@@ -246,6 +262,7 @@ def _census_summary(rows: list[census_mod.CensusRow]) -> dict:
     }
 
 
+@_whole_integers()
 def _cmd_census(args: argparse.Namespace) -> int:
     rows = _census_rows(args)
     summary = _census_summary(rows)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, _check_length
 
 # Default enumeration ceilings.  Avoider enumeration visits C_n objects
 # (C_12 = 208012); scans over all n! permutations stop earlier.  Both are
@@ -241,7 +241,8 @@ def has_ulis(p: Permutation) -> bool:
 # appended), and for each length-3 pattern the values that would do so with
 # some existing pair form a union of open intervals, one interval added per
 # appended element.  The interval added when `u` is appended after a prefix
-# with minimum `lo` and maximum `hi` (none after an empty prefix):
+# whose least placed value is `lo` and greatest is `hi` (none after an empty
+# prefix):
 #
 #   1 3 2:  (lo, u)          ascent pairs below u, future middle values
 #   3 1 2:  (u, hi)          descent pairs above u, future middle values
@@ -261,20 +262,23 @@ def has_ulis(p: Permutation) -> bool:
 # search visits catalan(n+1) prefixes for catalan(n) avoiders.
 
 
-def _block_bounds(sig: tuple[int, int, int], u: int, lo: int, hi: int,
-                  used: bytearray, n: int) -> tuple[int, int] | None:
-    """Open interval (a, b) of values that appending u forbids, or None."""
+def _block_bounds(sig: tuple[int, int, int], u: int,
+                  used: bytearray) -> tuple[int, int] | None:
+    """Open interval (a, b) of values that appending u forbids, or None.
+    `used` marks the placed values 1..n (index 0 is never set)."""
     if sig == (1, 3, 2):
-        return (lo, u) if lo < u else None
+        lo = used.find(1, 1, u)
+        return (lo, u) if lo > 0 else None
     if sig == (3, 1, 2):
-        return (u, hi) if hi > u else None
+        hi = used.rfind(1, u + 1)
+        return (u, hi) if hi > 0 else None
     if sig == (1, 2, 3):
-        return (u, n + 1) if lo < u else None
+        return (u, len(used)) if used.find(1, 1, u) > 0 else None
     if sig == (3, 2, 1):
-        return (0, u) if hi > u else None
+        return (0, u) if used.find(1, u + 1) > 0 else None
     if sig == (2, 1, 3):
         w = used.find(1, u + 1)
-        return (w, n + 1) if w > 0 else None
+        return (w, len(used)) if w > 0 else None
     # (2, 3, 1)
     w = used.rfind(1, 1, u)
     return (0, w) if w > 0 else None
@@ -294,32 +298,23 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
     """
     if pattern.n != 3:
         raise InputError(f"pattern must have length 3, got length {pattern.n}")
-    if n < 0:
-        raise InputError(f"length must be nonnegative, got {n}")
-    if n > cap:
-        raise InputError(
-            f"avoider enumeration capped at n = {cap} (requested {n}); "
-            f"pass a higher cap to override"
-        )
+    _check_length("avoider enumeration", n, 0, cap)
     return _generate_avoiders(n, pattern.entries)
 
 
 def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutation]:
     used = bytearray(n + 1)
     out: list[int] = []
-    bounds = [(n + 1, 0)]  # (min, max) of out[:d] for each depth d
     v = 1  # next candidate for position len(out)
     while True:
         if len(out) == n:
             yield Permutation(tuple(out))
         elif v <= n:
             if not used[v]:
-                lo, hi = bounds[-1]
-                block = _block_bounds(sig, v, lo, hi, used, n)
+                block = _block_bounds(sig, v, used)
                 if block is None or used.find(0, block[0] + 1, block[1]) < 0:
                     used[v] = 1
                     out.append(v)
-                    bounds.append((min(lo, v), max(hi, v)))
                     v = 1
                     continue
             v += 1
@@ -327,5 +322,4 @@ def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutatio
         if not out:
             return
         used[out[-1]] = 0
-        bounds.pop()
         v = out.pop() + 1

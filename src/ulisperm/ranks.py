@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InputError, SequenceValidationError
+from .errors import InputError, SequenceValidationError, _check_length
 from .permutations import Permutation, format_values, parse_values, start_ranks
 
 # Exhaustive generation visits catalan(n) sequences (catalan(12) = 208012).
@@ -126,13 +126,7 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     >>> [str(t) for t in enumerate_rank_sequences(3)]
     ['1 1 1', '1 2 1', '2 1 1', '2 2 1', '3 2 1']
     """
-    if n < 1:
-        raise InputError(f"rank sequences have length >= 1, got {n}")
-    if n > cap:
-        raise InputError(
-            f"rank-sequence enumeration capped at n = {cap} (requested {n}); "
-            f"pass a higher cap to override"
-        )
+    _check_length("rank-sequence enumeration", n, 1, cap)
     return _generate_sequences(n)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from ulisperm import (
     InputError,
     Permutation,
     RankSequence,
+    catalan,
 )
 from ulisperm import census as census_mod
 from ulisperm import cli as cli_mod
@@ -175,6 +177,52 @@ def test_count_does_not_enumerate(capsys):
         assert run(capsys, *argv)[:2] == (0, "3814986502092304\n")
 
 
+def _decimal(text: str) -> int:
+    # int() refuses more than 4300 digits too (Python 3.10.7+): read chunks
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("command", ["avoiders", "sequences"])
+def test_count_prints_past_the_digit_limit(capsys, command, fmt):
+    # catalan(7153) is the first Catalan number with 4301 digits, one more
+    # than str() converts by default from Python 3.10.7 on
+    limit = _digit_limit()
+    code, out, err = run(capsys, command, "7153", "--cap", "7153", "--count",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    text = out.rstrip("\n")
+    if fmt == "json":
+        assert text.startswith('{"count": ') and text.endswith("}")
+        text = text[len('{"count": '):-1]
+    assert len(text) == 4301 and _decimal(text) == catalan(7153)
+    assert _digit_limit() == limit
+
+
+def test_count_leaves_input_parsing_limited(capsys):
+    if _digit_limit() is None:
+        pytest.skip("this Python has no int-to-str digit limit")
+    assert run(capsys, "sequences", "7153", "--cap", "7153", "--count")[0] == 0
+    # with the limit lifted, int() would spend seconds on this token
+    code, out, err = run(capsys, "rank", "1" + "0" * 10**6)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not an integer sequence")
+
+
+def test_count_without_a_digit_limit(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 has no limit and no functions to set it
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert run(capsys, "sequences", "4", "--count")[:2] == (0, "14\n")
+
+
 # --- census --------------------------------------------------------------------
 
 # sha256 of the stdout of `census --max-n 300` (the default DP cap), recorded
@@ -243,7 +291,32 @@ def test_census_over_cap(capsys):
 def test_census_below_one(capsys, engine, max_n):
     code, out, err = run(capsys, "census", "--max-n", max_n, "--engine", engine)
     assert (code, out) == (2, "")
-    assert err.startswith("error:")
+    assert err == f"error: {engine} census needs n >= 1, got {max_n}\n"
+
+
+@pytest.mark.parametrize("engine", ["enumerative", "dp"])
+def test_census_over_a_lowered_cap(capsys, engine):
+    code, out, err = run(capsys, "census", "--max-n", "4", "--cap", "3",
+                         "--engine", engine)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {engine} census capped at n = 3 (requested 4); "
+                   "pass a higher cap to override\n")
+
+
+def test_census_prints_past_the_digit_limit(capsys):
+    limit = _digit_limit()
+    if limit is None:
+        pytest.skip("this Python has no int-to-str digit limit")
+    sys.set_int_max_str_digits(640)  # the least allowed; catalan(1100) has 658 digits
+    try:
+        code, out, _ = run(capsys, "census", "--max-n", "1100", "--cap", "1100",
+                           "--format", "csv")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    n, total, u, v = out.splitlines()[-1].split(",")[:4]
+    assert n == "1100" and _decimal(total) == catalan(1100)
+    assert _decimal(u) + _decimal(v) == catalan(1100)
 
 
 def test_census_over_cap_enumerates_nothing(capsys, monkeypatch):
@@ -429,3 +502,28 @@ def test_listing_into_a_closed_pipe_exits_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+# --- README ----------------------------------------------------------------------
+
+def _readme_examples():
+    """Each `$ ulisperm ...` example of README's CLI block with the stdout
+    lines it shows, trailing `# ...` comments stripped; examples that
+    redirect to a file, go online or show no output are left out."""
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((shlex.split(line[2:], comments=True), []))
+        else:
+            examples[-1][1].append(line.split("#", 1)[0].rstrip())
+    return [pytest.param(argv[1:], lines, id=" ".join(argv[1:]))
+            for argv, lines in examples
+            if lines and ">" not in argv and "--online" not in argv]
+
+
+@pytest.mark.parametrize("argv, lines", _readme_examples())
+def test_readme_transcript(capsys, argv, lines):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "".join(line + "\n" for line in lines))
