@@ -21,17 +21,16 @@ There is no randomness anywhere: every command is deterministic.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import census as census_mod
 from . import oeis as oeis_mod
-from .errors import InputError, _check_length
+from .errors import InputError, _check_length, _whole_integers
 from .permutations import (
     AVOIDER_CAP,
     PATTERN_132,
@@ -142,22 +141,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the reader left early (`| head`): quiet the interpreter's last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-@contextlib.contextmanager
-def _whole_integers() -> Iterator[None]:
-    """Let str() print integers of any size while a command writes results it
-    computed itself, such as catalan(7153) with 4301 digits.  Python 3.10.7+
-    caps int-to-str conversion at 4300 digits by default; the cap is restored
-    afterwards, so parsing input stays limited."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence],
@@ -299,6 +282,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else VERIFICATION_FAILURE
 
 
+@_whole_integers()
 def _cmd_oeis(args: argparse.Namespace) -> int:
     text = oeis_mod.fetch_bfile(args.id, online=args.online, cache_dir=args.cache_dir)
     # values as strings: json keeps big integers exact as decimal text

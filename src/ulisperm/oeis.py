@@ -17,7 +17,7 @@ import warnings
 from importlib import resources
 from typing import Callable, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, _whole_integers
 
 FIXTURE_ID = "A167995"
 CACHE_ENV_VAR = "ULISPERM_OEIS_CACHE_DIR"
@@ -43,8 +43,10 @@ class BFileParseError(InputError):
         self.line_number = line_number
 
 
+@_whole_integers()
 def parse_bfile(text: str) -> list[BFileEntry]:
     """Parse b-file text into entries with strictly increasing indices.
+    Values of any number of digits are read exactly.
 
     >>> parse_bfile("# header\\n1 1\\n2 1\\n")
     [BFileEntry(index=1, value=1), BFileEntry(index=2, value=1)]

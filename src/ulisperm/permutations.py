@@ -27,8 +27,9 @@ from typing import Iterator, Sequence
 from .errors import InputError, _check_length
 
 # Default enumeration ceilings.  Avoider enumeration visits C_n objects
-# (C_12 = 208012); scans over all n! permutations stop earlier.  Both are
-# overridable per call; the CLI exposes them as flags.
+# (C_12 = 208012); the count over all permutations (`census.ulis_count_all`,
+# which merges suffixes by profile) stops earlier.  Both are overridable per
+# call; the CLI exposes them as flags.
 AVOIDER_CAP = 12
 ALL_PERMUTATION_CAP = 10
 
@@ -174,7 +175,9 @@ def _fill_starts(e: Sequence[int], lengths: list[int], counts: list[int],
     """The package's one LIS kernel: set lengths[i] and counts[i] for
     i = start down to stop, reading only the positions right of i, which
     must already be set.  Both are always written, so reused lists stay
-    correct."""
+    correct.  `start_lengths_counts` is its one caller in the package:
+    `census.ulis_count_all` tracks suffix profiles instead and does not
+    import it."""
     n = len(e)
     for i in range(start, stop - 1, -1):
         ei = e[i]

@@ -207,7 +207,9 @@ def _suite_catalan(max_n: int) -> dict[str, Any]:
 
 
 def _suite_oeis(max_n: int) -> dict[str, Any]:
-    """Brute-force unique-subsequence counts match the bundled A167995 data."""
+    """Counts of all permutations with a unique longest increasing
+    subsequence, from `ulis_count_all`'s suffix profiles, match the bundled
+    A167995 data."""
     table = {entry.index: entry.value for entry in parse_bfile(fixture_text())}
     compared = 0
     for n in range(1, max_n + 1):

@@ -4,8 +4,10 @@ Everything here is deliberately naive: subset enumeration, full n! filters,
 direct expansion of defining conditions.  None of it shares code with the
 implementations under test, except `invert_by_search`, which inverts rank
 sequences from the library's avoider enumeration and ranks, independently of
-`ulisperm.invert`, and `census_u_by_dp`, which checks its totals against
-`ulisperm.catalan`.
+`ulisperm.invert`, `census_u_by_dp`, which checks its totals against
+`ulisperm.catalan`, and `ulis_count_by_search`, which takes start lengths and
+counts from `ulisperm.permutations._fill_starts`, independently of
+`ulisperm.ulis_count_all`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from ulisperm import (
     enumerate_avoiders,
     start_ranks,
 )
+from ulisperm.permutations import _fill_starts
 
 
 def triple_pattern(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -186,3 +189,46 @@ def census_u_by_dp(max_n: int) -> list[int]:
         assert u + v == catalan(length), length
         out.append(u)
     return out
+
+
+def ulis_count_by_search(n: int) -> int:
+    """Number of all permutations of length n with a unique longest increasing
+    subsequence, by depth-first search over all n! of them, which
+    `ulis_count_all` ran before it merged suffixes by profile.
+
+    Permutations are built right to left, so those sharing a suffix share that
+    suffix's start lengths and counts: each placed entry costs one
+    `_fill_starts` step.  The suffix's longest length and the number of
+    subsequences of that length go down the recursion, and a full permutation
+    counts when that number is 1.
+    """
+    if n == 0:
+        return 1
+    entries = [0] * n
+    lengths = [0] * n
+    counts = [0] * n
+    used = bytearray(n + 1)
+
+    def place(i: int, longest: int, tally: int) -> int:
+        found = 0
+        for v in range(1, n + 1):
+            if used[v]:
+                continue
+            entries[i] = v
+            _fill_starts(entries, lengths, counts, i, i)
+            length = lengths[i]
+            if length > longest:
+                top, ties = length, counts[i]
+            elif length == longest:
+                top, ties = longest, tally + counts[i]
+            else:
+                top, ties = longest, tally
+            if i:
+                used[v] = 1
+                found += place(i - 1, top, ties)
+                used[v] = 0
+            elif ties == 1:
+                found += 1
+        return found
+
+    return place(n - 1, 0, 0)

@@ -112,16 +112,16 @@ def test_criterion_7_limit_consistency(dp_rows):
 
 
 def test_criterion_8_oeis_cross_check():
-    with criterion(8, "brute-force unique-subsequence counts match the "
-                      "bundled A167995 data (n <= 9)"):
+    with criterion(8, "exact unique-subsequence counts over all permutations "
+                      "match the bundled A167995 data (n <= 9)"):
         report = run_suite("oeis", 9)
         assert report.passed, report.outcome
         assert report.outcome["compared"] == 9
 
 
-@pytest.mark.slow
 def test_criterion_8_extension_n10():
-    with criterion("8s", "bundled A167995 entry at n = 10 matches brute force"):
+    with criterion("8s", "bundled A167995 entry at n = 10 matches the exact "
+                         "count over all permutations"):
         table = {e.index: e.value for e in parse_bfile(fixture_text())}
         assert table[10] == ulis_count_all(10)
 

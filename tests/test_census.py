@@ -11,7 +11,7 @@ from ulisperm import (
 )
 from ulisperm.census import CSV_COLUMNS, DP_CAP
 
-from oracles import census_u_by_dp, census_u_by_first_passage
+from oracles import census_u_by_dp, census_u_by_first_passage, ulis_count_by_search
 
 # Frozen small rows, derived once by classifying every rank sequence of each
 # length by maximum multiplicity (and double-checked against the avoider
@@ -101,6 +101,11 @@ def test_row_serialization():
 
 def test_ulis_count_all_small():
     assert [ulis_count_all(n) for n in range(0, 7)] == [1, 1, 1, 3, 10, 44, 238]
+
+
+@pytest.mark.parametrize("n", [*range(9), pytest.param(9, marks=pytest.mark.slow)])
+def test_ulis_count_all_matches_search_oracle(n):
+    assert ulis_count_all(n) == ulis_count_by_search(n)
 
 
 def test_ulis_count_all_cap():

@@ -22,6 +22,7 @@ from ulisperm import (
 )
 from ulisperm import census as census_mod
 from ulisperm import cli as cli_mod
+from ulisperm import oeis as oeis_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
 
@@ -405,6 +406,20 @@ def test_oeis_json(capsys):
     assert code == 0
     entries = json.loads(out)
     assert entries[0] == {"index": 1, "value": "1"}
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("plain", "1 {term}\n"),
+    ("json", '[{{"index": 1, "value": "{term}"}}]\n'),
+    ("csv", "index,value\r\n1,{term}\r\n"),
+])
+def test_oeis_prints_past_the_digit_limit(capsys, monkeypatch, fmt, expected):
+    # 4301 digits, one more than int() and str() convert by default (3.10.7+)
+    term = "7" * 4301
+    monkeypatch.setattr(oeis_mod, "fetch_bfile", lambda *args, **kwargs: f"1 {term}\n")
+    limit = _digit_limit()
+    assert run(capsys, "oeis", "--format", fmt) == (0, expected.format(term=term), "")
+    assert _digit_limit() == limit
 
 
 # --- any argv ---------------------------------------------------------------------

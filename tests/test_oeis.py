@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,54 @@ def test_parse_rejects_negative_value():
         parse_bfile("1 -4\n")
 
 
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+# 4301 digits, one more than int() converts by default (Python 3.10.7+)
+LONG_DIGITS = "1" * 4301
+LONG_VALUE = (10 ** 4301 - 1) // 9
+
+
+def test_parse_reads_values_past_the_digit_limit():
+    limit = _digit_limit()
+    assert parse_bfile(f"1 {LONG_DIGITS}") == [BFileEntry(1, LONG_VALUE)]
+    assert _digit_limit() == limit
+
+
+def test_parse_past_the_digit_limit_from_many_threads():
+    # the limit is process-wide: overlapping parses must neither see it
+    # restored while they read nor leave it lifted when all are done; the
+    # short lines first widen the window in which another parse can finish
+    limit = _digit_limit()
+    if limit is None:
+        pytest.skip("this Python has no int-to-str digit limit")
+    text = "".join(f"{i} {i}\n" for i in range(1, 1000)) + f"1000 {LONG_DIGITS}"
+    failures = []
+
+    def parse_many():
+        for _ in range(20):
+            try:
+                if parse_bfile(text)[-1].value != LONG_VALUE:
+                    failures.append("wrong value")
+            except BFileParseError as exc:
+                failures.append(str(exc)[:40])
+
+    threads = [threading.Thread(target=parse_many) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert _digit_limit() == limit
+
+
 # --- the bundled fixture --------------------------------------------------------
 
 def test_fixture_parses_totally():
@@ -59,11 +108,10 @@ def test_fixture_parses_totally():
     assert len(entries) >= 10
 
 
-def test_fixture_matches_brute_force_small():
+def test_count_matches_every_bundled_term():
     table = {e.index: e.value for e in parse_bfile(fixture_text())}
-    assert table[3] == ulis_count_all(3) == 3
-    for n in range(1, 8):
-        assert table[n] == ulis_count_all(n)
+    assert list(table) == list(range(1, 13))
+    assert {n: ulis_count_all(n, cap=12) for n in table} == table
 
 
 # --- fetching --------------------------------------------------------------------

@@ -2,10 +2,10 @@
 """Regenerate the bundled b-file of unique-longest-increasing-subsequence
 counts (OEIS A167995) from scratch.
 
-Every value is computed here, by exhaustive scan over all n! permutations.
-Two independent engines are used: the package's pure-Python counter, and a
-numpy-vectorized batch counter that makes n = 10..12 tractable.  The two
-must agree on every length where both run, or nothing is written.
+Every value is computed here by a numpy-vectorized exhaustive scan over all
+n! permutations, and checked against the package's own counter, which merges
+suffixes by profile instead of scanning.  The two must agree on every length
+up to 12, or nothing is written.
 
 Usage:
     python tools/generate_bfile_fixture.py [--max-n 12] [--out PATH]
@@ -28,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ulisperm.census import ulis_count_all  # noqa: E402
 
-CROSS_CHECK_MAX = 9  # pure-Python engine stays fast up to here
+CROSS_CHECK_MAX = 12  # the package's profile count takes about a second here
 
 
 def ulis_count_numpy(n: int, block_tail: int = 9) -> int:
@@ -90,9 +90,9 @@ def main() -> int:
         fast = ulis_count_numpy(n)
         note = ""
         if n <= CROSS_CHECK_MAX:
-            slow = ulis_count_all(n, cap=CROSS_CHECK_MAX)
-            if slow != fast:
-                print(f"ENGINE DISAGREEMENT at n={n}: {slow} vs {fast}")
+            profiled = ulis_count_all(n, cap=CROSS_CHECK_MAX)
+            if profiled != fast:
+                print(f"ENGINE DISAGREEMENT at n={n}: {profiled} vs {fast}")
                 return 1
             note = " (cross-checked)"
         values[n] = fast
