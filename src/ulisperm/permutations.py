@@ -61,6 +61,15 @@ class Permutation:
     def from_text(cls, text: str) -> "Permutation":
         return cls(parse_values(text))
 
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
+        """Wrap `entries` without validating them.  Only for tuples that are
+        permutations by construction: the avoider search's output and
+        `ranks.invert`'s decoding."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "entries", entries)
+        return p
+
     def __str__(self) -> str:
         return format_values(self.entries)
 
@@ -218,9 +227,14 @@ def lis_stats(p: Permutation) -> tuple[int, int]:
     >>> lis_stats(Permutation.from_text("32456178"))
     (6, 2)
     """
-    if p.n == 0:
+    return _lis_stats(*start_lengths_counts(p))
+
+
+def _lis_stats(lengths: list[int], counts: list[int]) -> tuple[int, int]:
+    """`lis_stats` from the output of `start_lengths_counts`, for callers that
+    also need the lengths themselves."""
+    if not lengths:
         return 0, 1
-    lengths, counts = start_lengths_counts(p)
     longest = max(lengths)
     return longest, sum(c for l, c in zip(lengths, counts) if l == longest)
 
@@ -311,7 +325,7 @@ def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutatio
     v = 1  # next candidate for position len(out)
     while True:
         if len(out) == n:
-            yield Permutation(tuple(out))
+            yield Permutation._trusted(tuple(out))
         elif v <= n:
             if not used[v]:
                 block = _block_bounds(sig, v, used)

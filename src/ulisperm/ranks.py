@@ -162,6 +162,7 @@ def invert(t: RankSequence) -> Permutation:
     """
     values = t.values
     free = list(range(len(values), 0, -1))
-    result = Permutation(tuple(free.pop(r - 1) for r in values))
+    # every value is popped once, so the result is a permutation as built
+    result = Permutation._trusted(tuple([free.pop(r - 1) for r in values]))
     assert start_ranks(result) == values, (t, result)
     return result

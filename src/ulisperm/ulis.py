@@ -15,8 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, InputError
-from .permutations import PATTERN_132, Permutation, contains_pattern, has_ulis
-from .ranks import RankSequence, invert, rank_sequence
+from .permutations import (
+    PATTERN_132,
+    Permutation,
+    _lis_stats,
+    contains_pattern,
+    start_lengths_counts,
+)
+from .ranks import RankSequence, invert
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,11 @@ def max_profile(t: RankSequence) -> MaxProfile:
     return MaxProfile(top, occurrences, len(occurrences) == 1)
 
 
+def _unique_max(values: tuple[int, ...]) -> bool:
+    """`max_profile(t).unique` for `t.values`, without building the profile."""
+    return values.count(max(values)) == 1
+
+
 def uniquify_max(t: RankSequence) -> RankSequence:
     """Make the maximum of a tied-maximum rank sequence unique.
 
@@ -58,6 +69,12 @@ def uniquify_max(t: RankSequence) -> RankSequence:
     beyond j are untouched.  Distinct inputs give distinct outputs, since the
     image determines i, j, and hence the original sequence.
 
+    j is found as the first maximum of the reversed sequence and i as the
+    next one after it; the bumped sequence is spliced from three slices.  The
+    image is rebuilt through the validating `RankSequence` constructor, and
+    then checked: its maximum must be the old maximum plus one, occur once,
+    and sit at position i.
+
     A sequence whose maximum is already unique is rejected: accepting it
     silently would hide classification bugs in callers.
 
@@ -66,20 +83,22 @@ def uniquify_max(t: RankSequence) -> RankSequence:
     >>> str(uniquify_max(RankSequence.from_text("2221")))
     '2 3 2 1'
     """
-    profile = max_profile(t)
-    if profile.unique:
+    values = t.values
+    top = max(values)
+    if values.count(top) == 1:
         raise InputError(
             f"sequence already has a unique maximum: {t}"
         )
-    i, j = profile.occurrences[-2], profile.occurrences[-1]
-    bumped = tuple(
-        v + 1 if i <= pos < j else v
-        for pos, v in enumerate(t.values, start=1)
-    )
+    # i and j as 0-based indices, from the right end of the sequence
+    last = len(values) - 1
+    backwards = values[::-1]
+    j = last - backwards.index(top)
+    i = last - backwards.index(top, last - j + 1)
+    bumped = values[:i] + tuple(v + 1 for v in values[i:j]) + values[j:]
     result = RankSequence(bumped)  # revalidates family membership
-    check = max_profile(result)
-    if not (check.unique and check.top == profile.top + 1
-            and check.occurrences == (i,)):
+    image = result.values
+    if not (max(image) == top + 1 and image.count(top + 1) == 1
+            and image[i] == top + 1):
         raise ConstructionError(
             f"image of {t} lacks the promised unique maximum: {result}"
         )
@@ -90,7 +109,10 @@ def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permuta
     """`uniquify_lis` stage by stage: the rank sequence of `p`, that sequence
     with its maximum made unique by `uniquify_max`, and its inverse, the image
     of `p`.  Preconditions are recomputed here rather than trusted, which is
-    cheap at the scales this library targets.
+    cheap at the scales this library targets: `p` must avoid 132, and one
+    `start_lengths_counts` pass gives both the subsequence counts that show
+    it lacks a unique longest increasing subsequence and the start lengths,
+    which the validating `RankSequence` constructor then wraps.
 
     >>> [str(stage) for stage in uniquify_stages(Permutation.from_text("321"))]
     ['1 1 1', '1 2 1', '3 1 2']
@@ -98,9 +120,10 @@ def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permuta
     verdict = contains_pattern(p, PATTERN_132)
     if verdict.contains:
         raise InputError(f"input contains 132 at positions {verdict.witness}: {p}")
-    if has_ulis(p):
+    lengths, counts = start_lengths_counts(p)
+    if _lis_stats(lengths, counts)[1] == 1:
         raise InputError(f"input already has a unique longest increasing subsequence: {p}")
-    ranks = rank_sequence(p)
+    ranks = RankSequence(tuple(lengths))
     lifted = uniquify_max(ranks)
     return ranks, lifted, invert(lifted)
 

@@ -27,7 +27,7 @@ from .permutations import (
     start_lengths_counts,
 )
 from .ranks import SEQUENCE_CAP, catalan, enumerate_rank_sequences, invert, rank_sequence
-from .ulis import max_profile, uniquify_lis, uniquify_max
+from .ulis import _unique_max, uniquify_lis, uniquify_max
 
 
 @dataclass
@@ -116,7 +116,7 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
     for n in range(1, max_n + 1):
         seen: dict[tuple[int, ...], str] = {}
         for t in enumerate_rank_sequences(n):
-            if max_profile(t).unique:
+            if _unique_max(t.values):
                 continue
             inputs += 1
             image = uniquify_max(t)
@@ -174,7 +174,7 @@ def _suite_characterization(max_n: int) -> dict[str, Any]:
         for p in enumerate_avoiders(n):
             permutations += 1
             direct = has_ulis(p)
-            via_ranks = max_profile(rank_sequence(p)).unique
+            via_ranks = _unique_max(rank_sequence(p).values)
             if direct != via_ranks:
                 return _fail(
                     {"n": n, "permutation": str(p), "has_ulis": direct,

@@ -5,9 +5,11 @@ direct expansion of defining conditions.  None of it shares code with the
 implementations under test, except `invert_by_search`, which inverts rank
 sequences from the library's avoider enumeration and ranks, independently of
 `ulisperm.invert`, `census_u_by_dp`, which checks its totals against
-`ulisperm.catalan`, and `ulis_count_by_search`, which takes start lengths and
+`ulisperm.catalan`, `ulis_count_by_search`, which takes start lengths and
 counts from `ulisperm.permutations._fill_starts`, independently of
-`ulisperm.ulis_count_all`.
+`ulisperm.ulis_count_all`, and `uniquify_max_by_profile`, which reads the
+maximum's positions from `ulisperm.max_profile`, independently of
+`ulisperm.uniquify_max`.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import itertools
 from ulisperm import (
     SEQUENCE_CAP,
     ConstructionError,
+    InputError,
     Permutation,
     RankSequence,
     catalan,
     enumerate_avoiders,
+    max_profile,
     start_ranks,
 )
 from ulisperm.permutations import _fill_starts
@@ -232,3 +236,26 @@ def ulis_count_by_search(n: int) -> int:
         return found
 
     return place(n - 1, 0, 0)
+
+
+def uniquify_max_by_profile(t: RankSequence) -> RankSequence:
+    """`uniquify_max` as it ran before it found the final two maxima itself:
+    their positions, and the image check, come from `max_profile`."""
+    profile = max_profile(t)
+    if profile.unique:
+        raise InputError(
+            f"sequence already has a unique maximum: {t}"
+        )
+    i, j = profile.occurrences[-2], profile.occurrences[-1]
+    bumped = tuple(
+        v + 1 if i <= pos < j else v
+        for pos, v in enumerate(t.values, start=1)
+    )
+    result = RankSequence(bumped)  # revalidates family membership
+    check = max_profile(result)
+    if not (check.unique and check.top == profile.top + 1
+            and check.occurrences == (i,)):
+        raise ConstructionError(
+            f"image of {t} lacks the promised unique maximum: {result}"
+        )
+    return result

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 import ulisperm
+import ulisperm.cli  # noqa: F401  (loads every module of the package)
 from ulisperm import (
     InputError,
     census_rows_dp,
@@ -14,6 +17,23 @@ def test_every_export_resolves_once():
     names = ulisperm.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(ulisperm, name)] == []
+
+
+# Helpers on the hot paths of the verify suites.  A benchmark tracer that wraps
+# every public function of the package would add 10^5 to 10^6 spans per run if
+# one of them were public, so they stay private at every binding.
+def test_hot_helpers_stay_private():
+    helpers = [ulisperm.Permutation._trusted.__func__, ulisperm.ulis._unique_max,
+               ulisperm.permutations._lis_stats]
+    namespaces = {name: vars(module) for name, module in sys.modules.items()
+                  if name.split(".")[0] == "ulisperm"}
+    namespaces["ulisperm.Permutation"] = vars(ulisperm.Permutation)
+    public = [f"{where}.{name}" for where, namespace in namespaces.items()
+              for name, obj in namespace.items()
+              if not name.startswith("_")
+              and any(getattr(obj, "__func__", obj) is fn for fn in helpers)]
+    assert public == []
+    assert {"_trusted", "_unique_max", "_lis_stats"}.isdisjoint(ulisperm.__all__)
 
 
 # every length-checked entry point: (call with n and cap, noun, least n)

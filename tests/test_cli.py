@@ -121,6 +121,17 @@ def test_map_trace_rejects_pattern(capsys):
     assert "contains 132" in err
 
 
+@pytest.mark.parametrize("text, err", [
+    # the empty permutation's empty subsequence is its unique longest one
+    ("", "error: input already has a unique longest increasing subsequence: \n"),
+    ("1", "error: input already has a unique longest increasing subsequence: 1\n"),
+    # the 132 test still comes before the subsequence count
+    ("1 3 2", "error: input contains 132 at positions (1, 2, 3): 1 3 2\n"),
+])
+def test_map_rejection_wording(capsys, text, err):
+    assert run(capsys, "map", text) == (2, "", err)
+
+
 # --- avoiders / sequences ----------------------------------------------------
 
 def test_avoiders_list(capsys):

@@ -8,12 +8,14 @@ from ulisperm import (
     PATTERN_132,
     PatternVerdict,
     Permutation,
+    SequenceValidationError,
     contains_pattern,
     enumerate_avoiders,
     enumerate_rank_sequences,
     has_ulis,
     invert,
     lis_stats,
+    rank_sequence,
     start_ranks,
 )
 from ulisperm import permutations as permutations_mod
@@ -227,6 +229,61 @@ def test_enumerations_go_deep_without_recursion():
     # item at this length
     assert next(enumerate_avoiders(1200, cap=1200)).entries == tuple(range(1, 1201))
     assert next(enumerate_rank_sequences(1200, cap=1200)).values == (1,) * 1200
+
+
+# --- permutations built by construction ----------------------------------------
+#
+# The avoider search and `invert` wrap their tuples with `Permutation._trusted`,
+# which skips validation; everything else still validates.
+
+def _built_permutations():
+    for sig in ALL_SIGS:
+        for n in range(10):
+            yield from enumerate_avoiders(n, Permutation(sig))
+    for n in range(1, 11):
+        for t in enumerate_rank_sequences(n):
+            yield invert(t)
+
+
+def test_built_permutations_equal_validated_ones():
+    for p in _built_permutations():
+        validated = Permutation(p.entries)  # raises unless p is a permutation
+        assert type(p) is Permutation
+        assert p == validated and hash(p) == hash(validated)
+
+
+def test_built_permutations_skip_validation(monkeypatch):
+    calls = 0
+    validate = Permutation.__post_init__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        validate(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    avoiders = sum(1 for _ in enumerate_avoiders(8))
+    inverses = 0
+    for n in range(1, 9):
+        for t in enumerate_rank_sequences(n):
+            invert(t)
+            inverses += 1
+    assert (avoiders, inverses, calls) == (1430, 2055, 0)
+    Permutation((2, 1))
+    assert calls == 1  # the counter does see the validating constructor
+
+
+def test_outside_input_is_still_validated():
+    with pytest.raises(InputError) as repeated:
+        Permutation((2, 2))
+    assert str(repeated.value) == "not a permutation of 1..2: (2, 2)"
+    with pytest.raises(InputError) as gap:
+        Permutation.from_text("1 3")
+    assert str(gap.value) == "not a permutation of 1..2: (1, 3)"
+    # 1423 contains 132, and its ranks (3, 1, 2, 1) leave the family
+    with pytest.raises(SequenceValidationError) as off_family:
+        rank_sequence(Permutation.from_text("1423"))
+    assert str(off_family.value) == "drop of 2 at positions 1->2"
 
 
 def test_all_six_patterns_equinumerous():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ulisperm import (
+    ConstructionError,
     InputError,
     PATTERN_132,
     Permutation,
@@ -15,6 +16,9 @@ from ulisperm import (
     uniquify_lis,
     uniquify_max,
 )
+from ulisperm.ulis import _unique_max
+
+from oracles import uniquify_max_by_profile
 
 
 def seq(text):
@@ -93,6 +97,34 @@ def test_uniquify_max_injective_small():
             if not max_profile(t).unique
         ]
         assert len(images) == len(set(images))
+
+
+def test_uniquify_max_matches_profile_oracle():
+    for n in range(1, 11):
+        for t in enumerate_rank_sequences(n):
+            if not max_profile(t).unique:
+                assert uniquify_max(t).values == uniquify_max_by_profile(t).values
+            elif n <= 7:
+                with pytest.raises(InputError) as ours:
+                    uniquify_max(t)
+                with pytest.raises(InputError) as theirs:
+                    uniquify_max_by_profile(t)
+                assert str(ours.value) == str(theirs.value)
+
+
+def test_unique_max_agrees_with_max_profile():
+    for n in range(1, 11):
+        for t in enumerate_rank_sequences(n):
+            assert _unique_max(t.values) == max_profile(t).unique
+
+
+def test_uniquify_max_checks_its_image(monkeypatch):
+    # a constructor that loses the bump: (3, 2, 1) comes back as (2, 2, 1)
+    t = seq("221")
+    monkeypatch.setattr("ulisperm.ulis.RankSequence",
+                        lambda values: RankSequence(tuple(min(v, 2) for v in values)))
+    with pytest.raises(ConstructionError, match="lacks the promised unique maximum"):
+        uniquify_max(t)
 
 
 @given(tied_max_sequences_st())
