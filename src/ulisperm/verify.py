@@ -111,31 +111,49 @@ def _suite_lemma1(max_n: int) -> dict[str, Any]:
 
 def _suite_injection_f(max_n: int) -> dict[str, Any]:
     """The tied-maximum bump is injective, and its images are valid
-    sequences with a unique maximum (checked inside uniquify_max)."""
+    sequences with a unique maximum (checked inside uniquify_max).
+
+    Injectivity is checked per length with a set of image keys,
+    `bytes(image.values)`, which is exact while every value is below 256 (the
+    hard cap is far lower).  A passing run formats nothing.  Only on a
+    collision is the length's domain walked again, to find the earliest input
+    with the same image: enumeration is lexicographic and the suite stops at
+    the first repeat, so that input is the one that produced the key first.
+    """
     inputs = 0
     for n in range(1, max_n + 1):
-        seen: dict[tuple[int, ...], str] = {}
+        seen: set[bytes] = set()
         for t in enumerate_rank_sequences(n):
             if _unique_max(t.values):
                 continue
             inputs += 1
             image = uniquify_max(t)
-            if image.values in seen:
+            key = bytes(image.values)
+            if key in seen:
+                first = next(s for s in enumerate_rank_sequences(n)
+                             if not _unique_max(s.values)
+                             and uniquify_max(s).values == image.values)
                 return _fail(
-                    {"n": n, "first": seen[image.values], "second": str(t),
+                    {"n": n, "first": str(first), "second": str(t),
                      "image": str(image)},
                     inputs=inputs,
                 )
-            seen[image.values] = str(t)
+            seen.add(key)
     return _pass(inputs=inputs, distinct_images=inputs)
 
 
 def _suite_injection_g(max_n: int) -> dict[str, Any]:
     """The composed map on avoiders lands in the unique-subsequence class
-    injectively."""
+    injectively.
+
+    Injectivity is checked as in `_suite_injection_f`, with a set of
+    `bytes(image.entries)` keys per length; the earliest preimage of a
+    colliding image is found by a second walk of the length's domain, and
+    only then.
+    """
     domain = 0
     for n in range(1, max_n + 1):
-        seen: dict[tuple[int, ...], str] = {}
+        seen: set[bytes] = set()
         for p in enumerate_avoiders(n):
             if has_ulis(p):
                 continue
@@ -154,13 +172,17 @@ def _suite_injection_g(max_n: int) -> dict[str, Any]:
                      "pattern_at": bad.witness},
                     domain=domain,
                 )
-            if image.entries in seen:
+            key = bytes(image.entries)
+            if key in seen:
+                first = next(q for q in enumerate_avoiders(n)
+                             if not has_ulis(q)
+                             and uniquify_lis(q).entries == image.entries)
                 return _fail(
-                    {"n": n, "first": seen[image.entries], "second": str(p),
+                    {"n": n, "first": str(first), "second": str(p),
                      "image": str(image)},
                     domain=domain,
                 )
-            seen[image.entries] = str(p)
+            seen.add(key)
     return _pass(domain=domain, distinct_images=domain)
 
 

@@ -81,9 +81,16 @@ def test_criterion_5_injections(enumerative_rows):
                       "permutation-level injection (n <= 10); u >= v"):
         report_f = run_suite("injection-f", 12)
         assert report_f.passed, report_f.outcome
+        tied = sum(row.v for row in enumerative_rows)
+        assert tied == 139_038
+        assert (report_f.outcome["inputs"] == report_f.outcome["distinct_images"]
+                == tied)
         report_g = run_suite("injection-g", 10)
         assert report_g.passed, report_g.outcome
-        assert report_g.outcome["domain"] == report_g.outcome["distinct_images"]
+        without_ulis = sum(row.v for row in enumerative_rows if row.n <= 10)
+        assert without_ulis == 11_235
+        assert (report_g.outcome["domain"] == report_g.outcome["distinct_images"]
+                == without_ulis)
         for row in enumerative_rows:
             assert row.u >= row.v, row
 

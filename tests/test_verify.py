@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ulisperm import (
@@ -8,12 +10,15 @@ from ulisperm import (
     SUITE_NAMES,
     catalan,
     census_enumerative,
+    census_rows_dp,
     contains_pattern,
     enumerate_rank_sequences,
     invert,
     rank_sequence,
     run_suite,
     ulis_count_all,
+    uniquify_lis,
+    uniquify_max,
 )
 from ulisperm import verify as verify_mod
 from ulisperm.permutations import start_lengths_counts
@@ -107,9 +112,26 @@ def _miscounts_3124(p):
     return lengths, counts
 
 
-# One case per failure site of every suite: the name broken in
-# ulisperm.verify, its replacement, and the counterexample and counters of
-# the failing run at max_n = 6.
+def _f_joins_fifth_to_third(t):
+    # The 3rd and 5th tied-maximum sequences of length 5 share an image, so
+    # the collision's first preimage is not the first input of its length.
+    if t.values == (1, 2, 2, 2, 1):
+        t = RankSequence((1, 2, 1, 2, 1))
+    return uniquify_max(t)
+
+
+def _g_joins_fifth_to_third(p):
+    # Likewise for the 3rd and 5th avoiders of length 5 without a unique
+    # longest increasing subsequence.
+    if p.entries == (3, 4, 1, 2, 5):
+        p = Permutation((3, 2, 4, 1, 5))
+    return uniquify_lis(p)
+
+
+# One case per failure site of every suite, plus a second case for each
+# collision whose first preimage is not the first input of its length: the
+# name broken in ulisperm.verify, its replacement, and the counterexample and
+# counters of the failing run at max_n = 6.
 FAILURE_CASES = [
     pytest.param(
         "bijection", "invert", lambda t: Permutation(tuple(reversed(invert(t).entries))),
@@ -132,6 +154,10 @@ FAILURE_CASES = [
         {"n": 3, "first": "1 1 1", "second": "2 2 1", "image": "1 1 1"},
         {"inputs": 3}, id="injection-f-collision"),
     pytest.param(
+        "injection-f", "uniquify_max", _f_joins_fifth_to_third,
+        {"n": 5, "first": "1 2 1 2 1", "second": "1 2 2 2 1", "image": "1 3 2 2 1"},
+        {"inputs": 14}, id="injection-f-collision-later-first"),
+    pytest.param(
         "injection-g", "uniquify_lis", lambda p: p,
         {"n": 2, "permutation": "2 1", "image": "2 1",
          "reason": "image lacks a unique longest increasing subsequence"},
@@ -144,6 +170,10 @@ FAILURE_CASES = [
         "injection-g", "uniquify_lis", lambda p: Permutation(tuple(range(1, p.n + 1))),
         {"n": 3, "first": "2 1 3", "second": "3 2 1", "image": "1 2 3"},
         {"domain": 3}, id="injection-g-collision"),
+    pytest.param(
+        "injection-g", "uniquify_lis", _g_joins_fifth_to_third,
+        {"n": 5, "first": "3 2 4 1 5", "second": "3 4 1 2 5", "image": "2 3 4 1 5"},
+        {"domain": 14}, id="injection-g-collision-later-first"),
     pytest.param(
         "characterization", "has_ulis", lambda p: True,
         {"n": 2, "permutation": "2 1", "has_ulis": True, "unique_max": False},
@@ -177,3 +207,41 @@ def test_failure_payload(monkeypatch, suite, name, fake, counterexample, stats):
         "parameters": {"suite": suite, "max_n": 6},
         "outcome": {"status": "fail", "counterexample": counterexample, **stats},
     }
+
+
+def test_injection_caps_fit_bytes_keys():
+    # Both injection suites key their images by bytes(...), which is exact
+    # only while every entry is below 256.
+    for suite in ("injection-f", "injection-g"):
+        _, _, cap = verify_mod._SUITES[suite]
+        assert cap < 256, suite
+
+
+def test_injection_f_peak_memory_per_image():
+    # Images are kept as compact keys with no formatted preimage: the traced
+    # peak of the run to n = 11 stays below 180 B per image of length 11.
+    # On Python 3.11 a set of bytes keys measures 146 B, and a dict from
+    # image tuples to formatted preimages 280 B.
+    images = list(census_rows_dp(11))[-1].v
+    assert images == 28_069
+    tracemalloc.start()
+    try:
+        assert run_suite("injection-f", 11).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / images < 180
+
+
+def test_passing_injection_runs_format_nothing(monkeypatch):
+    formatted = []
+    for cls in (RankSequence, Permutation):
+        def counting(self, real=cls.__str__):
+            formatted.append(self)
+            return real(self)
+        monkeypatch.setattr(cls, "__str__", counting)
+    assert run_suite("injection-f", 9).passed
+    assert run_suite("injection-g", 8).passed
+    assert formatted == []
+    assert str(RankSequence((1,))) == str(Permutation((1,))) == "1"
+    assert len(formatted) == 2
