@@ -89,6 +89,7 @@ def census_enumerative(n: int, *, cap: int = SEQUENCE_CAP) -> CensusRow:
     >>> census_enumerative(3)
     CensusRow(n=3, total=5, u=3, v=2, ratio=Fraction(3, 5))
     """
+    _check_length("enumerative census", n, 1, cap)
     u = v = 0
     for t in enumerate_rank_sequences(n, cap=cap):
         if max_profile(t).unique:

@@ -26,7 +26,14 @@ from .permutations import (
     has_ulis,
     start_lengths_counts,
 )
-from .ranks import SEQUENCE_CAP, catalan, enumerate_rank_sequences, invert, rank_sequence
+from .ranks import (
+    SEQUENCE_CAP,
+    _lex_ranker,
+    catalan,
+    enumerate_rank_sequences,
+    invert,
+    rank_sequence,
+)
 from .ulis import _unique_max, uniquify_lis, uniquify_max
 
 
@@ -113,23 +120,28 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
     """The tied-maximum bump is injective, and its images are valid
     sequences with a unique maximum (checked inside uniquify_max).
 
-    Injectivity is checked per length with a set of image keys,
-    `bytes(image.values)`, which is exact while every value is below 256 (the
-    hard cap is far lower).  A passing run formats nothing.  Only on a
-    collision is the length's domain walked again, to find the earliest input
-    with the same image: enumeration is lexicographic and the suite stops at
-    the first repeat, so that input is the one that produced the key first.
+    Injectivity is checked per length with one flag per rank sequence of
+    that length, `bytearray(catalan(n))`, indexed by the image's position in
+    lexicographic order (`ranks._lex_ranker`).  Every image is a member of
+    length n (uniquify_max validates it), and the ranker maps those members
+    one to one onto 0..catalan(n) - 1, so two images share a flag exactly
+    when they are equal.  No image is kept, and no bound on the values
+    applies.  A passing run formats nothing.  Only on a collision is the
+    length's domain walked again, to find the earliest input with the same
+    image: enumeration is lexicographic and the suite stops at the first
+    repeat, so that input is the one that set the flag.
     """
     inputs = 0
     for n in range(1, max_n + 1):
-        seen: set[bytes] = set()
+        rank = _lex_ranker(n)
+        seen = bytearray(catalan(n))
         for t in enumerate_rank_sequences(n):
             if _unique_max(t.values):
                 continue
             inputs += 1
             image = uniquify_max(t)
-            key = bytes(image.values)
-            if key in seen:
+            position = rank(image.values)
+            if seen[position]:
                 first = next(s for s in enumerate_rank_sequences(n)
                              if not _unique_max(s.values)
                              and uniquify_max(s).values == image.values)
@@ -138,7 +150,7 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
                      "image": str(image)},
                     inputs=inputs,
                 )
-            seen.add(key)
+            seen[position] = 1
     return _pass(inputs=inputs, distinct_images=inputs)
 
 
@@ -146,10 +158,13 @@ def _suite_injection_g(max_n: int) -> dict[str, Any]:
     """The composed map on avoiders lands in the unique-subsequence class
     injectively.
 
-    Injectivity is checked as in `_suite_injection_f`, with a set of
-    `bytes(image.entries)` keys per length; the earliest preimage of a
-    colliding image is found by a second walk of the length's domain, and
-    only then.
+    Injectivity is checked per length with a set of `bytes(image.entries)`
+    keys, exact while every entry is below 256 (the hard cap is far lower).
+    A set, not rank flags as in `_suite_injection_f`: at the default bound
+    it holds at most v(10) = 7 979 keys, and ranking a permutation image
+    would cost one more pass over its longest increasing subsequences.  The
+    earliest preimage of a colliding image is found by a second walk of the
+    length's domain, and only then.
     """
     domain = 0
     for n in range(1, max_n + 1):

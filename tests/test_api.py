@@ -6,6 +6,7 @@ import ulisperm
 import ulisperm.cli  # noqa: F401  (loads every module of the package)
 from ulisperm import (
     InputError,
+    census_enumerative,
     census_rows_dp,
     enumerate_avoiders,
     enumerate_rank_sequences,
@@ -23,17 +24,22 @@ def test_every_export_resolves_once():
 # every public function of the package would add 10^5 to 10^6 spans per run if
 # one of them were public, so they stay private at every binding.
 def test_hot_helpers_stay_private():
+    # compared by code object, so the ranker that `_lex_ranker` returns is
+    # found at a public binding whichever length it was built for
     helpers = [ulisperm.Permutation._trusted.__func__, ulisperm.ulis._unique_max,
-               ulisperm.permutations._lis_stats]
+               ulisperm.permutations._lis_stats, ulisperm.ranks._lex_ranker,
+               ulisperm.ranks._lex_ranker(3)]
+    codes = {fn.__code__ for fn in helpers}
     namespaces = {name: vars(module) for name, module in sys.modules.items()
                   if name.split(".")[0] == "ulisperm"}
     namespaces["ulisperm.Permutation"] = vars(ulisperm.Permutation)
     public = [f"{where}.{name}" for where, namespace in namespaces.items()
               for name, obj in namespace.items()
               if not name.startswith("_")
-              and any(getattr(obj, "__func__", obj) is fn for fn in helpers)]
+              and getattr(getattr(obj, "__func__", obj), "__code__", None) in codes]
     assert public == []
-    assert {"_trusted", "_unique_max", "_lis_stats"}.isdisjoint(ulisperm.__all__)
+    assert {"_trusted", "_unique_max", "_lis_stats", "_lex_ranker"}.isdisjoint(
+        ulisperm.__all__)
 
 
 # every length-checked entry point: (call with n and cap, noun, least n)
@@ -46,6 +52,8 @@ LENGTH_CHECKED = [
                  "dynamic-program census", 1, id="census_rows_dp"),
     pytest.param(lambda n, cap: ulis_count_all(n, cap=cap),
                  "all-permutation scan", 0, id="ulis_count_all"),
+    pytest.param(lambda n, cap: census_enumerative(n, cap=cap),
+                 "enumerative census", 1, id="census_enumerative"),
 ]
 
 

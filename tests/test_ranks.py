@@ -17,6 +17,7 @@ from ulisperm import (
     rank_sequence,
     start_ranks,
 )
+from ulisperm.ranks import _lex_ranker
 
 from oracles import (
     catalan_by_recurrence,
@@ -97,6 +98,23 @@ def test_sequences_cap():
         list(enumerate_rank_sequences(13))
     with pytest.raises(InputError):
         list(enumerate_rank_sequences(0))
+
+
+def test_lex_ranker_gives_enumeration_positions():
+    # the k-th sequence ranks to k, so the last one ranks to catalan(n) - 1
+    for n in range(1, 13):
+        rank = _lex_ranker(n)
+        ranks = [rank(t.values) for t in enumerate_rank_sequences(n)]
+        assert ranks == list(range(catalan(n))), n
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_lex_ranker_refuses_other_lengths(n):
+    rank = _lex_ranker(n)
+    for length in (n - 1, n + 1):
+        member = next(enumerate_rank_sequences(length, cap=length)).values
+        with pytest.raises(AssertionError):
+            rank(member)
 
 
 def test_catalan_values():
