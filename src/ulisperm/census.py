@@ -18,8 +18,10 @@ Two independent engines produce the same rows:
       u(n) = [x^(n+1)] (1-x)(1+x)^(2n-1) ((1-x)^2 S(x) - x),
       S(x) = sum over N >= 1 of sigma(N) x^N,
 
-  so each length costs one binomial row and one dot product.  All counts
-  are exact big integers.
+  Multiplying by (1+x)^2 moves from one length to the next, so the product
+  of (1+x)^(2n-1) with the rest is carried along as a series and updated by
+  two Pascal steps (additions only) per length; u(n) is read off it.  All
+  counts are exact big integers.
 
 Also here: the exact count of ALL permutations (no avoidance restriction)
 with a unique longest increasing subsequence, used to cross-check the
@@ -31,6 +33,7 @@ placements.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -104,9 +107,12 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
     u(n) = [x^(n+1)] (1-x)(1+x)^(2n-1) ((1-x)^2 S(x) - x), where S(x) sums
     sigma(N) x^N over N >= 1 and sigma(N) is the sum of the divisors of N
     (de Bruijn, Knuth & Rice 1972; Flajolet 1980; derived in the module
-    docstring).  The series g = (1-x)((1-x)^2 S(x) - x) is expanded once;
-    each u(n) is the dot product of the binomial row C(2n-1, j), j <= n + 1,
-    with g[n+1-j], and v = catalan(n) - u.
+    docstring).  The series g = (1-x)((1-x)^2 S(x) - x) is expanded once, and
+    a = (1+x)^(2n-1) g is kept up to x^(max_n+1): u(n) is a[n+1], and two
+    Pascal steps a[k] += a[k-1] move a to length n + 1.  Cutting a off at the
+    top is exact, since each step reads only a[k] and a[k-1].  The total is
+    carried by the exact recurrence catalan(n) = catalan(n-1) 2(2n-1)/(n+1),
+    and v = catalan(n) - u.
 
     >>> [r.u for r in census_rows_dp(6)]
     [1, 1, 3, 8, 23, 71]
@@ -121,16 +127,19 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
     def times_one_minus_x(series: list[int]) -> list[int]:
         return [a - b for a, b in zip(series, [0, *series])]
 
+    def times_one_plus_x(series: list[int]) -> list[int]:
+        return list(map(operator.add, series, [0, *series[:-1]]))
+
     inner = times_one_minus_x(times_one_minus_x(sigma))  # (1-x)^2 S(x)
     inner[1] -= 1
-    g = times_one_minus_x(inner)
+    series = times_one_plus_x(times_one_minus_x(inner))  # (1+x) g
+    total = 1
     for n in range(1, max_n + 1):
-        u, binomial = 0, 1
-        for j in range(n + 2):
-            u += binomial * g[n + 1 - j]
-            binomial = binomial * (2 * n - 1 - j) // (j + 1)
+        total = total * 2 * (2 * n - 1) // (n + 1)
+        u = series[n + 1]
         # v is catalan(n) - u, so u is checked by the test oracles, not here
-        yield _make_row(n, u, catalan(n) - u)
+        yield _make_row(n, u, total - u)
+        series = times_one_plus_x(times_one_plus_x(series))
 
 
 def ulis_count_all(n: int, *, cap: int = ALL_PERMUTATION_CAP) -> int:

@@ -113,17 +113,15 @@ def rank_sequence(p: Permutation) -> RankSequence:
 
 
 def catalan(n: int) -> int:
-    """The n-th Catalan number, by integer-only evaluation.
-
-    binom(2n, n)/(n+1) rewritten as a difference of binomials so that no
-    intermediate division occurs.
+    """The n-th Catalan number, binom(2n, n) // (n+1), in exact integers:
+    the division leaves no remainder.
 
     >>> [catalan(n) for n in range(7)]
     [1, 1, 2, 5, 14, 42, 132]
     """
     if n < 0:
         raise InputError(f"catalan is defined for n >= 0, got {n}")
-    return math.comb(2 * n, n) - math.comb(2 * n, n + 1)
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[RankSequence]:

@@ -4,17 +4,18 @@ Everything here is deliberately naive: subset enumeration, full n! filters,
 direct expansion of defining conditions.  None of it shares code with the
 implementations under test, except `invert_by_search`, which inverts rank
 sequences from the library's avoider enumeration and ranks, independently of
-`ulisperm.invert`, `census_u_by_dp`, which checks its totals against
-`ulisperm.catalan`, `ulis_count_by_search`, which takes start lengths and
+`ulisperm.invert`, `ulis_count_by_search`, which takes start lengths and
 counts from `ulisperm.permutations._fill_starts`, independently of
 `ulisperm.ulis_count_all`, and `uniquify_max_by_profile`, which reads the
 maximum's positions from `ulisperm.max_profile`, independently of
-`ulisperm.uniquify_max`.
+`ulisperm.uniquify_max`.  `census_u_by_binomial_walk` evaluates the same
+closed form as `ulisperm.census_rows_dp`, by a separate route.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from ulisperm import (
     SEQUENCE_CAP,
@@ -22,7 +23,6 @@ from ulisperm import (
     InputError,
     Permutation,
     RankSequence,
-    catalan,
     enumerate_avoiders,
     max_profile,
     start_ranks,
@@ -163,7 +163,8 @@ def census_u_by_dp(max_n: int) -> list[int]:
     the row total (the sum over every w) and, re-indexed, entries 1..m-1 of
     the same column at length L + 1; x == m and x == m + 1 add only to the
     last entry of (m, False) and (m + 1, True).  The counts without a unique
-    maximum are summed too, and each length's u + v must be catalan(length).
+    maximum are summed too, and each length's u + v must be the Catalan
+    number C(2L, L) - C(2L, L + 1).
     Shares no code with `census_rows_dp`.
     """
     out = []
@@ -190,7 +191,38 @@ def census_u_by_dp(max_n: int) -> list[int]:
         for (m, unique), tip in tips.items():
             new.setdefault((m, unique), [0] * m)[-1] += tip
         columns = {key: col for key, col in new.items() if any(col)}
-        assert u + v == catalan(length), length
+        assert u + v == (math.comb(2 * length, length)
+                         - math.comb(2 * length, length + 1)), length
+        out.append(u)
+    return out
+
+
+def census_u_by_binomial_walk(max_n: int) -> list[int]:
+    """u(1..max_n) from the closed form
+    u(n) = [x^(n+1)] (1-x)(1+x)^(2n-1) ((1-x)^2 S(x) - x), evaluated as
+    `census_rows_dp` did before it updated the series by Pascal steps: the
+    binomial row C(2n-1, j), j <= n + 1, is walked term by term and dotted
+    with g[n+1-j], where g = (1-x)((1-x)^2 S(x) - x) and S(x) sums the
+    divisor sums sigma(N) x^N over N >= 1.
+    """
+    top = max_n + 1
+    sigma = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for multiple in range(d, top + 1, d):
+            sigma[multiple] += d
+
+    def times_one_minus_x(series: list[int]) -> list[int]:
+        return [a - b for a, b in zip(series, [0, *series])]
+
+    inner = times_one_minus_x(times_one_minus_x(sigma))  # (1-x)^2 S(x)
+    inner[1] -= 1
+    g = times_one_minus_x(inner)
+    out = []
+    for n in range(1, max_n + 1):
+        u, binomial = 0, 1
+        for j in range(n + 2):
+            u += binomial * g[n + 1 - j]
+            binomial = binomial * (2 * n - 1 - j) // (j + 1)
         out.append(u)
     return out
 

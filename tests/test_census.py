@@ -9,9 +9,15 @@ from ulisperm import (
     census_rows_dp,
     ulis_count_all,
 )
+from ulisperm import census as census_mod
 from ulisperm.census import CSV_COLUMNS, DP_CAP
 
-from oracles import census_u_by_dp, census_u_by_first_passage, ulis_count_by_search
+from oracles import (
+    census_u_by_binomial_walk,
+    census_u_by_dp,
+    census_u_by_first_passage,
+    ulis_count_by_search,
+)
 
 # Frozen small rows, derived once by classifying every rank sequence of each
 # length by maximum multiplicity (and double-checked against the avoider
@@ -73,6 +79,26 @@ def test_dp_matches_first_passage_oracle(max_n):
 
 def test_dp_matches_dynamic_program_oracle():
     assert [row.u for row in census_rows_dp(DP_CAP)] == census_u_by_dp(DP_CAP)
+
+
+def test_dp_matches_binomial_walk_oracle():
+    # past the default cap: the Pascal-updated series is cut off at x^1001
+    rows = census_rows_dp(1000, cap=1000)
+    assert [row.u for row in rows] == census_u_by_binomial_walk(1000)
+
+
+def test_dp_checks_catalan_once_per_row(monkeypatch):
+    # the total is carried by its recurrence; catalan() is called only by
+    # _make_row's check, once per row
+    calls = []
+
+    def counting(n, real=census_mod.catalan):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(census_mod, "catalan", counting)
+    assert len(list(census_rows_dp(DP_CAP))) == DP_CAP
+    assert calls == list(range(1, DP_CAP + 1))
 
 
 def test_dp_deterministic():

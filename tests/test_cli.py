@@ -248,6 +248,17 @@ def test_census_to_cap_stdout_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_300_SHA256
 
 
+# sha256 of the stdout of `census --max-n 1000 --cap 1000`, recorded at
+# 6e585fb, before the series was updated by Pascal steps.
+CENSUS_1000_SHA256 = "384a156df12876adabdef5606784d5826d6ecbbd2ea91fcc4d798e0728358694"
+
+
+def test_census_past_cap_stdout_bytes(capsys):
+    code, out, _ = run(capsys, "census", "--max-n", "1000", "--cap", "1000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_1000_SHA256
+
+
 def test_census_plain(capsys):
     code, out, _ = run(capsys, "census", "--max-n", "3", "--engine", "enumerative")
     assert code == 0

@@ -132,6 +132,12 @@ def test_catalan_against_recurrence_and_formula():
         assert remainder == 0 and c == quotient
 
 
+def test_catalan_equals_difference_of_binomials():
+    # the integer-only form catalan() used before it divided exactly
+    for n in range(2001):
+        assert catalan(n) == math.comb(2 * n, n) - math.comb(2 * n, n + 1), n
+
+
 # --- the rank map ------------------------------------------------------------
 
 def test_rank_sequence_example():
