@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import ConstructionError, _check_length
+from .errors import ConstructionError, _check_length, _int_text
 from .permutations import ALL_PERMUTATION_CAP
 from .ranks import SEQUENCE_CAP, catalan, enumerate_rank_sequences
 from .ulis import max_profile
@@ -60,17 +60,18 @@ class CensusRow:
 
     def __post_init__(self):
         assert self.u + self.v == self.total
-        assert self.ratio == Fraction(self.u, self.total)
+        # the cross-multiplied form of ratio == u/total: no second gcd
+        assert self.ratio.numerator * self.total == self.u * self.ratio.denominator
 
     def to_json_dict(self) -> dict:
         """Big integers as decimal strings; exact, never floats."""
         return {
             "n": self.n,
-            "catalan": str(self.total),
-            "u": str(self.u),
-            "v": str(self.v),
-            "ratio_num": str(self.ratio.numerator),
-            "ratio_den": str(self.ratio.denominator),
+            "catalan": _int_text(self.total),
+            "u": _int_text(self.u),
+            "v": _int_text(self.v),
+            "ratio_num": _int_text(self.ratio.numerator),
+            "ratio_den": _int_text(self.ratio.denominator),
         }
 
 
@@ -81,7 +82,8 @@ def _make_row(n: int, u: int, v: int) -> CensusRow:
     total = u + v
     if total != catalan(n):
         raise ConstructionError(
-            f"census bug: u + v = {total} differs from catalan({n}) = {catalan(n)}"
+            f"census bug: u + v = {_int_text(total)} differs from "
+            f"catalan({n}) = {_int_text(catalan(n))}"
         )
     return CensusRow(n, total, u, v, Fraction(u, total))
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from . import census as census_mod
 from . import oeis as oeis_mod
-from .errors import InputError, _check_length, _whole_integers
+from .errors import InputError, _check_length, _int_text
 from .permutations import (
     AVOIDER_CAP,
     PATTERN_132,
@@ -145,18 +145,22 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence],
           json_value: object = None, plain_lines: Iterable[str] | None = None, *,
-          csv_end: str = "\r\n", csv_note: str | None = None) -> None:
+          json_line: str | None = None, csv_end: str = "\r\n",
+          csv_note: str | None = None) -> None:
     """Write one command's output; the only place where formats differ.
 
-    csv: `header`, then `rows`, streamed; `csv_note` goes to stderr.  json: one
-    sorted-key line of `json_value`, by default the rows as a list (of bare
+    csv: `header`, then `rows`, streamed; `csv_note` goes to stderr.  json:
+    `json_line` if given (json.dumps writes ints under the digit limit), else
+    one sorted-key line of `json_value`, by default the rows as a list (of bare
     values for one column, else of header-keyed objects).  plain:
     `plain_lines`, by default each row space-joined, streamed."""
     if fmt == "json":
-        if json_value is None:
-            json_value = [row[0] if len(header) == 1 else dict(zip(header, row))
-                          for row in rows]
-        print(json.dumps(json_value, sort_keys=True))
+        if json_line is None:
+            if json_value is None:
+                json_value = [row[0] if len(header) == 1 else dict(zip(header, row))
+                              for row in rows]
+            json_line = json.dumps(json_value, sort_keys=True)
+        print(json_line)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator=csv_end)
         writer.writerow(header)
@@ -191,16 +195,16 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-@_whole_integers()
 def _list_or_count(args: argparse.Namespace, stream: Iterable, column: str) -> int:
     """List `stream` or print its length.  The enumerator call that made
     `stream` has already checked the arguments, and the length is catalan(n)
     for rank sequences and for the avoiders of every length-3 pattern, so a
     count walks nothing."""
     if args.count:
-        count = catalan(args.n)
+        count = _int_text(catalan(args.n))
         # unlike a table, a count's csv ends its lines in LF: fixed output bytes
-        _emit(args.format, ["count"], [[count]], {"count": count}, csv_end="\n")
+        _emit(args.format, ["count"], [[count]], json_line=f'{{"count": {count}}}',
+              csv_end="\n")
     else:
         _emit(args.format, [column], ([str(item)] for item in stream))
     return 0
@@ -236,8 +240,8 @@ def _census_summary(rows: list[census_mod.CensusRow]) -> dict:
         start -= 1
     return {
         "max_n": rows[-1].n,
-        "min_ratio_num": str(min_row.ratio.numerator),
-        "min_ratio_den": str(min_row.ratio.denominator),
+        "min_ratio_num": _int_text(min_row.ratio.numerator),
+        "min_ratio_den": _int_text(min_row.ratio.denominator),
         "min_ratio_at": min_row.n,
         "all_at_least_half": all(row.ratio >= half for row in rows),
         "equality_at": [row.n for row in rows if row.ratio == half],
@@ -245,7 +249,6 @@ def _census_summary(rows: list[census_mod.CensusRow]) -> dict:
     }
 
 
-@_whole_integers()
 def _cmd_census(args: argparse.Namespace) -> int:
     rows = _census_rows(args)
     summary = _census_summary(rows)
@@ -254,9 +257,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
              else "RATIO BELOW 1/2 FOUND")
     plain = [
         "n catalan u v ratio approx(display-only)",
-        *(f"{row.n} {row.total} {row.u} {row.v} "
-          f"{row.ratio.numerator}/{row.ratio.denominator} {float(row.ratio):.12g}"
-          for row in rows),
+        *(f"{r['n']} {r['catalan']} {r['u']} {r['v']} "
+          f"{r['ratio_num']}/{r['ratio_den']} {float(row.ratio):.12g}"
+          for row, r in zip(rows, records)),
         f"min ratio {summary['min_ratio_num']}/{summary['min_ratio_den']} "
         f"at n={summary['min_ratio_at']}; {floor}; "
         f"equality at n={summary['equality_at']}; "
@@ -282,12 +285,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else VERIFICATION_FAILURE
 
 
-@_whole_integers()
 def _cmd_oeis(args: argparse.Namespace) -> int:
     text = oeis_mod.fetch_bfile(args.id, online=args.online, cache_dir=args.cache_dir)
-    # values as strings: json keeps big integers exact as decimal text
-    _emit(args.format, ["index", "value"],
-          [(e.index, str(e.value)) for e in oeis_mod.parse_bfile(text)])
+    rows = [(_int_text(e.index), _int_text(e.value)) for e in oeis_mod.parse_bfile(text)]
+    # values as json strings keep big integers exact as decimal text; indices
+    # stay json numbers, placed by hand since json.dumps is under the digit limit
+    objects = ", ".join(f'{{"index": {index}, "value": "{value}"}}' for index, value in rows)
+    _emit(args.format, ["index", "value"], rows, json_line=f"[{objects}]")
     return 0
 
 

@@ -1,12 +1,12 @@
 """Exception types shared across the package, the one length check that
-raises them, and the one switch for Python's integer digit limit."""
+raises them, and exact conversions between integers and decimal text for
+values whose size the package does not choose.  Python 3.10.7+ limits int()
+and str() to 4300 digits by default; these conversions never read or set
+that limit."""
 
 from __future__ import annotations
 
-import contextlib
-import sys
-import threading
-from typing import Iterator
+from decimal import Decimal
 
 
 class InputError(ValueError):
@@ -24,37 +24,22 @@ def _check_length(what: str, n: int, low: int, cap: int) -> None:
         )
 
 
-# Python 3.10.7+ caps int/str conversion at 4300 digits for the whole
-# process, so lifting it is shared state: the first block to enter saves the
-# limit and the last to leave restores it, under one lock.
-_digit_lock = threading.Lock()
-_digit_holders = 0
-_digit_saved = 0
+def _int_text(value: int) -> str:
+    """str(value) for an integer of any size, such as catalan(7153) with 4301
+    digits: Decimal's conversion is exact and not under the digit limit."""
+    return str(Decimal(value))
 
 
-@contextlib.contextmanager
-def _whole_integers() -> Iterator[None]:
-    """Let int() and str() convert integers of any size while the package
-    reads or writes values whose size it does not choose, such as a b-file
-    term or catalan(7153) with 4301 digits.  The limit is restored when the
-    last such block, in any thread, exits, so parsing command-line input
-    stays limited; on Pythons without the limit this does nothing."""
-    global _digit_holders, _digit_saved
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    with _digit_lock:
-        if not _digit_holders:
-            _digit_saved = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-        _digit_holders += 1
-    try:
-        yield
-    finally:
-        with _digit_lock:
-            _digit_holders -= 1
-            if not _digit_holders:
-                sys.set_int_max_str_digits(_digit_saved)
+def _text_int(token: str) -> int:
+    """int(token) for a run of ASCII digits of any length.  A longer run is
+    read in halves until each piece has at most 640 digits, the least limit
+    Python allows (sys.int_info.str_digits_check_threshold); any other token
+    goes to int() whole, with its grammar and its limit."""
+    if len(token) <= 640 or not (token.isascii() and token.isdigit()):
+        return int(token)
+    half = len(token) // 2
+    low = token[half:]
+    return _text_int(token[:half]) * 10 ** len(low) + _text_int(low)
 
 
 class SequenceValidationError(InputError):

@@ -17,7 +17,7 @@ import warnings
 from importlib import resources
 from typing import Callable, NamedTuple
 
-from .errors import InputError, _whole_integers
+from .errors import InputError, _int_text, _text_int
 
 FIXTURE_ID = "A167995"
 CACHE_ENV_VAR = "ULISPERM_OEIS_CACHE_DIR"
@@ -43,10 +43,10 @@ class BFileParseError(InputError):
         self.line_number = line_number
 
 
-@_whole_integers()
 def parse_bfile(text: str) -> list[BFileEntry]:
     """Parse b-file text into entries with strictly increasing indices.
-    Values of any number of digits are read exactly.
+    A token of plain ASCII digits is read exactly at any length; one with a
+    sign or an underscore only within Python's int() digit limit.
 
     >>> parse_bfile("# header\\n1 1\\n2 1\\n")
     [BFileEntry(index=1, value=1), BFileEntry(index=2, value=1)]
@@ -62,7 +62,7 @@ def parse_bfile(text: str) -> list[BFileEntry]:
                 line_number, f"expected 'index value', got {stripped!r}"
             )
         try:
-            index, value = int(tokens[0]), int(tokens[1])
+            index, value = _text_int(tokens[0]), _text_int(tokens[1])
         except ValueError:
             raise BFileParseError(
                 line_number, f"non-integer token in {stripped!r}"
@@ -70,10 +70,11 @@ def parse_bfile(text: str) -> list[BFileEntry]:
         if entries and index <= entries[-1].index:
             raise BFileParseError(
                 line_number,
-                f"index {index} does not increase past {entries[-1].index}",
+                f"index {_int_text(index)} does not increase past "
+                f"{_int_text(entries[-1].index)}",
             )
         if value < 0:
-            raise BFileParseError(line_number, f"negative value {value}")
+            raise BFileParseError(line_number, f"negative value {_int_text(value)}")
         entries.append(BFileEntry(index, value))
     return entries
 

@@ -10,12 +10,15 @@ counts from `ulisperm.permutations._fill_starts`, independently of
 maximum's positions from `ulisperm.max_profile`, independently of
 `ulisperm.uniquify_max`.  `census_u_by_binomial_walk` evaluates the same
 closed form as `ulisperm.census_rows_dp`, by a separate route.
+`_digit_limit` reads Python's int/str digit limit for the tests that check
+the package leaves it alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 from ulisperm import (
     SEQUENCE_CAP,
@@ -28,6 +31,12 @@ from ulisperm import (
     start_ranks,
 )
 from ulisperm.permutations import _fill_starts
+
+
+def _digit_limit() -> int | None:
+    """sys.get_int_max_str_digits(), or None on Pythons before 3.10.7, which
+    have no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 def triple_pattern(a: int, b: int, c: int) -> tuple[int, int, int]:

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,8 @@ from ulisperm import cli as cli_mod
 from ulisperm import oeis as oeis_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
+
+from oracles import _digit_limit
 
 # Exact stdout and exit code per argv, one case per line: every output
 # format of every listing, count, census, verify and oeis command, and the
@@ -198,10 +201,6 @@ def _decimal(text: str) -> int:
     return value
 
 
-def _digit_limit():
-    return getattr(sys, "get_int_max_str_digits", lambda: None)()
-
-
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 @pytest.mark.parametrize("command", ["avoiders", "sequences"])
 def test_count_prints_past_the_digit_limit(capsys, command, fmt):
@@ -227,6 +226,42 @@ def test_count_leaves_input_parsing_limited(capsys):
     code, out, err = run(capsys, "rank", "1" + "0" * 10**6)
     assert (code, out) == (2, "")
     assert err.startswith("error: not an integer sequence")
+
+
+# every entry point that reads or prints integers of unchosen size, with a
+# callee it reaches while it runs
+LIMIT_UNTOUCHED = [
+    pytest.param(cli_mod, "catalan",
+                 lambda: main(["sequences", "7153", "--cap", "7153", "--count"]),
+                 id="count"),
+    pytest.param(census_mod, "census_rows_dp",
+                 lambda: main(["census", "--max-n", "20"]), id="census"),
+    pytest.param(oeis_mod, "fetch_bfile", lambda: main(["oeis"]), id="oeis"),
+    pytest.param(oeis_mod, "BFileEntry",
+                 lambda: oeis_mod.parse_bfile("1 " + "7" * 4301), id="parse_bfile"),
+]
+
+
+@pytest.mark.parametrize("module, name, call", LIMIT_UNTOUCHED)
+def test_the_digit_limit_is_never_touched(capsys, monkeypatch, module, name, call):
+    # the limit is process-wide, so it is read inside each entry point both
+    # by the calling thread and by a second one
+    limit = _digit_limit()
+    if limit is None:
+        pytest.skip("this Python has no int-to-str digit limit")
+    seen = []
+    callee = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        other = threading.Thread(target=lambda: seen.append(_digit_limit()))
+        other.start()
+        other.join()
+        seen.append(_digit_limit())
+        return callee(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    call()
+    assert seen and set(seen) == {limit}
 
 
 def test_count_without_a_digit_limit(capsys, monkeypatch):
@@ -442,6 +477,20 @@ def test_oeis_prints_past_the_digit_limit(capsys, monkeypatch, fmt, expected):
     limit = _digit_limit()
     assert run(capsys, "oeis", "--format", fmt) == (0, expected.format(term=term), "")
     assert _digit_limit() == limit
+    if limit is None:
+        return
+    # at the least limit Python allows: a 1000-digit value, then the same
+    # number as the index too, which is the first "1" of each expected text
+    term = "7" * 1000
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run(capsys, "oeis", "--format", fmt) == (0, expected.format(term=term), "")
+        monkeypatch.setattr(oeis_mod, "fetch_bfile",
+                            lambda *args, **kwargs: f"{term} {term}\n")
+        assert run(capsys, "oeis", "--format", fmt) == (
+            0, expected.replace("1", "{term}", 1).format(term=term), "")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- any argv ---------------------------------------------------------------------

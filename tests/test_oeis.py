@@ -18,6 +18,8 @@ from ulisperm import (
 )
 from ulisperm.oeis import CACHE_ENV_VAR, BFileParseError, bfile_url
 
+from oracles import _digit_limit
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -52,10 +54,6 @@ def test_parse_rejects_negative_value():
         parse_bfile("1 -4\n")
 
 
-def _digit_limit():
-    return getattr(sys, "get_int_max_str_digits", lambda: None)()
-
-
 # 4301 digits, one more than int() converts by default (Python 3.10.7+)
 LONG_DIGITS = "1" * 4301
 LONG_VALUE = (10 ** 4301 - 1) // 9
@@ -64,13 +62,26 @@ LONG_VALUE = (10 ** 4301 - 1) // 9
 def test_parse_reads_values_past_the_digit_limit():
     limit = _digit_limit()
     assert parse_bfile(f"1 {LONG_DIGITS}") == [BFileEntry(1, LONG_VALUE)]
+    assert parse_bfile(f"{LONG_DIGITS} 1") == [BFileEntry(LONG_VALUE, 1)]
     assert _digit_limit() == limit
+    if limit is None:
+        return
+    # at the least limit Python allows, 1000-digit tokens are read exactly and
+    # quoted exactly in errors
+    digits, number = "2" * 1000, (10 ** 1000 - 1) // 9 * 2
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_bfile(f"{digits} {digits}") == [BFileEntry(number, number)]
+        with pytest.raises(BFileParseError, match=f"index {digits} does not increase"):
+            parse_bfile(f"{digits} 1\n{digits} 2")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_past_the_digit_limit_from_many_threads():
-    # the limit is process-wide: overlapping parses must neither see it
-    # restored while they read nor leave it lifted when all are done; the
-    # short lines first widen the window in which another parse can finish
+    # parses overlapping in eight threads each read the long value exactly
+    # and leave the limit as it was; the short lines first give the threads
+    # room to interleave
     limit = _digit_limit()
     if limit is None:
         pytest.skip("this Python has no int-to-str digit limit")
