@@ -78,12 +78,13 @@ class CensusRow:
 CSV_COLUMNS = ("n", "catalan", "u", "v", "ratio_num", "ratio_den")
 
 
-def _make_row(n: int, u: int, v: int) -> CensusRow:
-    total = u + v
-    if total != catalan(n):
+def _make_row(n: int, u: int, v: int, total: int) -> CensusRow:
+    """The row for length n, whose `total` is catalan(n) as its engine knows
+    it; u + v must equal it."""
+    if u + v != total:
         raise ConstructionError(
-            f"census bug: u + v = {_int_text(total)} differs from "
-            f"catalan({n}) = {_int_text(catalan(n))}"
+            f"census bug: u + v = {_int_text(u + v)} differs from "
+            f"catalan({n}) = {_int_text(total)}"
         )
     return CensusRow(n, total, u, v, Fraction(u, total))
 
@@ -101,7 +102,7 @@ def census_enumerative(n: int, *, cap: int = SEQUENCE_CAP) -> CensusRow:
             u += 1
         else:
             v += 1
-    return _make_row(n, u, v)
+    return _make_row(n, u, v, catalan(n))
 
 
 def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
@@ -139,8 +140,9 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
     for n in range(1, max_n + 1):
         total = total * 2 * (2 * n - 1) // (n + 1)
         u = series[n + 1]
-        # v is catalan(n) - u, so u is checked by the test oracles, not here
-        yield _make_row(n, u, total - u)
+        # v is catalan(n) - u, so u is checked by the test oracles, and the
+        # recurrence against catalan() by the tests, not here
+        yield _make_row(n, u, total - u, total)
         series = times_one_plus_x(times_one_plus_x(series))
 
 

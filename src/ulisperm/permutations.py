@@ -121,12 +121,13 @@ def contains_pattern(p: Permutation, pattern: Permutation) -> PatternVerdict:
     """Decide whether `p` contains the length-3 `pattern`.
 
     Containment means some positions i < j < k carry entries order-isomorphic
-    to the pattern.  The witness returned is the lexicographically least such
-    triple.  Quadratic scan: for each i in turn, one right-to-left pass keeps
-    the extreme value so far among later entries on the pattern's k side of
-    e[i] (the minimum when the pattern puts e[j] above e[k], else the
-    maximum); the last entry on the j side that beats it is the least j, and
-    a forward scan from j finds the least k.  The first i with a j wins.
+    to the pattern.  The witness returned is the lexicographically least
+    triple.  Linear time: one right-to-left sweep finds the least i that
+    starts an occurrence (`_least_start`); for that i alone, one more pass
+    from the right keeps the extreme value so far among later entries on the
+    pattern's k side of e[i] (the minimum when the pattern puts e[j] above
+    e[k], else the maximum), the last entry on the j side that beats it is
+    the least j, and a forward scan from j finds the least k.
 
     >>> contains_pattern(Permutation.from_text("2413"), PATTERN_132)
     PatternVerdict(contains=True, witness=(1, 2, 4))
@@ -136,28 +137,81 @@ def contains_pattern(p: Permutation, pattern: Permutation) -> PatternVerdict:
     if pattern.n != 3:
         raise InputError(f"pattern must have length 3, got length {pattern.n}")
     a, b, c = pattern.entries
-    j_above_i, k_above_i, j_above_k = b > a, c > a, b > c
     e = p.entries
+    i = _least_start(e, a, b, c)
+    if i < 0:
+        return PatternVerdict(False)
+    j_above_i, k_above_i, j_above_k = b > a, c > a, b > c
     n = len(e)
+    ei = e[i]
     # a sentinel no entry beats: above every value for a minimum, below for a maximum
-    sentinel = n + 1 if j_above_k else 0
-    for i in range(n - 2):
-        ei = e[i]
-        extreme = sentinel
-        j = 0
-        for m in range(n - 1, i, -1):
-            em = e[m]
-            if (em > extreme) == j_above_k:
-                if (em > ei) == j_above_i:
-                    j = m
-            elif (em > ei) == k_above_i:
-                extreme = em
-        if j:
-            ej = e[j]
-            k = next(k for k in range(j + 1, n)
-                     if (e[k] > ei) == k_above_i and (ej > e[k]) == j_above_k)
-            return PatternVerdict(True, (i + 1, j + 1, k + 1))
-    return PatternVerdict(False)
+    extreme = n + 1 if j_above_k else 0
+    for m in range(n - 1, i, -1):
+        em = e[m]
+        if (em > extreme) == j_above_k:
+            if (em > ei) == j_above_i:
+                j = m
+        elif (em > ei) == k_above_i:
+            extreme = em
+    ej = e[j]
+    k = next(k for k in range(j + 1, n)
+             if (e[k] > ei) == k_above_i and (ej > e[k]) == j_above_k)
+    return PatternVerdict(True, (i + 1, j + 1, k + 1))
+
+
+def _least_start(e: Sequence[int], a: int, b: int, c: int) -> int:
+    """The least 0-based i that starts an occurrence of the pattern a b c in
+    `e`, or -1.  Negating every entry keeps positions and turns 312, 321 and
+    231 into 132, 123 and 213, so three sweeps from the right cover all six
+    patterns; each keeps `first`, the last (so least) start it has seen.
+    """
+    if a > c:
+        e, b = [-v for v in e], 4 - b
+    first = -1
+    low = -len(e) - 1  # below every entry, negated or not
+    if b == 3:
+        # 132: `third` is the largest entry right of i with a larger one
+        # between them, found when its nearest larger entry to the left pops
+        # it; an entry below `third` starts an occurrence and can neither pop
+        # a larger third nor be a later one, so it is not stacked
+        third, stack = low, []
+        for i in range(len(e) - 1, -1, -1):
+            v = e[i]
+            if v < third:
+                first = i
+            else:
+                while stack and stack[-1] < v:
+                    third = stack.pop()
+                stack.append(v)
+    elif b == 2:
+        # 123: `best` is the largest entry with a larger one after it, `top`
+        # the largest entry right of i
+        best = top = low
+        for i in range(len(e) - 1, -1, -1):
+            v = e[i]
+            if v < best:
+                first = i
+            elif v < top:
+                best = v
+            else:
+                top = v
+    else:
+        # 213: i starts one iff some entry right of its next smaller entry
+        # exceeds e[i]; the stack holds the candidates for next smaller entry,
+        # each with the largest entry right of it
+        top, values, tops = low, [], []
+        for i in range(len(e) - 1, -1, -1):
+            v = e[i]
+            while values and values[-1] > v:
+                values.pop()
+                tops.pop()
+            if tops and tops[-1] > v:
+                first = i
+            values.append(v)
+            tops.append(top)
+            if v > top:
+                top = v
+    return first
 
 
 PATTERN_132 = Permutation((1, 3, 2))
@@ -170,38 +224,46 @@ def start_lengths_counts(p: Permutation) -> tuple[list[int], list[int]]:
     the longest increasing subsequence beginning at position i+1, and
     `counts[i]` is the exact number of position sets realizing it.  Computed
     right to left: a subsequence starting here continues at any later, larger
-    entry.  Quadratic, which keeps the count bookkeeping transparent.
+    entry.  The later entries sit in a Fenwick tree (Fenwick 1994) over
+    values, mirrored so that one read upward from v + 1 covers every entry
+    above v, the prefix of a tree over reversed values n + 1 - v.  Each node
+    holds the longest length in its range and the count at that length, and
+    nodes merge by max and sum.  O(n log n); an entry above every later one
+    skips the read.
     """
-    n = len(p.entries)
-    lengths = [1] * n
-    counts = [1] * n
-    _fill_starts(p.entries, lengths, counts, n - 2, 0)
-    return lengths, counts
-
-
-def _fill_starts(e: Sequence[int], lengths: list[int], counts: list[int],
-                 start: int, stop: int) -> None:
-    """The package's one LIS kernel: set lengths[i] and counts[i] for
-    i = start down to stop, reading only the positions right of i, which
-    must already be set.  Both are always written, so reused lists stay
-    correct.  `start_lengths_counts` is its one caller in the package:
-    `census.ulis_count_all` tracks suffix profiles instead and does not
-    import it."""
+    e = p.entries
     n = len(e)
-    for i in range(start, stop - 1, -1):
-        ei = e[i]
-        best = 0
-        total = 1
-        for j in range(i + 1, n):
-            if e[j] > ei:
-                lj = lengths[j]
-                if lj > best:
-                    best = lj
-                    total = counts[j]
-                elif lj == best:
-                    total += counts[j]
-        lengths[i] = best + 1
-        counts[i] = total
+    longest = [0] * (n + 1)
+    tally = [0] * (n + 1)
+    lengths = []
+    counts = []
+    top = 0  # the largest entry read so far
+    for v in reversed(e):
+        best, total = 0, 1  # nothing above v: the entry alone
+        if v < top:
+            q = v + 1
+            while q <= n:
+                length = longest[q]
+                if length > best:
+                    best, total = length, tally[q]
+                elif length == best:
+                    total += tally[q]  # an empty node adds 0
+                q += q & -q
+        else:
+            top = v
+        best += 1
+        lengths.append(best)
+        counts.append(total)
+        while v:
+            length = longest[v]
+            if best > length:
+                longest[v], tally[v] = best, total
+            elif best == length:
+                tally[v] += total
+            v &= v - 1
+    lengths.reverse()
+    counts.reverse()
+    return lengths, counts
 
 
 def start_ranks(p: Permutation) -> tuple[int, ...]:

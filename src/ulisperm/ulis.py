@@ -108,8 +108,8 @@ def uniquify_max(t: RankSequence) -> RankSequence:
 def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permutation]:
     """`uniquify_lis` stage by stage: the rank sequence of `p`, that sequence
     with its maximum made unique by `uniquify_max`, and its inverse, the image
-    of `p`.  Preconditions are recomputed here rather than trusted, which is
-    cheap at the scales this library targets: `p` must avoid 132, and one
+    of `p`.  Preconditions are recomputed here rather than trusted, in
+    O(n log n) at any length: `p` must avoid 132 (a linear sweep), and one
     `start_lengths_counts` pass gives both the subsequence counts that show
     it lacks a unique longest increasing subsequence and the start lengths,
     which the validating `RankSequence` constructor then wraps.

@@ -1,17 +1,19 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: subset enumeration, full n! filters,
-direct expansion of defining conditions.  None of it shares code with the
-implementations under test, except `invert_by_search`, which inverts rank
-sequences from the library's avoider enumeration and ranks, independently of
-`ulisperm.invert`, `ulis_count_by_search`, which takes start lengths and
-counts from `ulisperm.permutations._fill_starts`, independently of
-`ulisperm.ulis_count_all`, and `uniquify_max_by_profile`, which reads the
-maximum's positions from `ulisperm.max_profile`, independently of
-`ulisperm.uniquify_max`.  `census_u_by_binomial_walk` evaluates the same
-closed form as `ulisperm.census_rows_dp`, by a separate route.
-`_digit_limit` reads Python's int/str digit limit for the tests that check
-the package leaves it alone.
+direct expansion of defining conditions, and the quadratic scans the library
+ran before its linear and O(n log n) kernels (`contains_by_scan`,
+`fill_starts_by_scan`).  None of it shares code with the implementations
+under test, except `invert_by_search`, which inverts rank sequences from the
+library's avoider enumeration and ranks, independently of `ulisperm.invert`,
+and `uniquify_max_by_profile`, which reads the maximum's positions from
+`ulisperm.max_profile`, independently of `ulisperm.uniquify_max`.
+`ulis_count_by_search` takes start lengths and counts from
+`fill_starts_by_scan`, independently of `ulisperm.ulis_count_all`.
+`census_u_by_binomial_walk` evaluates the same closed form as
+`ulisperm.census_rows_dp`, by a separate route.  `_digit_limit` reads
+Python's int/str digit limit for the tests that check the package leaves it
+alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from ulisperm import (
     max_profile,
     start_ranks,
 )
-from ulisperm.permutations import _fill_starts
 
 
 def _digit_limit() -> int | None:
@@ -50,6 +51,69 @@ def contains_by_triples(entries: tuple[int, ...], sig: tuple[int, int, int]):
         if triple_pattern(entries[i], entries[j], entries[k]) == sig:
             return (i + 1, j + 1, k + 1)
     return None
+
+
+def contains_by_scan(entries: tuple[int, ...], sig: tuple[int, int, int]):
+    """First (lexicographic) witness triple, or None, by the quadratic scan
+    `contains_pattern` ran before its linear sweep: for each i in turn, one
+    right-to-left pass keeps the extreme value so far among later entries on
+    the pattern's k side of e[i] (the minimum when the pattern puts e[j]
+    above e[k], else the maximum); the last entry on the j side that beats it
+    is the least j, and a forward scan from j finds the least k."""
+    a, b, c = sig
+    j_above_i, k_above_i, j_above_k = b > a, c > a, b > c
+    e = entries
+    n = len(e)
+    sentinel = n + 1 if j_above_k else 0
+    for i in range(n - 2):
+        ei = e[i]
+        extreme = sentinel
+        j = 0
+        for m in range(n - 1, i, -1):
+            em = e[m]
+            if (em > extreme) == j_above_k:
+                if (em > ei) == j_above_i:
+                    j = m
+            elif (em > ei) == k_above_i:
+                extreme = em
+        if j:
+            ej = e[j]
+            k = next(k for k in range(j + 1, n)
+                     if (e[k] > ei) == k_above_i and (ej > e[k]) == j_above_k)
+            return (i + 1, j + 1, k + 1)
+    return None
+
+
+def fill_starts_by_scan(e, lengths: list[int], counts: list[int],
+                        start: int, stop: int) -> None:
+    """The quadratic start-length scan `start_lengths_counts` ran before its
+    Fenwick tree: set lengths[i] and counts[i] for i = start down to stop,
+    reading every later, larger entry; the positions right of i must already
+    be set."""
+    n = len(e)
+    for i in range(start, stop - 1, -1):
+        ei = e[i]
+        best = 0
+        total = 1
+        for j in range(i + 1, n):
+            if e[j] > ei:
+                lj = lengths[j]
+                if lj > best:
+                    best = lj
+                    total = counts[j]
+                elif lj == best:
+                    total += counts[j]
+        lengths[i] = best + 1
+        counts[i] = total
+
+
+def start_lengths_counts_by_scan(entries: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """`start_lengths_counts` by `fill_starts_by_scan` over every position."""
+    n = len(entries)
+    lengths = [0] * n
+    counts = [0] * n
+    fill_starts_by_scan(entries, lengths, counts, n - 1, 0)
+    return lengths, counts
 
 
 def lis_by_subsets(entries: tuple[int, ...]) -> tuple[int, int]:
@@ -243,7 +307,7 @@ def ulis_count_by_search(n: int) -> int:
 
     Permutations are built right to left, so those sharing a suffix share that
     suffix's start lengths and counts: each placed entry costs one
-    `_fill_starts` step.  The suffix's longest length and the number of
+    `fill_starts_by_scan` step.  The suffix's longest length and the number of
     subsequences of that length go down the recursion, and a full permutation
     counts when that number is 1.
     """
@@ -260,7 +324,7 @@ def ulis_count_by_search(n: int) -> int:
             if used[v]:
                 continue
             entries[i] = v
-            _fill_starts(entries, lengths, counts, i, i)
+            fill_starts_by_scan(entries, lengths, counts, i, i)
             length = lengths[i]
             if length > longest:
                 top, ties = length, counts[i]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ulisperm import (
+    ConstructionError,
     InputError,
     catalan,
     census_enumerative,
@@ -87,18 +88,21 @@ def test_dp_matches_binomial_walk_oracle():
     assert [row.u for row in rows] == census_u_by_binomial_walk(1000)
 
 
-def test_dp_checks_catalan_once_per_row(monkeypatch):
-    # the total is carried by its recurrence; catalan() is called only by
-    # _make_row's check, once per row
+def test_dp_carries_catalan_without_calling_it(monkeypatch):
+    # the total is carried by its recurrence: catalan() is never called, and
+    # test_ranks checks the recurrence against catalan() for every n <= 2000
     calls = []
+    monkeypatch.setattr(census_mod, "catalan", calls.append)
+    totals = [row.total for row in census_rows_dp(DP_CAP)]
+    assert calls == []
+    assert totals == [catalan(n) for n in range(1, DP_CAP + 1)]
 
-    def counting(n, real=census_mod.catalan):
-        calls.append(n)
-        return real(n)
 
-    monkeypatch.setattr(census_mod, "catalan", counting)
-    assert len(list(census_rows_dp(DP_CAP))) == DP_CAP
-    assert calls == list(range(1, DP_CAP + 1))
+def test_enumerative_checks_its_sum_against_catalan(monkeypatch):
+    monkeypatch.setattr(census_mod, "catalan", lambda n: 6)
+    with pytest.raises(ConstructionError) as raised:
+        census_enumerative(3)
+    assert str(raised.value) == "census bug: u + v = 5 differs from catalan(3) = 6"
 
 
 def test_dp_deterministic():

@@ -135,6 +135,33 @@ def test_map_rejection_wording(capsys, text, err):
     assert run(capsys, "map", text) == (2, "", err)
 
 
+# --- long inputs ---------------------------------------------------------------
+#
+# No time is asserted: the pattern test and the start-length kernel are linear
+# and O(n log n), and with quadratic ones these four take seconds to minutes,
+# which `pytest --durations` shows.
+
+LONG_N = 20_000
+ENDS_IN_132 = " ".join(map(str, [*range(LONG_N, 3, -1), 1, 3, 2]))
+INCREASING = " ".join(map(str, range(1, LONG_N + 1)))
+DECREASING = " ".join(map(str, range(LONG_N, 0, -1)))
+ONES = " ".join(["1"] * LONG_N)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["map", ENDS_IN_132], (2, "", "error: input contains 132 at positions "
+                                        f"(19998, 19999, 20000): {ENDS_IN_132}\n"),
+                 id="map_132_at_the_end"),
+    pytest.param(["map", INCREASING], (2, "", "error: input already has a unique longest "
+                                       f"increasing subsequence: {INCREASING}\n"),
+                 id="map_increasing"),
+    pytest.param(["rank", DECREASING], (0, ONES + "\n", ""), id="rank_decreasing"),
+    pytest.param(["rank", "--invert", ONES], (0, DECREASING + "\n", ""), id="rank_invert_ones"),
+])
+def test_long_argv(capsys, argv, expected):
+    assert run(capsys, *argv) == expected
+
+
 # --- avoiders / sequences ----------------------------------------------------
 
 def test_avoiders_list(capsys):

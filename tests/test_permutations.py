@@ -8,6 +8,7 @@ from ulisperm import (
     PATTERN_132,
     PatternVerdict,
     Permutation,
+    RankSequence,
     SequenceValidationError,
     contains_pattern,
     enumerate_avoiders,
@@ -21,7 +22,13 @@ from ulisperm import (
 from ulisperm import permutations as permutations_mod
 from ulisperm.permutations import parse_values
 
-from oracles import avoiders_by_filter, contains_by_triples, lis_by_subsets
+from oracles import (
+    avoiders_by_filter,
+    contains_by_scan,
+    contains_by_triples,
+    lis_by_subsets,
+    start_lengths_counts_by_scan,
+)
 
 ALL_SIGS = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 
@@ -30,6 +37,25 @@ ALL_SIGS = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 def permutations_st(draw, min_n=0, max_n=12):
     n = draw(st.integers(min_n, max_n))
     return Permutation(tuple(draw(st.permutations(tuple(range(1, n + 1))))))
+
+
+@st.composite
+def long_permutations_st(draw, max_n=80):
+    """Random permutations, and 132-avoiders from `invert` of random rank
+    sequences with their reverse, complement and both, which avoid 231, 312
+    and 213: inputs that a pattern test reads to the end without a witness."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        return Permutation(tuple(draw(st.permutations(tuple(range(1, n + 1))))))
+    ranks = [1]  # right to left: each rank at most one above the next
+    for step in draw(st.lists(st.integers(1, n), min_size=n - 1, max_size=n - 1)):
+        ranks.append(min(step, ranks[-1] + 1))
+    entries = invert(RankSequence(tuple(reversed(ranks)))).entries
+    if draw(st.booleans()):
+        entries = entries[::-1]
+    if draw(st.booleans()):
+        entries = tuple(n + 1 - v for v in entries)
+    return Permutation(entries)
 
 
 def perm(text):
@@ -103,8 +129,32 @@ def test_containment_matches_triple_scan_exhaustively():
                     expected is not None, expected), (entries, pattern)
 
 
+def test_scan_oracle_matches_triple_scan():
+    for n in range(7):
+        for entries in itertools.permutations(range(1, n + 1)):
+            for sig in ALL_SIGS:
+                assert contains_by_scan(entries, sig) == contains_by_triples(entries, sig)
+
+
+def test_containment_matches_scan_oracle_at_n_7():
+    patterns = [Permutation(sig) for sig in ALL_SIGS]
+    for entries in itertools.permutations(range(1, 8)):
+        p = Permutation(entries)
+        for pattern in patterns:
+            expected = contains_by_scan(entries, pattern.entries)
+            assert contains_pattern(p, pattern) == PatternVerdict(
+                expected is not None, expected), (entries, pattern)
+
+
+@given(long_permutations_st(), st.sampled_from(ALL_SIGS))
+def test_containment_matches_scan_oracle(p, sig):
+    expected = contains_by_scan(p.entries, sig)
+    assert contains_pattern(p, Permutation(sig)) == PatternVerdict(expected is not None, expected)
+
+
 def test_containment_worst_cases_at_n_1000():
-    # every i before the witness scans the whole suffix: quadratic, not cubic
+    # the one start is near the end: the oracle's scan passes over every
+    # suffix, the sweep reads each entry once
     yes = Permutation(tuple(range(1000, 3, -1)) + (1, 3, 2))
     assert contains_pattern(yes, PATTERN_132) == PatternVerdict(True, (998, 999, 1000))
     reversed_identity = Permutation(tuple(range(1000, 0, -1)))
@@ -142,6 +192,18 @@ def test_lis_stats_matches_subset_enumeration():
         for entries in itertools.permutations(range(1, n + 1)):
             p = Permutation(entries)
             assert lis_stats(p) == lis_by_subsets(entries), entries
+
+
+def test_start_lengths_counts_match_scan_oracle_exhaustively():
+    for n in range(8):
+        for entries in itertools.permutations(range(1, n + 1)):
+            got = permutations_mod.start_lengths_counts(Permutation(entries))
+            assert got == start_lengths_counts_by_scan(entries), entries
+
+
+@given(long_permutations_st())
+def test_start_lengths_counts_match_scan_oracle(p):
+    assert permutations_mod.start_lengths_counts(p) == start_lengths_counts_by_scan(p.entries)
 
 
 def test_has_ulis_examples():

@@ -138,6 +138,15 @@ def test_catalan_equals_difference_of_binomials():
         assert catalan(n) == math.comb(2 * n, n) - math.comb(2 * n, n + 1), n
 
 
+def test_catalan_equals_the_census_recurrence():
+    # census_rows_dp carries its totals by this recurrence and no longer
+    # checks each row against catalan() at run time
+    total = 1
+    for n in range(1, 2001):
+        total = total * 2 * (2 * n - 1) // (n + 1)
+        assert total == catalan(n), n
+
+
 # --- the rank map ------------------------------------------------------------
 
 def test_rank_sequence_example():
