@@ -139,8 +139,8 @@ def test_catalan_equals_difference_of_binomials():
 
 
 def test_catalan_equals_the_census_recurrence():
-    # census_rows_dp carries its totals by this recurrence and no longer
-    # checks each row against catalan() at run time
+    # census_rows_dp carries its totals by this recurrence and trusts it at
+    # run time
     total = 1
     for n in range(1, 2001):
         total = total * 2 * (2 * n - 1) // (n + 1)
