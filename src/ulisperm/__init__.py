@@ -31,7 +31,7 @@ from .ranks import (
     invert,
     rank_sequence,
 )
-from .ulis import MaxProfile, max_profile, uniquify_lis, uniquify_max
+from .ulis import uniquify_lis, uniquify_max
 from .verify import SUITE_NAMES, RunReport, run_suite
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "DP_CAP",
     "FetchFallbackWarning",
     "InputError",
-    "MaxProfile",
     "PATTERN_132",
     "PatternVerdict",
     "Permutation",
@@ -65,7 +64,6 @@ __all__ = [
     "has_ulis",
     "invert",
     "lis_stats",
-    "max_profile",
     "parse_bfile",
     "rank_sequence",
     "run_suite",

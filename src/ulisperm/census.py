@@ -41,7 +41,7 @@ from typing import Iterator
 from .errors import ConstructionError, _check_length, _int_text
 from .permutations import ALL_PERMUTATION_CAP
 from .ranks import SEQUENCE_CAP, catalan, enumerate_rank_sequences
-from .ulis import max_profile
+from .ulis import _unique_max
 
 DP_CAP = 300
 
@@ -98,7 +98,7 @@ def census_enumerative(n: int, *, cap: int = SEQUENCE_CAP) -> CensusRow:
     _check_length("enumerative census", n, 1, cap)
     u = v = 0
     for t in enumerate_rank_sequences(n, cap=cap):
-        if max_profile(t).unique:
+        if _unique_max(t.values):
             u += 1
         else:
             v += 1

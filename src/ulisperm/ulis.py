@@ -12,8 +12,6 @@ count of the former below the count of the latter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConstructionError, InputError
 from .permutations import (
     PATTERN_132,
@@ -25,38 +23,10 @@ from .permutations import (
 from .ranks import RankSequence, invert
 
 
-@dataclass(frozen=True)
-class MaxProfile:
-    """Where a rank sequence attains its maximum.
-
-    `top` is the maximal value, `occurrences` the ascending 1-based positions
-    holding it, and `unique` whether there is exactly one.
-    """
-
-    top: int
-    occurrences: tuple[int, ...]
-    unique: bool
-
-    def __post_init__(self):
-        assert self.occurrences
-        assert self.unique == (len(self.occurrences) == 1)
-
-
-def max_profile(t: RankSequence) -> MaxProfile:
-    """Classify `t` by the multiplicity of its maximum.
-
-    >>> max_profile(RankSequence.from_text("221"))
-    MaxProfile(top=2, occurrences=(1, 2), unique=False)
-    >>> max_profile(RankSequence.from_text("321")).unique
-    True
-    """
-    top = max(t.values)
-    occurrences = tuple(i + 1 for i, v in enumerate(t.values) if v == top)
-    return MaxProfile(top, occurrences, len(occurrences) == 1)
-
-
 def _unique_max(values: tuple[int, ...]) -> bool:
-    """`max_profile(t).unique` for `t.values`, without building the profile."""
+    """Whether the maximum of `values` occurs exactly once: the rank sequence
+    of a 132-avoider has a unique maximum iff the avoider has a unique longest
+    increasing subsequence."""
     return values.count(max(values)) == 1
 
 

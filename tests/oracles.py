@@ -5,11 +5,13 @@ direct expansion of defining conditions, and the quadratic scans the library
 ran before its linear and O(n log n) kernels (`contains_by_scan`,
 `fill_starts_by_scan`).  None of it shares code with the implementations
 under test, except `invert_by_search`, which inverts rank sequences from the
-library's avoider enumeration and ranks, independently of `ulisperm.invert`,
-and `uniquify_max_by_profile`, which reads the maximum's positions from
-`ulisperm.max_profile`, independently of `ulisperm.uniquify_max`.
-`ulis_count_by_search` takes start lengths and counts from
-`fill_starts_by_scan`, independently of `ulisperm.ulis_count_all`.
+library's avoider enumeration and ranks, independently of `ulisperm.invert`.
+`max_positions` lists where a sequence attains its maximum, the tests'
+reading of the unique-maximum rule apart from the library's `_unique_max`,
+and `uniquify_max_by_profile` bumps between the final two of those
+positions, independently of `ulisperm.uniquify_max`.  `ulis_count_by_search`
+takes start lengths and counts from `fill_starts_by_scan`, independently of
+`ulisperm.ulis_count_all`.
 `census_u_by_binomial_walk` evaluates the same closed form as
 `ulisperm.census_rows_dp`, by a separate route.  `_digit_limit` reads
 Python's int/str digit limit for the tests that check the package leaves it
@@ -29,7 +31,6 @@ from ulisperm import (
     Permutation,
     RankSequence,
     enumerate_avoiders,
-    max_profile,
     start_ranks,
 )
 
@@ -343,23 +344,30 @@ def ulis_count_by_search(n: int) -> int:
     return place(n - 1, 0, 0)
 
 
+def max_positions(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The ascending 1-based positions holding the maximum of `values`."""
+    top = max(values)
+    return tuple(pos for pos, v in enumerate(values, start=1) if v == top)
+
+
 def uniquify_max_by_profile(t: RankSequence) -> RankSequence:
-    """`uniquify_max` as it ran before it found the final two maxima itself:
-    their positions, and the image check, come from `max_profile`."""
-    profile = max_profile(t)
-    if profile.unique:
+    """`uniquify_max` from its definition: bump every value on [i, j), where
+    i < j are the final two positions of the maximum, and check that the
+    image's maximum is one higher and sits at i alone.  Both sets of
+    positions come from `max_positions`."""
+    before = max_positions(t.values)
+    if len(before) == 1:
         raise InputError(
             f"sequence already has a unique maximum: {t}"
         )
-    i, j = profile.occurrences[-2], profile.occurrences[-1]
+    i, j = before[-2], before[-1]
     bumped = tuple(
         v + 1 if i <= pos < j else v
         for pos, v in enumerate(t.values, start=1)
     )
     result = RankSequence(bumped)  # revalidates family membership
-    check = max_profile(result)
-    if not (check.unique and check.top == profile.top + 1
-            and check.occurrences == (i,)):
+    if not (max(result.values) == max(t.values) + 1
+            and max_positions(result.values) == (i,)):
         raise ConstructionError(
             f"image of {t} lacks the promised unique maximum: {result}"
         )

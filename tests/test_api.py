@@ -45,6 +45,10 @@ def test_hot_helpers_stay_private():
             "_int_text", "_text_int"}.isdisjoint(ulisperm.__all__)
     # the quadratic start-length scan lives on only as a test oracle
     assert not hasattr(ulisperm.permutations, "_fill_starts")
+    # the unique-maximum rule is stated once, in `_unique_max`
+    for module in (ulisperm, ulisperm.ulis):
+        assert not hasattr(module, "max_profile")
+        assert not hasattr(module, "MaxProfile")
 
 
 # every length-checked entry point: (call with n and cap, noun, least n)

@@ -11,14 +11,13 @@ from ulisperm import (
     enumerate_avoiders,
     enumerate_rank_sequences,
     has_ulis,
-    max_profile,
     rank_sequence,
     uniquify_lis,
     uniquify_max,
 )
 from ulisperm.ulis import _unique_max
 
-from oracles import uniquify_max_by_profile
+from oracles import max_positions, rank_sequences_by_filter, uniquify_max_by_profile
 
 
 def seq(text):
@@ -42,19 +41,23 @@ def tied_max_sequences_st(draw, max_n=24):
 
 # --- classification -----------------------------------------------------------
 
-def test_max_profile_tied():
-    profile = max_profile(seq("221"))
-    assert (profile.top, profile.occurrences, profile.unique) == (2, (1, 2), False)
+@pytest.mark.parametrize("text,unique", [
+    ("221", False),
+    ("321", True),
+    ("111", False),
+])
+def test_unique_max_examples(text, unique):
+    assert _unique_max(seq(text).values) is unique
 
 
-def test_max_profile_unique():
-    profile = max_profile(seq("321"))
-    assert (profile.top, profile.occurrences, profile.unique) == (3, (1,), True)
-
-
-def test_max_profile_constant():
-    profile = max_profile(seq("111"))
-    assert (profile.top, profile.occurrences, profile.unique) == (1, (1, 2, 3), False)
+def test_unique_max_agrees_with_max_positions():
+    # the filter expands the defining conditions over all n^n value tuples,
+    # so it stops at n = 7 (0.3 s; n = 8 takes 5 s) and the library's
+    # enumerator covers n = 8..10
+    sequences = [values for n in range(1, 8) for values in rank_sequences_by_filter(n)]
+    sequences += [t.values for n in range(8, 11) for t in enumerate_rank_sequences(n)]
+    for values in sequences:
+        assert _unique_max(values) == (len(max_positions(values)) == 1)
 
 
 # --- the sequence-level injection ----------------------------------------------
@@ -77,15 +80,14 @@ def test_uniquify_max_rejects_unique_maximum():
 def test_uniquify_max_images_exhaustive():
     for n in range(2, 9):
         for t in enumerate_rank_sequences(n):
-            profile = max_profile(t)
-            if profile.unique:
+            before = max_positions(t.values)
+            if len(before) == 1:
                 continue
             image = uniquify_max(t)  # construction revalidates membership
-            out = max_profile(image)
-            assert out.unique and out.top == profile.top + 1
-            assert out.occurrences == (profile.occurrences[-2],)
+            assert max(image.values) == max(t.values) + 1
+            assert max_positions(image.values) == (before[-2],)
             # right edge of the bumped stretch still drops by at most 1
-            j = profile.occurrences[-1]
+            j = before[-1]
             assert image.values[j - 2] - image.values[j - 1] <= 1
 
 
@@ -94,7 +96,7 @@ def test_uniquify_max_injective_small():
         images = [
             uniquify_max(t).values
             for t in enumerate_rank_sequences(n)
-            if not max_profile(t).unique
+            if len(max_positions(t.values)) > 1
         ]
         assert len(images) == len(set(images))
 
@@ -102,7 +104,7 @@ def test_uniquify_max_injective_small():
 def test_uniquify_max_matches_profile_oracle():
     for n in range(1, 11):
         for t in enumerate_rank_sequences(n):
-            if not max_profile(t).unique:
+            if len(max_positions(t.values)) > 1:
                 assert uniquify_max(t).values == uniquify_max_by_profile(t).values
             elif n <= 7:
                 with pytest.raises(InputError) as ours:
@@ -110,12 +112,6 @@ def test_uniquify_max_matches_profile_oracle():
                 with pytest.raises(InputError) as theirs:
                     uniquify_max_by_profile(t)
                 assert str(ours.value) == str(theirs.value)
-
-
-def test_unique_max_agrees_with_max_profile():
-    for n in range(1, 11):
-        for t in enumerate_rank_sequences(n):
-            assert _unique_max(t.values) == max_profile(t).unique
 
 
 def test_uniquify_max_checks_its_image(monkeypatch):
@@ -130,7 +126,7 @@ def test_uniquify_max_checks_its_image(monkeypatch):
 @given(tied_max_sequences_st())
 def test_uniquify_max_random(t):
     image = uniquify_max(t)
-    assert max_profile(image).unique
+    assert len(max_positions(image.values)) == 1
     assert max(image.values) == max(t.values) + 1
 
 
@@ -171,4 +167,4 @@ def test_uniquify_lis_typing_and_injectivity():
 def test_characterization_small():
     for n in range(1, 9):
         for p in enumerate_avoiders(n):
-            assert has_ulis(p) == max_profile(rank_sequence(p)).unique
+            assert has_ulis(p) == (len(max_positions(rank_sequence(p).values)) == 1)
