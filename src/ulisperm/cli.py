@@ -25,7 +25,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import census as census_mod
@@ -233,18 +232,22 @@ def _census_rows(args: argparse.Namespace) -> list[census_mod.CensusRow]:
 
 
 def _census_summary(rows: list[census_mod.CensusRow]) -> dict:
-    half = Fraction(1, 2)
-    min_row = min(rows, key=lambda row: row.ratio)
+    # every total is positive, so ratios compare as u * total' against u' * total
+    min_row = rows[0]
+    for row in rows:
+        if row.u * min_row.total < min_row.u * row.total:
+            min_row = row  # strictly smaller: the first minimal row wins
     start = len(rows) - 1  # of the longest non-increasing tail
-    while start and rows[start - 1].ratio >= rows[start].ratio:
+    while start and (rows[start - 1].u * rows[start].total
+                     >= rows[start].u * rows[start - 1].total):
         start -= 1
     return {
         "max_n": rows[-1].n,
         "min_ratio_num": _int_text(min_row.ratio.numerator),
         "min_ratio_den": _int_text(min_row.ratio.denominator),
         "min_ratio_at": min_row.n,
-        "all_at_least_half": all(row.ratio >= half for row in rows),
-        "equality_at": [row.n for row in rows if row.ratio == half],
+        "all_at_least_half": all(2 * row.u >= row.total for row in rows),
+        "equality_at": [row.n for row in rows if 2 * row.u == row.total],
         "nonincreasing_from": rows[start].n,
     }
 

@@ -194,7 +194,11 @@ def invert(t: RankSequence) -> Permutation:
     subsequence starting at p_i, r_i = 1 + #{j > i : p_j > p_i}, and t minus
     one is the avoider's larger-to-the-right inversion table.
     Decoding it left to right, p_i is the r_i-th largest value not yet
-    placed (r_i <= n - i + 1, the number of such values, by membership):
+    placed (r_i <= n - i + 1, the number of such values, by membership).
+    The unplaced values are kept largest first in a doubly linked list, and
+    a cursor stops after each entry on the value just above it, the
+    (r_i - 1)-th largest left.  By membership r_{i+1} >= r_i - 1, so from
+    there the cursor only moves down, and the decoding takes O(n) steps:
 
     >>> print(invert(RankSequence.from_text("121")))
     3 1 2
@@ -202,8 +206,26 @@ def invert(t: RankSequence) -> Permutation:
     2 1 3
     """
     values = t.values
-    free = list(range(len(values), 0, -1))
-    # every value is popped once, so the result is a permutation as built
-    result = Permutation._trusted(tuple([free.pop(r - 1) for r in values]))
+    n = len(values)
+    # the unplaced values between the sentinels n + 1 (above the largest) and
+    # 0 (below the smallest): below[v] and above[v] are v's neighbours
+    below = list(range(-1, n + 1))
+    above = list(range(1, n + 3))
+    entries = []
+    append = entries.append
+    cursor, rank = n + 1, 0  # the cursor is the rank-th largest unplaced value
+    for r in values:
+        while rank < r:
+            cursor = below[cursor]
+            rank += 1
+        append(cursor)
+        up = above[cursor]
+        down = below[cursor]
+        below[up] = down
+        above[down] = up
+        cursor = up
+        rank -= 1
+    # every value is unlinked once, so the result is a permutation as built
+    result = Permutation._trusted(tuple(entries))
     assert start_ranks(result) == values, (t, result)
     return result

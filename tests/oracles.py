@@ -5,7 +5,9 @@ direct expansion of defining conditions, and the quadratic scans the library
 ran before its linear and O(n log n) kernels (`contains_by_scan`,
 `fill_starts_by_scan`).  None of it shares code with the implementations
 under test, except `invert_by_search`, which inverts rank sequences from the
-library's avoider enumeration and ranks, independently of `ulisperm.invert`.
+library's avoider enumeration and ranks, independently of `ulisperm.invert`;
+`invert_by_pop` decodes them by the list pops `invert` ran before its
+linked-list cursor.
 `max_positions` lists where a sequence attains its maximum, the tests'
 reading of the unique-maximum rule apart from the library's `_unique_max`,
 and `uniquify_max_by_profile` bumps between the final two of those
@@ -13,7 +15,9 @@ positions, independently of `ulisperm.uniquify_max`.  `ulis_count_by_search`
 takes start lengths and counts from `fill_starts_by_scan`, independently of
 `ulisperm.ulis_count_all`.
 `census_u_by_binomial_walk` evaluates the same closed form as
-`ulisperm.census_rows_dp`, by a separate route.  `_digit_limit` reads
+`ulisperm.census_rows_dp`, by a separate route.  `census_summary_by_fractions`
+is the census summary the CLI computed with `Fraction` comparisons before it
+cross-multiplied integers.  `_digit_limit` reads
 Python's int/str digit limit for the tests that check the package leaves it
 alone.
 """
@@ -23,9 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 from ulisperm import (
     SEQUENCE_CAP,
+    CensusRow,
     ConstructionError,
     InputError,
     Permutation,
@@ -33,6 +39,7 @@ from ulisperm import (
     enumerate_avoiders,
     start_ranks,
 )
+from ulisperm.errors import _int_text
 
 
 def _digit_limit() -> int | None:
@@ -190,6 +197,14 @@ def invert_by_search(t: RankSequence, *, cap: int = SEQUENCE_CAP) -> Permutation
     return matches[0]
 
 
+def invert_by_pop(t: RankSequence) -> Permutation:
+    """`invert` as it decoded before its linked-list cursor: p_i is popped as
+    the r_i-th largest of the values not yet placed, kept in a list largest
+    first, so a small r_i costs a shift of the whole list."""
+    free = list(range(t.n, 0, -1))
+    return Permutation(tuple(free.pop(r - 1) for r in t.values))
+
+
 def census_u_by_first_passage(max_n: int) -> list[int]:
     """u(1..max_n): rank sequences of each length with a unique maximum, by
     the first-passage decomposition of height-bounded paths.
@@ -299,6 +314,26 @@ def census_u_by_binomial_walk(max_n: int) -> list[int]:
             binomial = binomial * (2 * n - 1 - j) // (j + 1)
         out.append(u)
     return out
+
+
+def census_summary_by_fractions(rows: list[CensusRow]) -> dict:
+    """The census summary by comparing the rows' `Fraction` ratios, as the
+    CLI computed it before it compared integer cross-products: `min` keeps
+    the first of tied minima."""
+    half = Fraction(1, 2)
+    min_row = min(rows, key=lambda row: row.ratio)
+    start = len(rows) - 1  # of the longest non-increasing tail
+    while start and rows[start - 1].ratio >= rows[start].ratio:
+        start -= 1
+    return {
+        "max_n": rows[-1].n,
+        "min_ratio_num": _int_text(min_row.ratio.numerator),
+        "min_ratio_den": _int_text(min_row.ratio.denominator),
+        "min_ratio_at": min_row.n,
+        "all_at_least_half": all(row.ratio >= half for row in rows),
+        "equality_at": [row.n for row in rows if row.ratio == half],
+        "nonincreasing_from": rows[start].n,
+    }
 
 
 def ulis_count_by_search(n: int) -> int:

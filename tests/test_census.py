@@ -105,6 +105,14 @@ def test_enumerative_checks_its_sum_against_catalan(monkeypatch):
     assert str(raised.value) == "census bug: u + v = 5 differs from catalan(3) = 6"
 
 
+def test_dp_window_leaves_rows_unchanged_for_every_max_n():
+    # after row n the series keeps coefficients from 2n - max_n + 1 up, a
+    # bound that moves with max_n and its parity
+    rows300 = list(census_rows_dp(DP_CAP))
+    for max_n in [*range(1, 65), 149, 150, 151, 298, 299]:
+        assert list(census_rows_dp(max_n)) == rows300[:max_n], max_n
+
+
 def test_dp_deterministic():
     first = list(census_rows_dp(25))
     second = list(census_rows_dp(25))

@@ -27,7 +27,7 @@ from ulisperm import oeis as oeis_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
 
-from oracles import _digit_limit
+from oracles import _digit_limit, census_summary_by_fractions
 
 # Exact stdout and exit code per argv, one case per line: every output
 # format of every listing, count, census, verify and oeis command, and the
@@ -137,15 +137,18 @@ def test_map_rejection_wording(capsys, text, err):
 
 # --- long inputs ---------------------------------------------------------------
 #
-# No time is asserted: the pattern test and the start-length kernel are linear
-# and O(n log n), and with quadratic ones these four take seconds to minutes,
-# which `pytest --durations` shows.
+# No time is asserted: the pattern test, the start-length kernel and the
+# decoding in `invert` are linear or O(n log n), and with quadratic ones these
+# take seconds to minutes, which `pytest --durations` shows.
 
 LONG_N = 20_000
 ENDS_IN_132 = " ".join(map(str, [*range(LONG_N, 3, -1), 1, 3, 2]))
 INCREASING = " ".join(map(str, range(1, LONG_N + 1)))
 DECREASING = " ".join(map(str, range(LONG_N, 0, -1)))
 ONES = " ".join(["1"] * LONG_N)
+# about the longest single argv entry Linux takes (128 KiB with its NUL)
+ARG_MAX_N = 65_535
+ARG_MAX_ONES = " ".join(["1"] * ARG_MAX_N)
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -157,6 +160,9 @@ ONES = " ".join(["1"] * LONG_N)
                  id="map_increasing"),
     pytest.param(["rank", DECREASING], (0, ONES + "\n", ""), id="rank_decreasing"),
     pytest.param(["rank", "--invert", ONES], (0, DECREASING + "\n", ""), id="rank_invert_ones"),
+    pytest.param(["rank", "--invert", ARG_MAX_ONES],
+                 (0, " ".join(map(str, range(ARG_MAX_N, 0, -1))) + "\n", ""),
+                 id="rank_invert_ones_at_the_argv_limit"),
 ])
 def test_long_argv(capsys, argv, expected):
     assert run(capsys, *argv) == expected
@@ -319,6 +325,41 @@ def test_census_past_cap_stdout_bytes(capsys):
     code, out, _ = run(capsys, "census", "--max-n", "1000", "--cap", "1000")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_1000_SHA256
+
+
+def test_census_summary_matches_fraction_oracle_on_dp_rows():
+    rows = list(census_mod.census_rows_dp(census_mod.DP_CAP))
+    for max_n in range(1, census_mod.DP_CAP + 1):
+        assert (cli_mod._census_summary(rows[:max_n])
+                == census_summary_by_fractions(rows[:max_n])), max_n
+
+
+def _rows(*ratios):
+    """Hand-built rows n = 1, 2, ... with the given (u, total) pairs."""
+    return [census_mod._make_row(n, u, total - u, total)
+            for n, (u, total) in enumerate(ratios, start=1)]
+
+
+@pytest.mark.parametrize("rows, min_at, all_half, equality_at, tail_from", [
+    # tied minima 3/5 at n = 2 and 6/10 at n = 4: the first wins
+    pytest.param(_rows((2, 3), (3, 5), (5, 7), (6, 10), (7, 9)), 2, True, [], 5,
+                 id="tied_minima"),
+    # exactly 1/2 at n = 1, 3, 4, the first of them the minimum
+    pytest.param(_rows((1, 2), (3, 4), (2, 4), (5, 10), (3, 5)), 1, True, [1, 3, 4], 5,
+                 id="half_at_several_n"),
+    pytest.param(_rows((1, 2), (2, 5), (1, 2), (4, 9)), 2, False, [1, 3], 3,
+                 id="below_half"),
+    # 3/4 = 6/8 = 9/12 inside the non-increasing tail from n = 2
+    pytest.param(_rows((1, 2), (4, 5), (3, 4), (6, 8), (9, 12), (2, 3)), 1, True, [1], 2,
+                 id="equal_neighbours_in_tail"),
+    pytest.param(_rows((1, 1),), 1, True, [], 1, id="one_row"),
+])
+def test_census_summary_on_hand_built_rows(rows, min_at, all_half, equality_at, tail_from):
+    summary = cli_mod._census_summary(rows)
+    assert summary == census_summary_by_fractions(rows)
+    assert (summary["min_ratio_at"], summary["all_at_least_half"],
+            summary["equality_at"], summary["nonincreasing_from"]) == (
+        min_at, all_half, equality_at, tail_from)
 
 
 def test_census_plain(capsys):

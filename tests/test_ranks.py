@@ -21,6 +21,7 @@ from ulisperm.ranks import _lex_ranker
 
 from oracles import (
     catalan_by_recurrence,
+    invert_by_pop,
     invert_by_search,
     rank_sequences_by_filter,
     start_ranks_by_subsets,
@@ -195,6 +196,18 @@ def test_invert_matches_exhaustive_search():
     for n in range(1, 8):
         for t in enumerate_rank_sequences(n):
             assert invert(t) == invert_by_search(t), t
+
+
+def test_invert_matches_pop_decode():
+    for n in range(1, 11):
+        for t in enumerate_rank_sequences(n):
+            assert invert(t) == invert_by_pop(t), t
+
+
+@settings(max_examples=100)
+@given(rank_sequences_st(max_n=200))
+def test_invert_matches_pop_decode_on_long_sequences(t):
+    assert invert(t) == invert_by_pop(t)
 
 
 def test_round_trips():
