@@ -47,6 +47,8 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.entries, tuple):
+            object.__setattr__(self, "entries", tuple(self.entries))
         n = len(self.entries)
         if sorted(self.entries) != list(range(1, n + 1)):
             raise InputError(
@@ -65,7 +67,8 @@ class Permutation:
     def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
         """Wrap `entries` without validating them.  Only for tuples that are
         permutations by construction: the avoider search's output and
-        `ranks.invert`'s decoding."""
+        `ranks.invert`'s decoding.  Its twin `RankSequence._trusted` wraps
+        the rank-sequence enumerator's output."""
         p = object.__new__(cls)
         object.__setattr__(p, "entries", entries)
         return p

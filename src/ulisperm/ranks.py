@@ -43,8 +43,15 @@ class RankSequence:
     """A member of the rank-sequence family: positive integers, final value 1,
     adjacent drops at most 1.
 
+    Direct construction, `from_text`, `rank_sequence` and `uniquify_max`'s
+    image validate their values (any sequence of ints is stored as a tuple);
+    only `enumerate_rank_sequences`, whose output is in the family by
+    construction, wraps its tuples unchecked through `_trusted`.
+
     >>> RankSequence((2, 2, 1)).n
     3
+    >>> RankSequence([2, 2, 1]) == RankSequence((2, 2, 1))
+    True
     >>> RankSequence((1, 3, 1))
     Traceback (most recent call last):
         ...
@@ -54,6 +61,8 @@ class RankSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.values, tuple):
+            object.__setattr__(self, "values", tuple(self.values))
         validate_values(self.values)
 
     @property
@@ -63,6 +72,15 @@ class RankSequence:
     @classmethod
     def from_text(cls, text: str) -> "RankSequence":
         return cls(parse_values(text))
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> "RankSequence":
+        """Wrap `values` without validating them.  Only for tuples that are
+        members by construction: `enumerate_rank_sequences`' output.  The
+        twin of `Permutation._trusted`."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "values", values)
+        return t
 
     def __str__(self) -> str:
         return format_values(self.values)
@@ -131,6 +149,9 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     Generated as lexicographic successors, without recursion: raise the
     rightmost entry below n - i (the most that still reaches the final 1 by
     drops of at most 1), then refill the rest with max(1, previous - 1).
+    Every successor is a member, so the sequences are yielded trusted
+    (`RankSequence._trusted`), without a call to `validate_values`; the
+    constructor, `from_text` and `rank_sequence` still validate.
 
     >>> [str(t) for t in enumerate_rank_sequences(3)]
     ['1 1 1', '1 2 1', '2 1 1', '2 2 1', '3 2 1']
@@ -142,7 +163,7 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
 def _generate_sequences(n: int) -> Iterator[RankSequence]:
     values = [1] * n
     while True:
-        yield RankSequence(tuple(values))
+        yield RankSequence._trusted(tuple(values))
         i = n - 2
         while i >= 0 and values[i] == n - i:
             i -= 1

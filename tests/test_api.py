@@ -27,7 +27,8 @@ def test_every_export_resolves_once():
 def test_hot_helpers_stay_private():
     # compared by code object, so the ranker that `_lex_ranker` returns is
     # found at a public binding whichever length it was built for
-    helpers = [ulisperm.Permutation._trusted.__func__, ulisperm.ulis._unique_max,
+    helpers = [ulisperm.Permutation._trusted.__func__,
+               ulisperm.RankSequence._trusted.__func__, ulisperm.ulis._unique_max,
                ulisperm.permutations._lis_stats, ulisperm.permutations._least_start,
                ulisperm.ranks._lex_ranker,
                ulisperm.ranks._lex_ranker(3), ulisperm.errors._int_text,
@@ -36,6 +37,7 @@ def test_hot_helpers_stay_private():
     namespaces = {name: vars(module) for name, module in sys.modules.items()
                   if name.split(".")[0] == "ulisperm"}
     namespaces["ulisperm.Permutation"] = vars(ulisperm.Permutation)
+    namespaces["ulisperm.RankSequence"] = vars(ulisperm.RankSequence)
     public = [f"{where}.{name}" for where, namespace in namespaces.items()
               for name, obj in namespace.items()
               if not name.startswith("_")

@@ -10,11 +10,14 @@ from ulisperm import (
     RankSequence,
     SequenceValidationError,
     catalan,
+    census_enumerative,
     contains_pattern,
     enumerate_avoiders,
     enumerate_rank_sequences,
     invert,
     rank_sequence,
+    ranks,
+    run_suite,
     start_ranks,
 )
 from ulisperm.ranks import _lex_ranker
@@ -71,6 +74,16 @@ def test_validate_rejects_empty():
     assert exc.value.condition == "empty"
 
 
+def test_list_built_values_are_stored_as_tuples():
+    for cls in (RankSequence, Permutation):
+        from_list, from_tuple = cls([2, 1]), cls((2, 1))
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert RankSequence([2, 1]).values == (2, 1)
+    assert Permutation([2, 1]).entries == (2, 1)
+    assert invert(RankSequence([2, 1])) == Permutation((1, 2))
+    assert rank_sequence(Permutation([2, 1])) == RankSequence((1, 1))
+
+
 # --- enumeration and counting ----------------------------------------------
 
 def test_sequences_length_3():
@@ -83,10 +96,39 @@ def test_sequences_length_1():
 
 
 def test_sequences_match_condition_filter():
-    for n in range(1, 7):
+    for n in range(1, 8):
         got = [t.values for t in enumerate_rank_sequences(n)]
         assert got == sorted(got)
         assert got == rank_sequences_by_filter(n)
+
+
+def test_enumerated_sequences_equal_validated_ones():
+    # the enumerator wraps its tuples with `RankSequence._trusted`
+    for n in range(1, 11):
+        for t in enumerate_rank_sequences(n):
+            validated = RankSequence(t.values)  # raises unless t is a member
+            assert type(t) is RankSequence and type(t.values) is tuple
+            assert t == validated and hash(t) == hash(validated)
+
+
+def test_enumeration_skips_validation(monkeypatch):
+    calls = 0
+    validate = ranks.validate_values
+
+    def counting(values):
+        nonlocal calls
+        calls += 1
+        validate(values)
+
+    monkeypatch.setattr(ranks, "validate_values", counting)
+    census_enumerative(10)
+    assert run_suite("catalan", 10).passed
+    assert calls == 0
+    # injection-f validates each image in `uniquify_max`, and nothing else
+    report = run_suite("injection-f", 9)
+    assert report.passed and calls == report.outcome["inputs"] == 3256
+    RankSequence((1,))
+    assert calls == 3257  # the counter does see the validating constructor
 
 
 def test_sequences_counted_by_catalan():
