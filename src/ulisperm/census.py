@@ -25,7 +25,11 @@ Two independent engines produce the same rows:
   length m, which two Pascal steps per length trace back to the coefficients
   from x^(2n-m+1) up at length n.  So past the middle lengths the low
   coefficients are dead and are dropped, which saves about a quarter of the
-  additions at the default cap.  All counts are exact big integers.
+  additions at the default cap.  Each step reads the entry below the window
+  as 0, exact at index 0 and wrong anywhere else; the wrong entries climb
+  one index per step, two per length, as fast as the live bound, so they are
+  always dead: no row reads them, and the next drop removes exactly them.
+  All counts are exact big integers.
 
 Also here: the exact count of ALL permutations (no avoidance restriction)
 with a unique longest increasing subsequence, used to cross-check the
@@ -38,7 +42,7 @@ placements.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -53,22 +57,23 @@ DP_CAP = 300
 @dataclass(frozen=True)
 class CensusRow:
     """Exact counts for one length: `u` avoiders with a unique longest
-    increasing subsequence, `v` without, `total` their Catalan sum, and the
-    exact ratio u/total."""
+    increasing subsequence out of `total`, their Catalan number.  Derived
+    from those two: `v` = total - u without one, and the exact ratio
+    u/total."""
 
     n: int
     total: int
     u: int
-    v: int
-    ratio: Fraction
+    v: int = field(init=False)
+    ratio: Fraction = field(init=False)
 
     def __post_init__(self):
-        assert self.u + self.v == self.total
-        # the cross-multiplied form of ratio == u/total: no second gcd
-        assert self.ratio.numerator * self.total == self.u * self.ratio.denominator
+        object.__setattr__(self, "v", self.total - self.u)
+        object.__setattr__(self, "ratio", Fraction(self.u, self.total))
 
     def to_json_dict(self) -> dict:
-        """Big integers as decimal strings; exact, never floats."""
+        """Big integers as decimal strings; exact, never floats.  The key
+        order is the csv column order."""
         return {
             "n": self.n,
             "catalan": _int_text(self.total),
@@ -79,34 +84,25 @@ class CensusRow:
         }
 
 
-CSV_COLUMNS = ("n", "catalan", "u", "v", "ratio_num", "ratio_den")
-
-
-def _make_row(n: int, u: int, v: int, total: int) -> CensusRow:
-    """The row for length n, whose `total` is catalan(n) as its engine knows
-    it; u + v must equal it."""
-    if u + v != total:
-        raise ConstructionError(
-            f"census bug: u + v = {_int_text(u + v)} differs from "
-            f"catalan({n}) = {_int_text(total)}"
-        )
-    return CensusRow(n, total, u, v, Fraction(u, total))
-
-
 def census_enumerative(n: int, *, cap: int = SEQUENCE_CAP) -> CensusRow:
-    """Count by walking all rank sequences of length n.
+    """Count by walking all rank sequences of length n; the number walked
+    must be catalan(n).
 
     >>> census_enumerative(3)
     CensusRow(n=3, total=5, u=3, v=2, ratio=Fraction(3, 5))
     """
     _check_length("enumerative census", n, 1, cap)
-    u = v = 0
-    for t in enumerate_rank_sequences(n, cap=cap):
+    u = walked = 0
+    for walked, t in enumerate(enumerate_rank_sequences(n, cap=cap), 1):
         if _unique_max(t.values):
             u += 1
-        else:
-            v += 1
-    return _make_row(n, u, v, catalan(n))
+    total = catalan(n)
+    if walked != total:
+        raise ConstructionError(
+            f"census bug: u + v = {_int_text(walked)} differs from "
+            f"catalan({n}) = {_int_text(total)}"
+        )
+    return CensusRow(n, total, u)
 
 
 def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
@@ -117,14 +113,15 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
     docstring).  The series g = (1-x)((1-x)^2 S(x) - x) is expanded once, and
     a = (1+x)^(2n-1) g is kept up to x^(max_n+1): u(n) is a[n+1], and two
     Pascal steps a[k] += a[k-1] move a to length n + 1.  Cutting a off at the
-    top and at the bottom is exact, since each step reads only a[k] and
-    a[k-1]: u(m) = a[m+1] at length m reads a at length n only from index
+    top is exact, since each step reads only a[k] and a[k-1].  At the bottom,
+    u(m) = a[m+1] at length m reads a at length n only from index
     2n - m + 1 up, so after row n the coefficients below 2n - max_n + 1 are
-    read by no later row and are dropped.  A step on a window that no longer
-    starts at index 0 drops its first entry too, whose new value would need
-    the coefficient below it; a window from index 0 keeps a[0].  The total is
-    carried by the exact recurrence catalan(n) = catalan(n-1) 2(2n-1)/(n+1),
-    and v = catalan(n) - u.
+    read by no later row and are dropped.  Each step reads the entry below
+    the window as 0, which is exact at index 0; above it, the error this puts
+    in the lowest entry climbs one index per step, two per length, as fast as
+    the dropping bound, so every wrong entry is dead: no row reads it, and the
+    next drop removes exactly the wrong entries.  The total is carried by the
+    exact recurrence catalan(n) = catalan(n-1) 2(2n-1)/(n+1).
 
     >>> [r.u for r in census_rows_dp(6)]
     [1, 1, 3, 8, 23, 71]
@@ -149,20 +146,14 @@ def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:
     total = 1
     for n in range(1, max_n + 1):
         total = total * 2 * (2 * n - 1) // (n + 1)
-        u = series[n + 1 - low]
-        # v is catalan(n) - u, so u is checked by the test oracles, and the
-        # recurrence against catalan() by the tests, not here
-        yield _make_row(n, u, total - u, total)
+        # the recurrence is checked against catalan() by the tests, and u by
+        # the test oracles, not here
+        yield CensusRow(n, total, series[n + 1 - low])
         dead = 2 * n - max_n + 1 - low  # no later row reads below 2n - max_n + 1
         if dead > 0:
             del series[:dead]
             low += dead
-        for _ in range(2):
-            if low:  # the new a[low] would need the dropped a[low-1]
-                series = list(map(operator.add, series[1:], series))
-                low += 1
-            else:
-                series = times_one_plus_x(series)
+        series = times_one_plus_x(times_one_plus_x(series))
 
 
 def ulis_count_all(n: int, *, cap: int = ALL_PERMUTATION_CAP) -> int:

@@ -150,14 +150,13 @@ def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence],
 
     csv: `header`, then `rows`, streamed; `csv_note` goes to stderr.  json:
     `json_line` if given (json.dumps writes ints under the digit limit), else
-    one sorted-key line of `json_value`, by default the rows as a list (of bare
-    values for one column, else of header-keyed objects).  plain:
-    `plain_lines`, by default each row space-joined, streamed."""
+    one sorted-key line of `json_value`, by default the bare values of
+    one-column rows as a list.  plain: `plain_lines`, by default each row
+    space-joined, streamed."""
     if fmt == "json":
         if json_line is None:
             if json_value is None:
-                json_value = [row[0] if len(header) == 1 else dict(zip(header, row))
-                              for row in rows]
+                json_value = [row[0] for row in rows]
             json_line = json.dumps(json_value, sort_keys=True)
         print(json_line)
     elif fmt == "csv":
@@ -268,8 +267,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         f"equality at n={summary['equality_at']}; "
         f"non-increasing from n={summary['nonincreasing_from']}",
     ]
-    _emit(args.format, census_mod.CSV_COLUMNS,
-          [[record[col] for col in census_mod.CSV_COLUMNS] for record in records],
+    _emit(args.format, list(records[0]), [list(record.values()) for record in records],
           {"rows": records, "summary": summary}, plain,
           csv_note=f"summary: {json.dumps(summary, sort_keys=True)}")
     return 0 if summary["all_at_least_half"] else VERIFICATION_FAILURE

@@ -176,7 +176,7 @@ def _cache_path(sequence_id: str, cache_dir: str | None) -> str | None:
 def _read_cache(path: str | None) -> str | None:
     """The cached text, or None when there is no cache file or it cannot be
     read, decoded or parsed (a miss: the caller fetches and replaces it)."""
-    if path is None or not os.path.exists(path):
+    if path is None:
         return None
     try:
         with open(path, encoding="utf-8") as handle:

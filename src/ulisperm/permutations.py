@@ -29,7 +29,8 @@ from .errors import InputError, _check_length
 # Default enumeration ceilings.  Avoider enumeration visits C_n objects
 # (C_12 = 208012); the count over all permutations (`census.ulis_count_all`,
 # which merges suffixes by profile) stops earlier.  Both are overridable per
-# call; the CLI exposes them as flags.
+# call.  The CLI sets only the avoider cap by a flag (`avoiders --cap`); the
+# other is the fixed ceiling of `verify oeis --max-n`.
 AVOIDER_CAP = 12
 ALL_PERMUTATION_CAP = 10
 
@@ -98,7 +99,8 @@ def parse_values(text: str) -> tuple[int, ...]:
 
     A single token of two or more characters, all digits 1-9, is read as the
     compact digit form (one value per character); anything else is read as
-    space-separated integers.
+    whitespace-separated integers, each ASCII digits with an optional leading
+    minus sign (no "+", "_" or non-ASCII digits, which `int` would take).
 
     >>> parse_values("3 4 2 5 6 1 7 8")
     (3, 4, 2, 5, 6, 1, 7, 8)
@@ -110,10 +112,14 @@ def parse_values(text: str) -> tuple[int, ...]:
     tokens = text.split()
     if len(tokens) == 1 and len(tokens[0]) > 1 and all(c in "123456789" for c in tokens[0]):
         return tuple(int(c) for c in tokens[0])
-    try:
-        return tuple(int(tok) for tok in tokens)
-    except ValueError as exc:
-        raise InputError(f"not an integer sequence: {text!r}") from exc
+    # on ASCII tokens without "+" or "_", int accepts exactly -?[0-9]+
+    joined = "".join(tokens)
+    if joined.isascii() and "+" not in joined and "_" not in joined:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # another token, or one past int's digit limit
+            pass
+    raise InputError(f"not an integer sequence: {text!r}")
 
 
 def format_values(values: Sequence[int]) -> str:

@@ -47,6 +47,9 @@ def test_hot_helpers_stay_private():
             "_int_text", "_text_int"}.isdisjoint(ulisperm.__all__)
     # the quadratic start-length scan lives on only as a test oracle
     assert not hasattr(ulisperm.permutations, "_fill_starts")
+    # census rows derive v and ratio, so nothing builds or checks them apart
+    assert not hasattr(ulisperm.census, "_make_row")
+    assert not hasattr(ulisperm.census, "CSV_COLUMNS")
     # the unique-maximum rule is stated once, in `_unique_max`
     for module in (ulisperm, ulisperm.ulis):
         assert not hasattr(module, "max_profile")

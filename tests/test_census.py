@@ -11,7 +11,7 @@ from ulisperm import (
     ulis_count_all,
 )
 from ulisperm import census as census_mod
-from ulisperm.census import CSV_COLUMNS, DP_CAP
+from ulisperm.census import DP_CAP, CensusRow
 
 from oracles import (
     census_u_by_binomial_walk,
@@ -134,7 +134,17 @@ def test_row_serialization():
         "n": 3, "catalan": "5", "u": "3", "v": "2",
         "ratio_num": "3", "ratio_den": "5",
     }
-    assert tuple(record) == CSV_COLUMNS
+    # the key order is the csv header
+    assert tuple(record) == ("n", "catalan", "u", "v", "ratio_num", "ratio_den")
+
+
+def test_hand_built_row_derives_v_and_ratio():
+    row = CensusRow(4, 14, 8)
+    assert (row.v, row.ratio) == (6, Fraction(4, 7))
+    assert row == census_enumerative(4) == list(census_rows_dp(4))[-1]
+    assert repr(row) == "CensusRow(n=4, total=14, u=8, v=6, ratio=Fraction(4, 7))"
+    with pytest.raises(TypeError):
+        CensusRow(3, 5, 3, 2, Fraction(3, 5))
 
 
 def test_ulis_count_all_small():

@@ -85,6 +85,19 @@ def test_rank_invert_invalid_sequence(capsys):
     assert "drop" in err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["rank", "+2 +1"], "not an integer sequence"),
+    (["rank", "\uff12 \uff11"], "not an integer sequence"),
+    (["rank", "--invert", "1_1 1"], "not an integer sequence"),
+    (["rank", "--invert", "1 -1"], "not positive"),  # parsed, then not a member
+], ids=["plus", "fullwidth", "underscore", "minus"])
+def test_rank_reads_only_ascii_integer_tokens(capsys, argv, error):
+    # int() reads "+", "_" and non-ASCII digits, which format_values never writes
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and error in err
+
+
 # --- map -------------------------------------------------------------------
 
 def test_map(capsys):
@@ -336,7 +349,7 @@ def test_census_summary_matches_fraction_oracle_on_dp_rows():
 
 def _rows(*ratios):
     """Hand-built rows n = 1, 2, ... with the given (u, total) pairs."""
-    return [census_mod._make_row(n, u, total - u, total)
+    return [census_mod.CensusRow(n, total, u)
             for n, (u, total) in enumerate(ratios, start=1)]
 
 

@@ -69,11 +69,23 @@ def test_parse_spaced_and_compact():
     assert parse_values("34256178") == (3, 4, 2, 5, 6, 1, 7, 8)
     assert parse_values("7") == (7,)
     assert parse_values("10") == (10,)  # not compact: contains a 0
+    assert parse_values("1 -1") == (1, -1)  # left to the membership check
+    assert parse_values("2\u30001\t3\n") == (2, 1, 3)
 
 
 def test_parse_rejects_junk():
     with pytest.raises(InputError):
         parse_values("1 two 3")
+
+
+# forms that `int` reads but `format_values` never writes: a plus sign,
+# digit-group underscores and non-ASCII digits
+@pytest.mark.parametrize("token", ["+2", "1_1", "\uff12", "\u0662"])
+def test_parse_takes_only_ascii_integer_tokens(token):
+    with pytest.raises(InputError, match="not an integer sequence"):
+        parse_values(f"1 {token}")
+    with pytest.raises(InputError, match="not an integer sequence"):
+        parse_values(token)
 
 
 def test_permutation_validates_entries():
