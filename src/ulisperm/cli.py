@@ -34,10 +34,11 @@ from .permutations import (
     AVOIDER_CAP,
     PATTERN_132,
     Permutation,
+    _sweep_132,
     contains_pattern,
     enumerate_avoiders,
     format_values,
-    start_ranks,
+    start_lengths_counts,
 )
 from .ranks import SEQUENCE_CAP, RankSequence, catalan, enumerate_rank_sequences, invert
 from .ulis import uniquify_stages
@@ -177,11 +178,13 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         print(invert(RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
-    verdict = contains_pattern(p, PATTERN_132)
-    if verdict.contains:
+    first, ranks = _sweep_132(p.entries)  # on an avoider, the ranks
+    if first >= 0:
+        verdict = contains_pattern(p, PATTERN_132)
         print(f"warning: input contains 132 at positions {verdict.witness}; "
               "ranks are still well-defined", file=sys.stderr)
-    print(format_values(start_ranks(p)))
+        ranks, _ = start_lengths_counts(p)
+    print(format_values(ranks))
     return 0
 
 

@@ -136,7 +136,8 @@ def contains_pattern(p: Permutation, pattern: Permutation) -> PatternVerdict:
     from the right keeps the extreme value so far among later entries on the
     pattern's k side of e[i] (the minimum when the pattern puts e[j] above
     e[k], else the maximum), the last entry on the j side that beats it is
-    the least j, and a forward scan from j finds the least k.
+    the least j, and a forward scan from j finds the least k.  For 132 the
+    sweep (`_sweep_132`) also builds the start ranks, discarded here.
 
     >>> contains_pattern(Permutation.from_text("2413"), PATTERN_132)
     PatternVerdict(contains=True, witness=(1, 2, 4))
@@ -172,27 +173,16 @@ def _least_start(e: Sequence[int], a: int, b: int, c: int) -> int:
     """The least 0-based i that starts an occurrence of the pattern a b c in
     `e`, or -1.  Negating every entry keeps positions and turns 312, 321 and
     231 into 132, 123 and 213, so three sweeps from the right cover all six
-    patterns; each keeps `first`, the last (so least) start it has seen.
+    patterns: `_sweep_132` for 132, and below for 123 and 213, each keeping
+    `first`, the last (so least) start it has seen.
     """
     if a > c:
         e, b = [-v for v in e], 4 - b
+    if b == 3:
+        return _sweep_132(e)[0]
     first = -1
     low = -len(e) - 1  # below every entry, negated or not
-    if b == 3:
-        # 132: `third` is the largest entry right of i with a larger one
-        # between them, found when its nearest larger entry to the left pops
-        # it; an entry below `third` starts an occurrence and can neither pop
-        # a larger third nor be a later one, so it is not stacked
-        third, stack = low, []
-        for i in range(len(e) - 1, -1, -1):
-            v = e[i]
-            if v < third:
-                first = i
-            else:
-                while stack and stack[-1] < v:
-                    third = stack.pop()
-                stack.append(v)
-    elif b == 2:
+    if b == 2:
         # 123: `best` is the largest entry with a larger one after it, `top`
         # the largest entry right of i
         best = top = low
@@ -221,6 +211,40 @@ def _least_start(e: Sequence[int], a: int, b: int, c: int) -> int:
             if v > top:
                 top = v
     return first
+
+
+def _sweep_132(e: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The least 0-based i that starts a 132 in `e`, or -1, and, when it is
+    -1, the start ranks of `e`, from one right-to-left sweep in O(n).
+
+    `third` is the largest entry right of i with a larger one between them,
+    found when its nearest larger entry to the left pops it; an entry below
+    `third` starts an occurrence and can neither pop a larger third nor be a
+    later one, so it is not stacked.  Without a 132 nothing is skipped, and
+    once e[i] is pushed the stack is its chain of nearest larger entries.  In
+    a 132-avoider the larger entries right of e[i] increase, so they are that
+    chain, and the rank of e[i] is the stack's height (r_i = 1 + r_k, k the
+    nearest larger entry).  On an input with a 132 the heights are not ranks.
+
+    >>> _sweep_132((3, 4, 2, 5, 6, 1, 7, 8))
+    (-1, (6, 5, 5, 4, 3, 3, 2, 1))
+    >>> _sweep_132((2, 4, 1, 3))[0]
+    0
+    """
+    first = -1
+    third = -len(e) - 1  # below every entry, negated or not
+    stack = []
+    ranks = [0] * len(e)
+    for i in range(len(e) - 1, -1, -1):
+        v = e[i]
+        if v < third:
+            first = i
+        else:
+            while stack and stack[-1] < v:
+                third = stack.pop()
+            stack.append(v)
+        ranks[i] = len(stack)
+    return first, tuple(ranks)
 
 
 PATTERN_132 = Permutation((1, 3, 2))
@@ -277,13 +301,20 @@ def start_lengths_counts(p: Permutation) -> tuple[list[int], list[int]]:
 
 def start_ranks(p: Permutation) -> tuple[int, ...]:
     """The rank of each entry: length of the longest increasing subsequence
-    starting there.  Defined for every permutation.
+    starting there.  Defined for every permutation.  On a 132-avoider one
+    linear sweep gives them (`_sweep_132`); only an input containing 132 is
+    passed on to the O(n log n) `start_lengths_counts`.
 
     >>> start_ranks(Permutation.from_text("213"))
     (2, 2, 1)
     >>> start_ranks(Permutation.from_text("321"))
     (1, 1, 1)
+    >>> start_ranks(Permutation.from_text("1423"))
+    (3, 1, 2, 1)
     """
+    first, ranks = _sweep_132(p.entries)
+    if first < 0:
+        return ranks
     lengths, _ = start_lengths_counts(p)
     return tuple(lengths)
 

@@ -7,7 +7,8 @@ ran before its linear and O(n log n) kernels (`contains_by_scan`,
 under test, except `invert_by_search`, which inverts rank sequences from the
 library's avoider enumeration and ranks, independently of `ulisperm.invert`;
 `invert_by_pop` decodes them by the list pops `invert` ran before its
-linked-list cursor.
+linked-list cursor, and `validate_by_loops` checks membership by the loops
+alone, as `validate_values` did before its fast path.
 `max_positions` lists where a sequence attains its maximum, the tests'
 reading of the unique-maximum rule apart from the library's `_unique_max`,
 and `uniquify_max_by_profile` bumps between the final two of those
@@ -36,6 +37,7 @@ from ulisperm import (
     InputError,
     Permutation,
     RankSequence,
+    SequenceValidationError,
     enumerate_avoiders,
     start_ranks,
 )
@@ -203,6 +205,30 @@ def invert_by_pop(t: RankSequence) -> Permutation:
     first, so a small r_i costs a shift of the whole list."""
     free = list(range(t.n, 0, -1))
     return Permutation(tuple(free.pop(r - 1) for r in t.values))
+
+
+def validate_by_loops(values: tuple[int, ...]) -> None:
+    """`ranks.validate_values` without its fast path: the first violated
+    condition in the order empty, positive, final-entry, adjacent-drop."""
+    n = len(values)
+    if n == 0:
+        raise SequenceValidationError("empty", 0, "rank sequence must be nonempty")
+    for i, v in enumerate(values):
+        if v < 1:
+            raise SequenceValidationError(
+                "positive", i + 1, f"entry {v} at position {i + 1} is not positive"
+            )
+    if values[-1] != 1:
+        raise SequenceValidationError(
+            "final-entry", n, f"must end in 1, ends in {values[-1]}"
+        )
+    for i in range(n - 1):
+        drop = values[i] - values[i + 1]
+        if drop > 1:
+            raise SequenceValidationError(
+                "adjacent-drop", i + 1,
+                f"drop of {drop} at positions {i + 1}->{i + 2}"
+            )
 
 
 def census_u_by_first_passage(max_n: int) -> list[int]:

@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,25 @@ def test_dp_window_leaves_rows_unchanged_for_every_max_n():
     rows300 = list(census_rows_dp(DP_CAP))
     for max_n in [*range(1, 65), 149, 150, 151, 298, 299]:
         assert list(census_rows_dp(max_n)) == rows300[:max_n], max_n
+
+
+def test_dp_additions_are_pinned(monkeypatch):
+    # an under-trimmed window keeps every row exact and only adds more; the
+    # number of additions at max_n = 300 pins the trim: 302 for (1+x) g
+    # before the first row, then two Pascal steps over each live window
+    calls = 0
+
+    def add(a, b):
+        nonlocal calls
+        calls += 1
+        return a + b
+
+    monkeypatch.setattr(census_mod, "operator", types.SimpleNamespace(add=add))
+    rows = census_rows_dp(300)
+    next(rows)
+    assert calls == 302
+    assert len(list(rows)) == 299
+    assert calls == 135900
 
 
 def test_dp_deterministic():

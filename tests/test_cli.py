@@ -20,12 +20,15 @@ from ulisperm import (
     Permutation,
     RankSequence,
     catalan,
+    enumerate_rank_sequences,
+    invert,
 )
 from ulisperm import census as census_mod
 from ulisperm import cli as cli_mod
 from ulisperm import oeis as oeis_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
+from ulisperm.permutations import start_lengths_counts
 
 from oracles import _digit_limit, census_summary_by_fractions
 
@@ -71,6 +74,34 @@ def test_rank_warns_on_pattern(capsys):
     assert code == 0
     assert out == "2 1 1\n"
     assert "contains 132" in err and "still well-defined" in err
+
+
+def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
+    # `rank` on an avoider, `rank --invert` and `invert`'s check take ranks
+    # from the linear 132 sweep; the general kernel runs only on a 132
+    calls = 0
+    kernel = start_lengths_counts
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return kernel(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ulisperm") and hasattr(module, "start_lengths_counts"):
+            monkeypatch.setattr(module, "start_lengths_counts", counting)
+    for n in range(1, 7):
+        for t in enumerate_rank_sequences(n):
+            p = invert(t)
+            assert run(capsys, "rank", str(p)) == (0, f"{t}\n", "")
+            assert run(capsys, "rank", "--invert", str(t)) == (0, f"{p}\n", "")
+    ones, staircase = " ".join(["1"] * 1000), " ".join(map(str, range(1000, 0, -1)))
+    assert run(capsys, "rank", staircase)[1] == ones + "\n"
+    assert run(capsys, "rank", "--invert", ones)[1] == staircase + "\n"
+    assert verify_mod.run_suite("bijection", 8).passed
+    assert calls == 0
+    assert run(capsys, "rank", "1 3 2")[1] == "2 1 1\n"
+    assert calls == 1  # the counter does see the kernel
 
 
 def test_rank_bad_input(capsys):

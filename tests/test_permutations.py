@@ -40,17 +40,25 @@ def permutations_st(draw, min_n=0, max_n=12):
 
 
 @st.composite
-def long_permutations_st(draw, max_n=80):
-    """Random permutations, and 132-avoiders from `invert` of random rank
-    sequences with their reverse, complement and both, which avoid 231, 312
-    and 213: inputs that a pattern test reads to the end without a witness."""
+def avoiders_st(draw, max_n=80):
+    """132-avoiders from `invert` of random rank sequences."""
     n = draw(st.integers(1, max_n))
-    if draw(st.booleans()):
-        return Permutation(tuple(draw(st.permutations(tuple(range(1, n + 1))))))
     ranks = [1]  # right to left: each rank at most one above the next
     for step in draw(st.lists(st.integers(1, n), min_size=n - 1, max_size=n - 1)):
         ranks.append(min(step, ranks[-1] + 1))
-    entries = invert(RankSequence(tuple(reversed(ranks)))).entries
+    return invert(RankSequence(tuple(reversed(ranks))))
+
+
+@st.composite
+def long_permutations_st(draw, max_n=80):
+    """Random permutations, and 132-avoiders with their reverse, complement
+    and both, which avoid 231, 312 and 213: inputs that a pattern test reads
+    to the end without a witness."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max_n))
+        return Permutation(tuple(draw(st.permutations(tuple(range(1, n + 1))))))
+    entries = draw(avoiders_st(max_n)).entries
+    n = len(entries)
     if draw(st.booleans()):
         entries = entries[::-1]
     if draw(st.booleans()):
@@ -229,6 +237,42 @@ def test_start_ranks_examples():
     assert start_ranks(perm("213")) == (2, 2, 1)
     assert start_ranks(perm("321")) == (1, 1, 1)
     assert start_ranks(perm("123")) == (3, 2, 1)
+
+
+# --- the 132 sweep and its ranks ----------------------------------------------
+
+def check_sweep(entries):
+    """`_sweep_132` gives the least 132 start of the scan oracle and, on an
+    avoider, the start lengths of the Fenwick kernel; `start_ranks` equals
+    the kernel's lengths on every input."""
+    first, ranks = permutations_mod._sweep_132(entries)
+    witness = contains_by_scan(entries, (1, 3, 2))
+    assert first == (-1 if witness is None else witness[0] - 1), entries
+    lengths, _ = permutations_mod.start_lengths_counts(Permutation(entries))
+    if first < 0:
+        assert ranks == tuple(lengths), entries
+    assert start_ranks(Permutation(entries)) == tuple(lengths), entries
+
+
+def test_sweep_matches_oracles_exhaustively():
+    for n in range(9):
+        for entries in itertools.permutations(range(1, n + 1)):
+            check_sweep(entries)
+
+
+def test_sweep_ranks_match_kernel_on_avoiders():
+    avoiders = 0
+    for n in range(1, 11):
+        for p in enumerate_avoiders(n):
+            avoiders += 1
+            lengths, _ = permutations_mod.start_lengths_counts(p)
+            assert permutations_mod._sweep_132(p.entries) == (-1, tuple(lengths)), p
+    assert avoiders == 23713
+
+
+@given(st.one_of(avoiders_st(max_n=200), long_permutations_st(max_n=200)))
+def test_sweep_matches_oracles(p):
+    check_sweep(p.entries)
 
 
 # --- avoider enumeration ------------------------------------------------------

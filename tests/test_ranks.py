@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulisperm import (
+    ConstructionError,
     InputError,
     PATTERN_132,
     Permutation,
@@ -28,6 +30,7 @@ from oracles import (
     invert_by_search,
     rank_sequences_by_filter,
     start_ranks_by_subsets,
+    validate_by_loops,
 )
 
 
@@ -72,6 +75,55 @@ def test_validate_rejects_empty():
     with pytest.raises(SequenceValidationError) as exc:
         RankSequence(())
     assert exc.value.condition == "empty"
+
+
+def outcome(validate, values):
+    """None when `validate` accepts `values`, else the raised error's
+    condition, position and message."""
+    try:
+        validate(values)
+    except SequenceValidationError as exc:
+        return exc.condition, exc.position, str(exc)
+    return None
+
+
+def check_validation(values):
+    """`validate_values` accepts or refuses `values` exactly as the loops
+    alone do, and what it accepts keeps the bound values[i] <= n - i that
+    reaching the final 1 by unit drops implies."""
+    got = outcome(ranks.validate_values, values)
+    assert got == outcome(validate_by_loops, values), values
+    if got is None:
+        n = len(values)
+        assert all(v <= n - i for i, v in enumerate(values)), values
+    return got
+
+
+def test_validation_fast_path_agrees_with_loops_exhaustively():
+    members = 0
+    for n in range(6):
+        for values in itertools.product(range(-1, 5), repeat=n):
+            members += check_validation(values) is None
+    assert members == 1 + 2 + 5 + 14 + 41  # catalan(1..5), less 5 4 3 2 1
+
+
+@st.composite
+def near_members_st(draw):
+    """A member with up to two entries moved by at most 3 either way."""
+    values = list(draw(rank_sequences_st(max_n=40)).values)
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, len(values) - 1))] += draw(st.integers(-3, 3))
+    return tuple(values)
+
+
+@given(near_members_st())
+def test_validation_fast_path_agrees_with_loops(values):
+    check_validation(values)
+
+
+@given(rank_sequences_st(max_n=200))
+def test_validation_accepts_members_within_the_implied_bound(t):
+    check_validation(t.values)
 
 
 def test_list_built_values_are_stored_as_tuples():
@@ -258,6 +310,19 @@ def test_round_trips():
             assert invert(rank_sequence(p)) == p
         for t in enumerate_rank_sequences(n):
             assert rank_sequence(invert(t)) == t
+
+
+def test_invert_raises_when_its_check_fails(monkeypatch):
+    t = RankSequence.from_text("1 2 1")
+    assert invert(t) == Permutation((3, 1, 2))
+    # ranks that differ from t
+    monkeypatch.setattr(ranks, "_sweep_132", lambda e: (-1, (2, 2, 1)))
+    with pytest.raises(ConstructionError):
+        invert(t)
+    # the right ranks, but a 132 in the decode
+    monkeypatch.setattr(ranks, "_sweep_132", lambda e: (0, t.values))
+    with pytest.raises(ConstructionError):
+        invert(t)
 
 
 def test_invert_output_avoids_132():
