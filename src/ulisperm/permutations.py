@@ -71,7 +71,7 @@ class Permutation:
         `ranks.invert`'s decoding.  Its twin `RankSequence._trusted` wraps
         the rank-sequence enumerator's output."""
         p = object.__new__(cls)
-        object.__setattr__(p, "entries", entries)
+        p.__dict__["entries"] = entries  # past the frozen __setattr__
         return p
 
     def __str__(self) -> str:
@@ -359,48 +359,48 @@ def has_ulis(p: Permutation) -> bool:
 # completions would have been caught when their own final element was
 # appended), and for each length-3 pattern the values that would do so with
 # some existing pair form a union of open intervals, one interval added per
-# appended element.  The interval added when `u` is appended after a prefix
-# whose least placed value is `lo` and greatest is `hi` (none after an empty
-# prefix):
-#
-#   1 3 2:  (lo, u)          ascent pairs below u, future middle values
-#   3 1 2:  (u, hi)          descent pairs above u, future middle values
-#   1 2 3:  (u, +inf)        u tops an ascent, larger values complete it
-#   3 2 1:  (-inf, u)        u bottoms a descent, smaller values complete it
-#   2 1 3:  (above(u), +inf) smallest prefix value above u caps new descents
-#   2 3 1:  (-inf, below(u)) largest prefix value below u floors new ascents
-#
-# One rule decides each candidate: append it only if every value in its new
-# interval is already placed.  The rule is necessary, because a blocked value
-# stays blocked for the rest of the branch and every value must still be
-# placed.  It is sufficient, because any prefix that obeys it completes:
-# append the remaining values in increasing order for 132, 321 and 231, in
-# decreasing order for 123, 312 and 213, and each one blocks only values
-# already placed.  So no table of blocked values is needed (under the rule it
-# would hold placed values only), and every visited prefix completes: the
+# appended element.  One rule decides each candidate: append it only if every
+# value in its new interval is already placed.  The rule is necessary,
+# because a blocked value stays blocked for the rest of the branch and every
+# value must still be placed.  It is sufficient, because any prefix that
+# obeys it completes: append the remaining values in increasing order for
+# 132, 321 and 231, in decreasing order for 123, 312 and 213, and each one
+# blocks only values already placed.  So every visited prefix completes: the
 # search visits catalan(n+1) prefixes for catalan(n) avoiders.
+#
+# Solved for the candidate u, the rule names the admissible values: every
+# value after the empty prefix.  After a nonempty, incomplete one, let m and
+# M be the least and greatest placed values and f and g the least and
+# greatest unplaced ones, counting 0 and n + 1 as placed.  Then u adds:
+#
+#   1 3 2:  (m, u) if m < u, ascents up to u: 1..m-1, then the least
+#           unplaced value above m, the only u > m with (m, u) placed
+#   3 1 2:  (u, M) if u < M, descents down to u: the greatest unplaced
+#           value below M, the only u < M with (u, M) placed, then M+1..n
+#   1 2 3:  (u, n] if m < u, u tops an ascent: 1..m-1, then g if g > m
+#   3 2 1:  [1, u) if u < M, u bottoms a descent: f if f < M, then M+1..n
+#   2 1 3:  (w, n], w the least placed value above u, placed iff no placed
+#           value lies in (u, g]: a+1..g, a the greatest placed below g
+#   2 3 1:  [1, w), w the greatest placed value below u, placed iff no
+#           placed value lies in [f, u): f..b-1, b the least placed above f
 
 
-def _block_bounds(sig: tuple[int, int, int], u: int,
-                  used: bytearray) -> tuple[int, int] | None:
-    """Open interval (a, b) of values that appending u forbids, or None.
-    `used` marks the placed values 1..n (index 0 is never set)."""
-    if sig == (1, 3, 2):
-        lo = used.find(1, 1, u)
-        return (lo, u) if lo > 0 else None
-    if sig == (3, 1, 2):
-        hi = used.rfind(1, u + 1)
-        return (u, hi) if hi > 0 else None
-    if sig == (1, 2, 3):
-        return (u, len(used)) if used.find(1, 1, u) > 0 else None
-    if sig == (3, 2, 1):
-        return (0, u) if used.find(1, u + 1) > 0 else None
-    if sig == (2, 1, 3):
-        w = used.find(1, u + 1)
-        return (w, len(used)) if w > 0 else None
-    # (2, 3, 1)
-    w = used.rfind(1, 1, u)
-    return (0, w) if w > 0 else None
+def _admissible(sig: tuple[int, int, int], used: bytearray) -> Sequence[int]:
+    """The admissible values after a nonempty, incomplete prefix, increasing."""
+    top = len(used) - 1
+    if sig[0] == 1:  # 132 or 123: below m, then one value above
+        m = used.find(1, 1)
+        w = used.find(0, m) if sig[1] == 3 else used.rfind(0)
+        return [*range(1, m), w] if w > m else range(1, m)
+    if sig[0] == 3:  # 312 or 321: one value below M, then above
+        big = used.rfind(1, 0, top)
+        w = used.rfind(0, 0, big) if sig[1] == 1 else used.find(0)
+        return [w, *range(big + 1, top)] if 0 < w < big else range(big + 1, top)
+    if sig[1] == 1:  # 213
+        g = used.rfind(0)
+        return range(used.rfind(1, 0, g) + 1, g + 1)
+    f = used.find(0)  # 231
+    return range(f, used.find(1, f))
 
 
 def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
@@ -422,23 +422,22 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
 
 
 def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutation]:
-    used = bytearray(n + 1)
+    used = bytearray(n + 2)
+    used[0] = used[n + 1] = 1  # the sentinels, counted as placed
     out: list[int] = []
-    v = 1  # next candidate for position len(out)
+    offers = [iter(range(1, n + 1))]  # one iterator per prefix, longest last
     while True:
         if len(out) == n:
             yield Permutation._trusted(tuple(out))
-        elif v <= n:
-            if not used[v]:
-                block = _block_bounds(sig, v, used)
-                if block is None or used.find(0, block[0] + 1, block[1]) < 0:
-                    used[v] = 1
-                    out.append(v)
-                    v = 1
-                    continue
-            v += 1
-            continue
+        else:
+            v = next(offers[-1], 0)
+            if v:
+                used[v] = 1
+                out.append(v)
+                if len(out) < n:
+                    offers.append(iter(_admissible(sig, used)))
+                continue
+            offers.pop()
         if not out:
             return
-        used[out[-1]] = 0
-        v = out.pop() + 1
+        used[out.pop()] = 0

@@ -80,7 +80,7 @@ class RankSequence:
         members by construction: `enumerate_rank_sequences`' output.  The
         twin of `Permutation._trusted`."""
         t = object.__new__(cls)
-        object.__setattr__(t, "values", values)
+        t.__dict__["values"] = values  # past the frozen __setattr__
         return t
 
     def __str__(self) -> str:
@@ -152,9 +152,9 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
 
     Generated as lexicographic successors, without recursion: raise the
     rightmost entry below n - i (the most that still reaches the final 1 by
-    drops of at most 1), then refill the rest with max(1, previous - 1).
-    Every successor is a member, so the sequences are yielded trusted
-    (`RankSequence._trusted`), without a call to `validate_values`; the
+    drops of at most 1) and refill the rest, each entry one below the last
+    down to 1: one slice of a list built once per n.  Every successor is a
+    member, so it is yielded unvalidated (`RankSequence._trusted`); the
     constructor, `from_text` and `rank_sequence` still validate.
 
     >>> [str(t) for t in enumerate_rank_sequences(3)]
@@ -166,6 +166,7 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
 
 def _generate_sequences(n: int) -> Iterator[RankSequence]:
     values = [1] * n
+    stairs = [*range(n, 1, -1), *[1] * n]
     while True:
         yield RankSequence._trusted(tuple(values))
         i = n - 2
@@ -173,9 +174,8 @@ def _generate_sequences(n: int) -> Iterator[RankSequence]:
             i -= 1
         if i < 0:
             return
-        values[i] += 1
-        for j in range(i + 1, n):
-            values[j] = max(1, values[j - 1] - 1)
+        start = n - 1 - values[i]  # where stairs holds values[i] + 1
+        values[i:] = stairs[start:start + n - i]
 
 
 def _lex_ranker(n: int) -> Callable[[tuple[int, ...]], int]:

@@ -7,8 +7,10 @@ ran before its linear and O(n log n) kernels (`contains_by_scan`,
 under test, except `invert_by_search`, which inverts rank sequences from the
 library's avoider enumeration and ranks, independently of `ulisperm.invert`;
 `invert_by_pop` decodes them by the list pops `invert` ran before its
-linked-list cursor, and `validate_by_loops` checks membership by the loops
-alone, as `validate_values` did before its fast path.
+linked-list cursor, `validate_by_loops` checks membership by the loops
+alone, as `validate_values` did before its fast path, and
+`rank_sequences_by_successor` refills each successor one entry at a time, as
+`enumerate_rank_sequences` did before its slice refill.
 `max_positions` lists where a sequence attains its maximum, the tests'
 reading of the unique-maximum rule apart from the library's `_unique_max`,
 and `uniquify_max_by_profile` bumps between the final two of those
@@ -156,6 +158,25 @@ def rank_sequences_by_filter(n: int) -> list[tuple[int, ...]]:
         t for t in itertools.product(range(1, n + 1), repeat=n)
         if t[-1] == 1 and all(a - b <= 1 for a, b in zip(t, t[1:]))
     ]
+
+
+def rank_sequences_by_successor(n: int) -> list[tuple[int, ...]]:
+    """The rank sequences of length n by the lexicographic successor
+    `enumerate_rank_sequences` ran before its slice refill: raise the
+    rightmost entry below n - i, then refill the rest one entry at a time
+    with max(1, previous - 1)."""
+    values = [1] * n
+    out = []
+    while True:
+        out.append(tuple(values))
+        i = n - 2
+        while i >= 0 and values[i] == n - i:
+            i -= 1
+        if i < 0:
+            return out
+        values[i] += 1
+        for j in range(i + 1, n):
+            values[j] = max(1, values[j - 1] - 1)
 
 
 def catalan_by_recurrence(n: int) -> int:

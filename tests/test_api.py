@@ -30,7 +30,7 @@ def test_hot_helpers_stay_private():
     helpers = [ulisperm.Permutation._trusted.__func__,
                ulisperm.RankSequence._trusted.__func__, ulisperm.ulis._unique_max,
                ulisperm.permutations._lis_stats, ulisperm.permutations._least_start,
-               ulisperm.ranks._lex_ranker,
+               ulisperm.permutations._admissible, ulisperm.ranks._lex_ranker,
                ulisperm.ranks._lex_ranker(3), ulisperm.errors._int_text,
                ulisperm.errors._text_int]
     codes = {fn.__code__ for fn in helpers}
@@ -43,8 +43,8 @@ def test_hot_helpers_stay_private():
               if not name.startswith("_")
               and getattr(getattr(obj, "__func__", obj), "__code__", None) in codes]
     assert public == []
-    assert {"_trusted", "_unique_max", "_lis_stats", "_least_start", "_lex_ranker",
-            "_int_text", "_text_int"}.isdisjoint(ulisperm.__all__)
+    assert {"_trusted", "_unique_max", "_lis_stats", "_least_start", "_admissible",
+            "_lex_ranker", "_int_text", "_text_int"}.isdisjoint(ulisperm.__all__)
     # the quadratic start-length scan lives on only as a test oracle
     assert not hasattr(ulisperm.permutations, "_fill_starts")
     # census rows derive v and ratio, so nothing builds or checks them apart

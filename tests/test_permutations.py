@@ -10,6 +10,7 @@ from ulisperm import (
     Permutation,
     RankSequence,
     SequenceValidationError,
+    catalan,
     contains_pattern,
     enumerate_avoiders,
     enumerate_rank_sequences,
@@ -323,23 +324,45 @@ def test_avoiders_are_the_inverted_rank_sequences():
 
 
 @pytest.mark.parametrize("sig", ALL_SIGS)
+def test_avoiders_are_complete_past_the_filter(sig):
+    # strictly increasing, so distinct; catalan(n) of them, each avoiding the
+    # pattern: together exactly the avoiders, at sizes the n! filter cannot
+    # reach
+    pattern = Permutation(sig)
+    for n in range(11):
+        got = list(enumerate_avoiders(n, pattern))
+        entries = [p.entries for p in got]
+        assert all(a < b for a, b in zip(entries, entries[1:])), n
+        assert len(got) == catalan(n), n
+        assert not any(contains_pattern(p, pattern).contains for p in got), n
+
+
+@pytest.mark.parametrize("sig", ALL_SIGS)
 def test_avoider_search_has_no_dead_ends(sig, monkeypatch):
-    # the search tests every unused value at every prefix it visits, so the
-    # call count is this sum exactly when every visited prefix completes
-    calls = 0
-    block_bounds = permutations_mod._block_bounds
+    # the search visits catalan(n+1) prefixes, the empty one included, when
+    # every visited prefix completes.  Each nonempty one is a candidate
+    # offered once: by range(1, n + 1) after the empty prefix, by
+    # `_admissible` after the others that are incomplete.  So the offers
+    # number catalan(n+1) - 1 exactly when no offered candidate is a dead
+    # end, and the helper is called once per visited prefix that is neither
+    # empty nor complete.
+    calls = offered = 0
+    admissible = permutations_mod._admissible
 
     def counting(*args):
-        nonlocal calls
+        nonlocal calls, offered
+        values = admissible(*args)
         calls += 1
-        return block_bounds(*args)
+        offered += len(values)
+        return values
 
-    monkeypatch.setattr(permutations_mod, "_block_bounds", counting)
-    for n in range(8):
+    monkeypatch.setattr(permutations_mod, "_admissible", counting)
+    for n in range(1, 8):
         calls = 0
-        out = [p.entries for p in enumerate_avoiders(n, Permutation(sig))]
-        expected = sum((n - d) * len({e[:d] for e in out}) for d in range(n))
-        assert calls == expected, (n, calls, expected)
+        offered = n
+        assert sum(1 for _ in enumerate_avoiders(n, Permutation(sig))) == catalan(n)
+        assert offered == catalan(n + 1) - 1, (n, offered)
+        assert calls == catalan(n + 1) - catalan(n) - 1, (n, calls)
 
 
 def test_enumerations_go_deep_without_recursion():

@@ -29,6 +29,7 @@ from oracles import (
     invert_by_pop,
     invert_by_search,
     rank_sequences_by_filter,
+    rank_sequences_by_successor,
     start_ranks_by_subsets,
     validate_by_loops,
 )
@@ -152,6 +153,15 @@ def test_sequences_match_condition_filter():
         got = [t.values for t in enumerate_rank_sequences(n)]
         assert got == sorted(got)
         assert got == rank_sequences_by_filter(n)
+
+
+def test_sequences_match_per_entry_successor():
+    # the slice refill against the refill one entry at a time, past the
+    # reach of the condition filter; one item past catalan(n) is enough to
+    # fail an enumeration that does not end
+    for n in range(1, 12):
+        got = itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
+        assert [t.values for t in got] == rank_sequences_by_successor(n), n
 
 
 def test_enumerated_sequences_equal_validated_ones():
