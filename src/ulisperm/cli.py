@@ -34,11 +34,10 @@ from .permutations import (
     AVOIDER_CAP,
     PATTERN_132,
     Permutation,
-    _sweep_132,
     contains_pattern,
     enumerate_avoiders,
     format_values,
-    start_lengths_counts,
+    start_ranks,
 )
 from .ranks import SEQUENCE_CAP, RankSequence, catalan, enumerate_rank_sequences, invert
 from .ulis import uniquify_stages
@@ -178,13 +177,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         print(invert(RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
-    first, ranks = _sweep_132(p.entries)  # on an avoider, the ranks
-    if first >= 0:
-        verdict = contains_pattern(p, PATTERN_132)
+    verdict = contains_pattern(p, PATTERN_132)
+    if verdict.contains:
         print(f"warning: input contains 132 at positions {verdict.witness}; "
               "ranks are still well-defined", file=sys.stderr)
-        ranks, _ = start_lengths_counts(p)
-    print(format_values(ranks))
+    print(format_values(start_ranks(p)))
     return 0
 
 

@@ -303,7 +303,10 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
     """The rank of each entry: length of the longest increasing subsequence
     starting there.  Defined for every permutation.  On a 132-avoider one
     linear sweep gives them (`_sweep_132`); only an input containing 132 is
-    passed on to the O(n log n) `start_lengths_counts`.
+    passed on to the O(n log n) `start_lengths_counts`.  The package's one way
+    to find ranks: `rank_sequence`, the `rank` command and `map` go through
+    it.  Outside this module only `ranks.invert`'s certificate reads
+    `_sweep_132` itself.
 
     >>> start_ranks(Permutation.from_text("213"))
     (2, 2, 1)
@@ -321,20 +324,17 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
 
 def lis_stats(p: Permutation) -> tuple[int, int]:
     """Length of the longest increasing subsequence and the exact number of
-    position sets attaining it.  The empty permutation yields (0, 1): the
-    empty subsequence is its unique longest one.
+    position sets attaining it: the counts of one `start_lengths_counts` pass
+    summed over the positions whose start length is the longest (O(n log n),
+    any permutation).  The empty permutation yields (0, 1): the empty
+    subsequence is its unique longest one.
 
     >>> lis_stats(Permutation.from_text("34256178"))
     (6, 1)
     >>> lis_stats(Permutation.from_text("32456178"))
     (6, 2)
     """
-    return _lis_stats(*start_lengths_counts(p))
-
-
-def _lis_stats(lengths: list[int], counts: list[int]) -> tuple[int, int]:
-    """`lis_stats` from the output of `start_lengths_counts`, for callers that
-    also need the lengths themselves."""
+    lengths, counts = start_lengths_counts(p)
     if not lengths:
         return 0, 1
     longest = max(lengths)

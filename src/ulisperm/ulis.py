@@ -13,13 +13,7 @@ count of the former below the count of the latter.
 from __future__ import annotations
 
 from .errors import ConstructionError, InputError
-from .permutations import (
-    PATTERN_132,
-    Permutation,
-    _lis_stats,
-    contains_pattern,
-    start_lengths_counts,
-)
+from .permutations import PATTERN_132, Permutation, contains_pattern, start_ranks
 from .ranks import RankSequence, invert
 
 
@@ -78,11 +72,13 @@ def uniquify_max(t: RankSequence) -> RankSequence:
 def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permutation]:
     """`uniquify_lis` stage by stage: the rank sequence of `p`, that sequence
     with its maximum made unique by `uniquify_max`, and its inverse, the image
-    of `p`.  Preconditions are recomputed here rather than trusted, in
-    O(n log n) at any length: `p` must avoid 132 (a linear sweep), and one
-    `start_lengths_counts` pass gives both the subsequence counts that show
-    it lacks a unique longest increasing subsequence and the start lengths,
-    which the validating `RankSequence` constructor then wraps.
+    of `p`.  Preconditions are recomputed here rather than trusted, in O(n):
+    `p` must avoid 132 (a linear sweep), and then `start_ranks` takes its
+    ranks from a second sweep.  By Lemma 1 each entry of an avoider starts
+    exactly one longest increasing subsequence among those starting there, so
+    `p` has as many longest increasing subsequences as its ranks have
+    positions of maximal rank: it lacks a unique one iff the maximum is tied.
+    The validating `RankSequence` constructor then wraps the ranks.
 
     >>> [str(stage) for stage in uniquify_stages(Permutation.from_text("321"))]
     ['1 1 1', '1 2 1', '3 1 2']
@@ -90,10 +86,10 @@ def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permuta
     verdict = contains_pattern(p, PATTERN_132)
     if verdict.contains:
         raise InputError(f"input contains 132 at positions {verdict.witness}: {p}")
-    lengths, counts = start_lengths_counts(p)
-    if _lis_stats(lengths, counts)[1] == 1:
+    values = start_ranks(p)
+    if not values or _unique_max(values):
         raise InputError(f"input already has a unique longest increasing subsequence: {p}")
-    ranks = RankSequence(tuple(lengths))
+    ranks = RankSequence(values)
     lifted = uniquify_max(ranks)
     return ranks, lifted, invert(lifted)
 

@@ -22,6 +22,7 @@ from ulisperm import (
     catalan,
     enumerate_rank_sequences,
     invert,
+    uniquify_max,
 )
 from ulisperm import census as census_mod
 from ulisperm import cli as cli_mod
@@ -77,8 +78,8 @@ def test_rank_warns_on_pattern(capsys):
 
 
 def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
-    # `rank` on an avoider, `rank --invert` and `invert`'s check take ranks
-    # from the linear 132 sweep; the general kernel runs only on a 132
+    # `rank` on an avoider, `rank --invert`, `invert`'s check and `map` take
+    # ranks from the linear 132 sweep; the general kernel runs only on a 132
     calls = 0
     kernel = start_lengths_counts
 
@@ -95,9 +96,17 @@ def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
             p = invert(t)
             assert run(capsys, "rank", str(p)) == (0, f"{t}\n", "")
             assert run(capsys, "rank", "--invert", str(t)) == (0, f"{p}\n", "")
+            if t.values.count(max(t.values)) > 1:
+                lifted = uniquify_max(t)
+                image = invert(lifted)
+                assert run(capsys, "map", str(p)) == (0, f"{image}\n", "")
+                assert run(capsys, "map", "--trace", str(p)) == (
+                    0, f"ranks:  {t}\nlifted: {lifted}\n{image}\n", "")
     ones, staircase = " ".join(["1"] * 1000), " ".join(map(str, range(1000, 0, -1)))
     assert run(capsys, "rank", staircase)[1] == ones + "\n"
     assert run(capsys, "rank", "--invert", ones)[1] == staircase + "\n"
+    image = invert(uniquify_max(RankSequence.from_text(ones)))
+    assert run(capsys, "map", staircase) == (0, f"{image}\n", "")
     assert verify_mod.run_suite("bijection", 8).passed
     assert calls == 0
     assert run(capsys, "rank", "1 3 2")[1] == "2 1 1\n"

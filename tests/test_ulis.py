@@ -15,7 +15,7 @@ from ulisperm import (
     uniquify_lis,
     uniquify_max,
 )
-from ulisperm.ulis import _unique_max
+from ulisperm.ulis import _unique_max, uniquify_stages
 
 from oracles import max_positions, rank_sequences_by_filter, uniquify_max_by_profile
 
@@ -155,8 +155,14 @@ def test_uniquify_lis_typing_and_injectivity():
     for n in range(1, 8):
         images = []
         for p in enumerate_avoiders(n):
+            # the tie test on ranks agrees with the subsequence counts
             if has_ulis(p):
+                with pytest.raises(InputError) as caught:
+                    uniquify_lis(p)
+                assert str(caught.value) == ("input already has a unique longest "
+                                             f"increasing subsequence: {p}")
                 continue
+            assert uniquify_stages(p)[0] == rank_sequence(p)
             image = uniquify_lis(p)
             assert has_ulis(image)
             assert not contains_pattern(image, PATTERN_132).contains
