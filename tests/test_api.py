@@ -49,6 +49,8 @@ def test_hot_helpers_stay_private():
     # `map` decides ties from the ranks, so subsequence counts serve
     # `lis_stats` alone
     assert not hasattr(ulisperm.permutations, "_lis_stats")
+    # `invert` certifies every decode, so no suite tests its output for 132
+    assert not hasattr(ulisperm.verify, "contains_pattern")
     # census rows derive v and ratio, so nothing builds or checks them apart
     assert not hasattr(ulisperm.census, "_make_row")
     assert not hasattr(ulisperm.census, "CSV_COLUMNS")

@@ -139,26 +139,31 @@ def test_list_built_values_are_stored_as_tuples():
 
 # --- enumeration and counting ----------------------------------------------
 
+# Tests that keep what `enumerate_rank_sequences(n)` yields take at most
+# catalan(n) + 1 items, so an enumeration that never ends fails on count at
+# once instead of filling memory.
+
 def test_sequences_length_3():
-    got = [str(t) for t in enumerate_rank_sequences(3)]
+    got = [str(t) for t in itertools.islice(enumerate_rank_sequences(3), catalan(3) + 1)]
     assert got == ["1 1 1", "1 2 1", "2 1 1", "2 2 1", "3 2 1"]
 
 
 def test_sequences_length_1():
-    assert [t.values for t in enumerate_rank_sequences(1)] == [(1,)]
+    got = itertools.islice(enumerate_rank_sequences(1), catalan(1) + 1)
+    assert [t.values for t in got] == [(1,)]
 
 
 def test_sequences_match_condition_filter():
     for n in range(1, 8):
-        got = [t.values for t in enumerate_rank_sequences(n)]
+        got = [t.values
+               for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)]
         assert got == sorted(got)
         assert got == rank_sequences_by_filter(n)
 
 
 def test_sequences_match_per_entry_successor():
     # the slice refill against the refill one entry at a time, past the
-    # reach of the condition filter; one item past catalan(n) is enough to
-    # fail an enumeration that does not end
+    # reach of the condition filter
     for n in range(1, 12):
         got = itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
         assert [t.values for t in got] == rank_sequences_by_successor(n), n
@@ -209,7 +214,8 @@ def test_lex_ranker_gives_enumeration_positions():
     # the k-th sequence ranks to k, so the last one ranks to catalan(n) - 1
     for n in range(1, 13):
         rank = _lex_ranker(n)
-        ranks = [rank(t.values) for t in enumerate_rank_sequences(n)]
+        got = itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
+        ranks = [rank(t.values) for t in got]
         assert ranks == list(range(catalan(n))), n
 
 
@@ -370,6 +376,6 @@ def test_reversed_shift_matches_zero_based_family():
     for n in range(1, 9):
         transformed = sorted(
             tuple(v - 1 for v in reversed(t.values))
-            for t in enumerate_rank_sequences(n)
+            for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
         )
         assert transformed == zero_based_family(n)

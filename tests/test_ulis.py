@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from ulisperm import (
     PATTERN_132,
     Permutation,
     RankSequence,
+    catalan,
     contains_pattern,
     enumerate_avoiders,
     enumerate_rank_sequences,
@@ -55,7 +58,8 @@ def test_unique_max_agrees_with_max_positions():
     # so it stops at n = 7 (0.3 s; n = 8 takes 5 s) and the library's
     # enumerator covers n = 8..10
     sequences = [values for n in range(1, 8) for values in rank_sequences_by_filter(n)]
-    sequences += [t.values for n in range(8, 11) for t in enumerate_rank_sequences(n)]
+    sequences += [t.values for n in range(8, 11)
+                  for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)]
     for values in sequences:
         assert _unique_max(values) == (len(max_positions(values)) == 1)
 
@@ -95,7 +99,7 @@ def test_uniquify_max_injective_small():
     for n in range(2, 10):
         images = [
             uniquify_max(t).values
-            for t in enumerate_rank_sequences(n)
+            for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
             if len(max_positions(t.values)) > 1
         ]
         assert len(images) == len(set(images))
