@@ -45,9 +45,10 @@ class RankSequence:
     adjacent drops at most 1.
 
     Direct construction, `from_text`, `rank_sequence` and `uniquify_max`'s
-    image validate their values (any sequence of ints is stored as a tuple);
-    only `enumerate_rank_sequences`, whose output is in the family by
-    construction, wraps its tuples unchecked through `_trusted`.
+    image validate their values (any sequence of ints is stored as a tuple).
+    Only tuples that are members by construction are wrapped unchecked,
+    through `_trusted`: those `enumerate_rank_sequences` yields, and the tied
+    inputs the injection-f suite passes to `uniquify_max`.
 
     >>> RankSequence((2, 2, 1)).n
     3
@@ -77,8 +78,9 @@ class RankSequence:
     @classmethod
     def _trusted(cls, values: tuple[int, ...]) -> "RankSequence":
         """Wrap `values` without validating them.  Only for tuples that are
-        members by construction: `enumerate_rank_sequences`' output.  The
-        twin of `Permutation._trusted`."""
+        members by construction: those `_generate_sequences` yields, wrapped
+        by `enumerate_rank_sequences` and, for its tied inputs only, by the
+        injection-f suite.  The twin of `Permutation._trusted`."""
         t = object.__new__(cls)
         t.__dict__["values"] = values  # past the frozen __setattr__
         return t
@@ -154,21 +156,27 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     rightmost entry below n - i (the most that still reaches the final 1 by
     drops of at most 1) and refill the rest, each entry one below the last
     down to 1: one slice of a list built once per n.  Every successor is a
-    member, so it is yielded unvalidated (`RankSequence._trusted`); the
-    constructor, `from_text` and `rank_sequence` still validate.
+    member, so it is wrapped unvalidated (`RankSequence._trusted`); the
+    constructor, `from_text` and `rank_sequence` still validate.  The walk
+    itself, `_generate_sequences`, yields plain tuples: the enumerative
+    census and the injection-f suite read those and wrap nothing they do
+    not pass on.
 
     >>> [str(t) for t in enumerate_rank_sequences(3)]
     ['1 1 1', '1 2 1', '2 1 1', '2 2 1', '3 2 1']
     """
     _check_length("rank-sequence enumeration", n, 1, cap)
-    return _generate_sequences(n)
+    wrap = RankSequence._trusted
+    return (wrap(values) for values in _generate_sequences(n))
 
 
-def _generate_sequences(n: int) -> Iterator[RankSequence]:
+def _generate_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """The values of every rank sequence of length n, in lexicographic
+    order, as plain tuples; the length is not checked."""
     values = [1] * n
     stairs = [*range(n, 1, -1), *[1] * n]
     while True:
-        yield RankSequence._trusted(tuple(values))
+        yield tuple(values)
         i = n - 2
         while i >= 0 and values[i] == n - i:
             i -= 1

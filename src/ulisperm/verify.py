@@ -29,6 +29,8 @@ from .permutations import (
 )
 from .ranks import (
     SEQUENCE_CAP,
+    RankSequence,
+    _generate_sequences,
     _lex_ranker,
     catalan,
     enumerate_rank_sequences,
@@ -121,15 +123,21 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
     length's domain walked again, to find the earliest input with the same
     image: enumeration is lexicographic and the suite stops at the first
     repeat, so that input is the one that set the flag.
+
+    The domain is walked as the plain tuples of `ranks._generate_sequences`;
+    only the tied inputs, the ones passed to `uniquify_max`, are wrapped
+    (unvalidated, as members by construction, by `RankSequence._trusted`).
     """
     inputs = 0
+    wrap = RankSequence._trusted
     for n in range(1, max_n + 1):
         rank = _lex_ranker(n)
         seen = bytearray(catalan(n))
-        for t in enumerate_rank_sequences(n):
-            if _unique_max(t.values):
+        for values in _generate_sequences(n):
+            if _unique_max(values):
                 continue
             inputs += 1
+            t = wrap(values)
             image = uniquify_max(t)
             position = rank(image.values)
             if seen[position]:

@@ -20,17 +20,18 @@ def test_every_export_resolves_once():
     assert [name for name in names if not hasattr(ulisperm, name)] == []
 
 
-# Helpers on the hot paths of the verify suites and of census formatting.  A
-# benchmark tracer that wraps every public function of the package would add
-# 10^3 to 10^6 spans per run if one of them were public, so they stay private
-# at every binding.
+# Helpers on the hot paths of the verify suites, the enumerative census and
+# census formatting.  A benchmark tracer that wraps every public function of
+# the package would add 10^3 to 10^6 spans per run if one of them were
+# public, so they stay private at every binding.
 def test_hot_helpers_stay_private():
     # compared by code object, so the ranker that `_lex_ranker` returns is
     # found at a public binding whichever length it was built for
     helpers = [ulisperm.Permutation._trusted.__func__,
                ulisperm.RankSequence._trusted.__func__, ulisperm.ulis._unique_max,
                ulisperm.permutations._least_start, ulisperm.permutations._admissible,
-               ulisperm.ranks._lex_ranker, ulisperm.ranks._lex_ranker(3),
+               ulisperm.ranks._generate_sequences, ulisperm.ranks._lex_ranker,
+               ulisperm.ranks._lex_ranker(3),
                ulisperm.errors._int_text, ulisperm.errors._text_int]
     codes = {fn.__code__ for fn in helpers}
     namespaces = {name: vars(module) for name, module in sys.modules.items()
@@ -43,7 +44,8 @@ def test_hot_helpers_stay_private():
               and getattr(getattr(obj, "__func__", obj), "__code__", None) in codes]
     assert public == []
     assert {"_trusted", "_unique_max", "_least_start", "_admissible",
-            "_lex_ranker", "_int_text", "_text_int"}.isdisjoint(ulisperm.__all__)
+            "_generate_sequences", "_lex_ranker", "_int_text",
+            "_text_int"}.isdisjoint(ulisperm.__all__)
     # the quadratic start-length scan lives on only as a test oracle
     assert not hasattr(ulisperm.permutations, "_fill_starts")
     # `map` decides ties from the ranks, so subsequence counts serve

@@ -1,3 +1,4 @@
+import itertools
 import types
 from fractions import Fraction
 
@@ -104,6 +105,14 @@ def test_enumerative_checks_its_sum_against_catalan(monkeypatch):
     with pytest.raises(ConstructionError) as raised:
         census_enumerative(3)
     assert str(raised.value) == "census bug: u + v = 5 differs from catalan(3) = 6"
+
+
+def test_enumerative_stops_a_walk_that_never_ends(monkeypatch):
+    monkeypatch.setattr(census_mod, "_generate_sequences",
+                        lambda n: itertools.repeat((1,) * n))
+    with pytest.raises(ConstructionError) as raised:
+        census_enumerative(3)
+    assert str(raised.value) == "census bug: u + v = 6 differs from catalan(3) = 5"
 
 
 def test_dp_window_leaves_rows_unchanged_for_every_max_n():

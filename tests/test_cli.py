@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -92,7 +93,7 @@ def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
         if name.startswith("ulisperm") and hasattr(module, "start_lengths_counts"):
             monkeypatch.setattr(module, "start_lengths_counts", counting)
     for n in range(1, 7):
-        for t in enumerate_rank_sequences(n):
+        for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             p = invert(t)
             assert run(capsys, "rank", str(p)) == (0, f"{t}\n", "")
             assert run(capsys, "rank", "--invert", str(t)) == (0, f"{p}\n", "")
@@ -500,16 +501,20 @@ def test_census_prints_past_the_digit_limit(capsys):
 
 def test_census_over_cap_enumerates_nothing(capsys, monkeypatch):
     calls = []
+    walk = census_mod._generate_sequences
 
-    def recording(n, *, cap):
+    def recording(n):
         calls.append(n)
-        return iter(())
+        return walk(n)
 
-    monkeypatch.setattr(census_mod, "enumerate_rank_sequences", recording)
+    monkeypatch.setattr(census_mod, "_generate_sequences", recording)
     code, out, err = run(capsys, "census", "--max-n", "13", "--engine", "enumerative")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "capped" in err
     assert calls == []
+    # the recorded walk is the one the census takes
+    assert run(capsys, "census", "--max-n", "3", "--engine", "enumerative")[0] == 0
+    assert calls == [1, 2, 3]
 
 
 # --- verify ---------------------------------------------------------------------

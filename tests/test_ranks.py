@@ -22,7 +22,7 @@ from ulisperm import (
     run_suite,
     start_ranks,
 )
-from ulisperm.ranks import _lex_ranker
+from ulisperm.ranks import _generate_sequences, _lex_ranker
 
 from oracles import (
     catalan_by_recurrence,
@@ -139,9 +139,10 @@ def test_list_built_values_are_stored_as_tuples():
 
 # --- enumeration and counting ----------------------------------------------
 
-# Tests that keep what `enumerate_rank_sequences(n)` yields take at most
-# catalan(n) + 1 items, so an enumeration that never ends fails on count at
-# once instead of filling memory.
+# Every test loop over `enumerate_rank_sequences(n)` takes at most
+# catalan(n) + 1 items, so an enumeration that never ends stops at once, and
+# fails the tests that count or keep what it yields, instead of filling
+# memory or running until the per-test time limit.
 
 def test_sequences_length_3():
     got = [str(t) for t in itertools.islice(enumerate_rank_sequences(3), catalan(3) + 1)]
@@ -172,7 +173,7 @@ def test_sequences_match_per_entry_successor():
 def test_enumerated_sequences_equal_validated_ones():
     # the enumerator wraps its tuples with `RankSequence._trusted`
     for n in range(1, 11):
-        for t in enumerate_rank_sequences(n):
+        for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             validated = RankSequence(t.values)  # raises unless t is a member
             assert type(t) is RankSequence and type(t.values) is tuple
             assert t == validated and hash(t) == hash(validated)
@@ -198,9 +199,40 @@ def test_enumeration_skips_validation(monkeypatch):
     assert calls == 3257  # the counter does see the validating constructor
 
 
+def test_walk_yields_the_enumerated_values():
+    # the private walk yields the plain tuples the public enumerator wraps
+    for n in range(1, 12):
+        walk = list(itertools.islice(_generate_sequences(n), catalan(n) + 1))
+        assert all(type(values) is tuple for values in walk)
+        got = itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
+        assert walk == [t.values for t in got], n
+
+
+def test_census_and_injection_f_wrap_only_what_they_pass_on(monkeypatch):
+    calls = 0
+    wrap = RankSequence._trusted
+
+    def counting(values):
+        nonlocal calls
+        calls += 1
+        return wrap(values)
+
+    monkeypatch.setattr(RankSequence, "_trusted", counting)
+    # the census classifies plain tuples and wraps none
+    for n in range(1, 10):
+        census_enumerative(n)
+    assert calls == 0
+    # injection-f wraps each tied input it passes to `uniquify_max`
+    report = run_suite("injection-f", 9)
+    assert report.passed and calls == report.outcome["inputs"] == 3256
+    next(enumerate_rank_sequences(3))
+    assert calls == 3257  # the counter does see the public enumerator
+
+
 def test_sequences_counted_by_catalan():
     for n in range(1, 10):
-        assert sum(1 for _ in enumerate_rank_sequences(n)) == catalan(n)
+        walk = itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
+        assert sum(1 for _ in walk) == catalan(n)
 
 
 def test_sequences_cap():
@@ -304,13 +336,13 @@ def test_invert_examples(text, expected):
 
 def test_invert_matches_exhaustive_search():
     for n in range(1, 8):
-        for t in enumerate_rank_sequences(n):
+        for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             assert invert(t) == invert_by_search(t), t
 
 
 def test_invert_matches_pop_decode():
     for n in range(1, 11):
-        for t in enumerate_rank_sequences(n):
+        for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             assert invert(t) == invert_by_pop(t), t
 
 
@@ -324,7 +356,7 @@ def test_round_trips():
     for n in range(1, 9):
         for p in enumerate_avoiders(n):
             assert invert(rank_sequence(p)) == p
-        for t in enumerate_rank_sequences(n):
+        for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             assert rank_sequence(invert(t)) == t
 
 
@@ -342,7 +374,7 @@ def test_invert_raises_when_its_check_fails(monkeypatch):
 
 
 def test_invert_output_avoids_132():
-    for t in enumerate_rank_sequences(6):
+    for t in itertools.islice(enumerate_rank_sequences(6), catalan(6) + 1):
         assert not contains_pattern(invert(t), PATTERN_132).contains
 
 

@@ -83,7 +83,7 @@ def test_uniquify_max_rejects_unique_maximum():
 
 def test_uniquify_max_images_exhaustive():
     for n in range(2, 9):
-        for t in enumerate_rank_sequences(n):
+        for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             before = max_positions(t.values)
             if len(before) == 1:
                 continue
@@ -107,7 +107,7 @@ def test_uniquify_max_injective_small():
 
 def test_uniquify_max_matches_profile_oracle():
     for n in range(1, 11):
-        for t in enumerate_rank_sequences(n):
+        for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             if len(max_positions(t.values)) > 1:
                 assert uniquify_max(t).values == uniquify_max_by_profile(t).values
             elif n <= 7:
