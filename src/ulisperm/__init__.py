@@ -1,74 +1,48 @@
 """Exact combinatorics of 132-avoiding permutations and unique longest
 increasing subsequences: the rank-sequence bijection, the injections built
-on it, exact censuses proving the one-half floor, and OEIS cross-checks."""
+on it, exact censuses proving the one-half floor, and OEIS cross-checks.
 
-from .census import (
-    CensusRow,
-    DP_CAP,
-    census_enumerative,
-    census_rows_dp,
-    ulis_count_all,
-)
-from .errors import ConstructionError, InputError, SequenceValidationError
-from .oeis import BFileEntry, FetchFallbackWarning, fetch_bfile, fixture_text, parse_bfile
-from .permutations import (
-    ALL_PERMUTATION_CAP,
-    AVOIDER_CAP,
-    PATTERN_132,
-    PatternVerdict,
-    Permutation,
-    contains_pattern,
-    enumerate_avoiders,
-    has_ulis,
-    lis_stats,
-    start_ranks,
-)
-from .ranks import (
-    SEQUENCE_CAP,
-    RankSequence,
-    catalan,
-    enumerate_rank_sequences,
-    invert,
-    rank_sequence,
-)
-from .ulis import uniquify_lis, uniquify_max
-from .verify import SUITE_NAMES, RunReport, run_suite
+`import ulisperm` loads no submodule.  Each name of `__all__`, and each
+submodule, is imported on first access (a module `__getattr__`, PEP 562),
+so a process loads only the modules it uses: `ulisperm.cli rank` loads
+`errors` and `permutations` and none of the others.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_PERMUTATION_CAP",
-    "AVOIDER_CAP",
-    "BFileEntry",
-    "CensusRow",
-    "ConstructionError",
-    "DP_CAP",
-    "FetchFallbackWarning",
-    "InputError",
-    "PATTERN_132",
-    "PatternVerdict",
-    "Permutation",
-    "RankSequence",
-    "RunReport",
-    "SEQUENCE_CAP",
-    "SUITE_NAMES",
-    "SequenceValidationError",
-    "catalan",
-    "census_enumerative",
-    "census_rows_dp",
-    "contains_pattern",
-    "enumerate_avoiders",
-    "enumerate_rank_sequences",
-    "fetch_bfile",
-    "fixture_text",
-    "has_ulis",
-    "invert",
-    "lis_stats",
-    "parse_bfile",
-    "rank_sequence",
-    "run_suite",
-    "start_ranks",
-    "ulis_count_all",
-    "uniquify_lis",
-    "uniquify_max",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "census": ("CensusRow", "census_enumerative", "census_rows_dp", "ulis_count_all"),
+    "errors": ("ConstructionError", "DP_CAP", "InputError", "SEQUENCE_CAP",
+               "SUITE_NAMES", "SequenceValidationError"),
+    "oeis": ("BFileEntry", "FetchFallbackWarning", "fetch_bfile", "fixture_text",
+             "parse_bfile"),
+    "permutations": ("ALL_PERMUTATION_CAP", "AVOIDER_CAP", "PATTERN_132",
+                     "PatternVerdict", "Permutation", "contains_pattern",
+                     "enumerate_avoiders", "has_ulis", "lis_stats", "start_ranks"),
+    "ranks": ("RankSequence", "catalan", "enumerate_rank_sequences", "invert",
+              "rank_sequence"),
+    "ulis": ("uniquify_lis", "uniquify_max"),
+    "verify": ("RunReport", "run_suite"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli"})
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

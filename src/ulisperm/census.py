@@ -47,12 +47,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .errors import ConstructionError, _check_length, _int_text
+from .errors import DP_CAP, ConstructionError, _check_length, _int_text
 from .permutations import ALL_PERMUTATION_CAP
 from .ranks import SEQUENCE_CAP, _generate_sequences, catalan
 from .ulis import _unique_max
-
-DP_CAP = 300
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,13 @@ Exit codes: 0 success / suite passed, 1 verification failure, 2 usage or
 input error.  Machine-readable output goes to stdout, diagnostics to stderr;
 repeated invocations produce byte-identical stdout (timing lives on stderr).
 There is no randomness anywhere: every command is deterministic.
+
+A command is run in a process of its own, so this module loads at the top
+only `errors` (which also holds the caps and names the parser shows) and
+`permutations`.  Each command imports the rest when it runs: `rank` loads
+nothing more, `rank --invert`, `sequences` and `avoiders --count` load
+`ranks`, `map` loads `ranks` and `ulis`, `census` and `verify` load what
+they compute with, and `oeis` loads `oeis`.
 """
 
 from __future__ import annotations
@@ -25,11 +32,18 @@ import csv
 import json
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import census as census_mod
-from . import oeis as oeis_mod
-from .errors import InputError, _check_length, _int_text
+from .errors import (
+    CACHE_ENV_VAR,
+    DP_CAP,
+    FIXTURE_ID,
+    SEQUENCE_CAP,
+    SUITE_NAMES,
+    InputError,
+    _check_length,
+    _int_text,
+)
 from .permutations import (
     AVOIDER_CAP,
     PATTERN_132,
@@ -39,9 +53,9 @@ from .permutations import (
     format_values,
     start_ranks,
 )
-from .ranks import SEQUENCE_CAP, RankSequence, catalan, enumerate_rank_sequences, invert
-from .ulis import uniquify_stages
-from .verify import SUITE_NAMES, run_suite
+
+if TYPE_CHECKING:
+    from .census import CensusRow
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -100,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--engine", choices=("enumerative", "dp"), default="dp")
     p_census.add_argument("--cap", type=int, default=None,
                           help="engine cap override (defaults: enumerative "
-                               f"{SEQUENCE_CAP}, dp {census_mod.DP_CAP})")
+                               f"{SEQUENCE_CAP}, dp {DP_CAP})")
 
     p_verify = sub.add_parser("verify", parents=[fmt],
                               help="run an exhaustive verification suite")
@@ -112,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis = sub.add_parser("oeis", parents=[fmt],
                             help="fetch and print OEIS b-file entries")
     p_oeis.set_defaults(run=_cmd_oeis)
-    p_oeis.add_argument("--id", default=oeis_mod.FIXTURE_ID,
-                        help=f"sequence id (default {oeis_mod.FIXTURE_ID})")
+    p_oeis.add_argument("--id", default=FIXTURE_ID,
+                        help=f"sequence id (default {FIXTURE_ID})")
     network = p_oeis.add_mutually_exclusive_group()
     network.add_argument("--online", action="store_true",
                          help="fetch over HTTPS (falls back to the bundled "
@@ -122,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve the bundled fixture (default)")
     p_oeis.add_argument("--cache-dir", default=None,
                         help="on-disk cache directory (also settable via "
-                             f"{oeis_mod.CACHE_ENV_VAR})")
+                             f"{CACHE_ENV_VAR})")
 
     return parser
 
@@ -174,6 +188,8 @@ def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence],
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     if args.invert:
+        from .ranks import RankSequence, invert
+
         print(invert(RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
@@ -186,6 +202,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    from .ulis import uniquify_stages
+
     ranks, lifted, image = uniquify_stages(Permutation.from_text(args.text))
     if args.trace:
         print(f"ranks:  {ranks}\nlifted: {lifted}")
@@ -199,6 +217,8 @@ def _list_or_count(args: argparse.Namespace, stream: Iterable, column: str) -> i
     for rank sequences and for the avoiders of every length-3 pattern, so a
     count walks nothing."""
     if args.count:
+        from .ranks import catalan
+
         count = _int_text(catalan(args.n))
         # unlike a table, a count's csv ends its lines in LF: fixed output bytes
         _emit(args.format, ["count"], [[count]], json_line=f'{{"count": {count}}}',
@@ -215,22 +235,25 @@ def _cmd_avoiders(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:
+    from .ranks import enumerate_rank_sequences
+
     return _list_or_count(args, enumerate_rank_sequences(args.n, cap=args.cap), "sequence")
 
 
-def _census_rows(args: argparse.Namespace) -> list[census_mod.CensusRow]:
+def _census_rows(args: argparse.Namespace) -> list[CensusRow]:
     cap = args.cap
     if cap is None:
-        cap = SEQUENCE_CAP if args.engine == "enumerative" else census_mod.DP_CAP
+        cap = SEQUENCE_CAP if args.engine == "enumerative" else DP_CAP
     # checked before either engine runs: the enumerative one walks every n < max_n first
     _check_length(f"{args.engine} census", args.max_n, 1, cap)
+    from .census import census_enumerative, census_rows_dp
+
     if args.engine == "enumerative":
-        return [census_mod.census_enumerative(n, cap=cap)
-                for n in range(1, args.max_n + 1)]
-    return list(census_mod.census_rows_dp(args.max_n, cap=cap))
+        return [census_enumerative(n, cap=cap) for n in range(1, args.max_n + 1)]
+    return list(census_rows_dp(args.max_n, cap=cap))
 
 
-def _census_summary(rows: list[census_mod.CensusRow]) -> dict:
+def _census_summary(rows: list[CensusRow]) -> dict:
     # every total is positive, so ratios compare as u * total' against u' * total
     min_row = rows[0]
     for row in rows:
@@ -274,6 +297,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     report = run_suite(args.suite, args.max_n)
     max_n = report.parameters["max_n"]
     stats = {k: v for k, v in report.outcome.items() if k != "status"}
@@ -287,8 +312,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
-    text = oeis_mod.fetch_bfile(args.id, online=args.online, cache_dir=args.cache_dir)
-    rows = [(_int_text(e.index), _int_text(e.value)) for e in oeis_mod.parse_bfile(text)]
+    from .oeis import fetch_bfile, parse_bfile
+
+    text = fetch_bfile(args.id, online=args.online, cache_dir=args.cache_dir)
+    rows = [(_int_text(e.index), _int_text(e.value)) for e in parse_bfile(text)]
     # values as json strings keep big integers exact as decimal text; indices
     # stay json numbers, placed by hand since json.dumps is under the digit limit
     objects = ", ".join(f'{{"index": {index}, "value": "{value}"}}' for index, value in rows)

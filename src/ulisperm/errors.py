@@ -1,12 +1,21 @@
 """Exception types shared across the package, the one length check that
-raises them, and exact conversions between integers and decimal text for
-values whose size the package does not choose.  Python 3.10.7+ limits int()
-and str() to 4300 digits by default; these conversions never read or set
-that limit."""
+raises them, the caps and names the command line shows before a command
+runs, and exact conversions between integers and decimal text for values
+whose size the package does not choose.  Python 3.10.7+ limits int() and
+str() to 4300 digits by default; these conversions never read or set that
+limit."""
 
 from __future__ import annotations
 
-from decimal import Decimal
+
+# Defined here, not in the modules that use them (each re-exports its own),
+# so that building the command line's parser loads none of those modules.
+SEQUENCE_CAP = 12  # of rank-sequence walks: catalan(12) = 208012 sequences
+DP_CAP = 300  # of the dp census engine
+SUITE_NAMES = ("bijection", "lemma1", "injection-f", "injection-g",
+               "characterization", "catalan", "oeis")  # verify's suites, in order
+FIXTURE_ID = "A167995"  # the one OEIS b-file bundled with the package
+CACHE_ENV_VAR = "ULISPERM_OEIS_CACHE_DIR"
 
 
 class InputError(ValueError):
@@ -27,7 +36,17 @@ def _check_length(what: str, n: int, low: int, cap: int) -> None:
 def _int_text(value: int) -> str:
     """str(value) for an integer of any size, such as catalan(7153) with 4301
     digits: Decimal's conversion is exact and not under the digit limit."""
-    return str(Decimal(value))
+    return str(_Decimal(value))
+
+
+def _Decimal(value: int):
+    """`decimal.Decimal(value)`.  The first call imports decimal and rebinds
+    this name to `Decimal`, so a command that prints no such integer (rank,
+    map, a listing) never loads it, and later calls pay no import."""
+    global _Decimal
+    from decimal import Decimal as _Decimal
+
+    return _Decimal(value)
 
 
 def _text_int(token: str) -> int:

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 import warnings
-from importlib import resources
 from typing import Callable, NamedTuple
 
-from .errors import InputError, _int_text, _text_int
-
-FIXTURE_ID = "A167995"
-CACHE_ENV_VAR = "ULISPERM_OEIS_CACHE_DIR"
+from .errors import CACHE_ENV_VAR, FIXTURE_ID, InputError, _int_text, _text_int
 
 _ID_PATTERN = re.compile(r"\AA[0-9]{6}\Z")
 
@@ -83,6 +78,8 @@ def fixture_text(sequence_id: str = FIXTURE_ID) -> str:
     """The bundled b-file text for `sequence_id`; only A167995 is shipped."""
     if sequence_id != FIXTURE_ID:
         raise InputError(f"no bundled fixture for {sequence_id}")
+    from importlib import resources  # imported on use: only oeis and verify oeis read it
+
     return (
         resources.files(__package__)
         .joinpath(f"data/b{FIXTURE_ID[1:]}.txt")
@@ -190,6 +187,8 @@ def _read_cache(path: str | None) -> str | None:
 def _write_atomically(path: str, text: str) -> None:
     # Concurrent fetchers may race on the cache; a rename makes the final
     # write win without ever exposing a torn file.
+    import tempfile  # imported on use: only a fetch that fills the cache writes
+
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".part")

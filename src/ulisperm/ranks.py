@@ -32,11 +32,14 @@ from itertools import accumulate
 from operator import sub
 from typing import Callable, Iterator
 
-from .errors import ConstructionError, InputError, SequenceValidationError, _check_length
+from .errors import (
+    SEQUENCE_CAP,
+    ConstructionError,
+    InputError,
+    SequenceValidationError,
+    _check_length,
+)
 from .permutations import Permutation, _sweep_132, format_values, parse_values, start_ranks
-
-# Exhaustive generation visits catalan(n) sequences (catalan(12) = 208012).
-SEQUENCE_CAP = 12
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable
 
 from .census import census_enumerative, ulis_count_all
-from .errors import ConstructionError, InputError
+from .errors import SUITE_NAMES, ConstructionError, InputError
 from .oeis import FIXTURE_ID, fixture_text, parse_bfile
 from .permutations import (
     ALL_PERMUTATION_CAP,
@@ -37,6 +38,9 @@ from .ranks import (
     invert,
     rank_sequence,
 )
+# bounds the walks: a binding of its own, apart from the `catalan` that
+# the catalan suite checks its counts against
+from .ranks import catalan as _catalan
 from .ulis import _unique_max, uniquify_lis, uniquify_max
 
 
@@ -70,22 +74,35 @@ def _suite_bijection(max_n: int) -> dict[str, Any]:
     """Both round trips of the rank map are identities.  From avoiders,
     `invert(rank_sequence(p))` must give p back; from rank sequences, the
     check is `invert`'s own certificate: the decode avoids 132 and has ranks
-    t, or `ConstructionError` stops the run."""
+    t, or `ConstructionError` stops the run.  Each walk must also yield
+    catalan(n) objects; it is cut after one more, so a walk that never ends
+    fails too."""
     trips = 0
     for n in range(1, max_n + 1):
-        for p in enumerate_avoiders(n):
+        expected = _catalan(n)
+        walked = 0
+        for p in islice(enumerate_avoiders(n), expected + 1):
             t = rank_sequence(p)
             back = invert(t)
             trips += 1
+            walked += 1
             if back != p:
                 return _fail(
                     {"n": n, "permutation": str(p), "rank_sequence": str(t),
                      "reconstructed": str(back)},
                     round_trips=trips,
                 )
-        for t in enumerate_rank_sequences(n):
+        if walked != expected:
+            return _fail({"n": n, "avoiders": walked, "catalan": expected},
+                         round_trips=trips)
+        walked = 0
+        for t in islice(enumerate_rank_sequences(n), expected + 1):
             invert(t)
             trips += 1
+            walked += 1
+        if walked != expected:
+            return _fail({"n": n, "sequences": walked, "catalan": expected},
+                         round_trips=trips)
     return _pass(round_trips=trips)
 
 
@@ -223,14 +240,17 @@ def _suite_characterization(max_n: int) -> dict[str, Any]:
 
 
 def _suite_catalan(max_n: int) -> dict[str, Any]:
-    """Avoiders and rank sequences are both counted by the Catalan numbers."""
+    """Avoiders and rank sequences are both counted by the Catalan numbers.
+    Each walk is cut after catalan(n) + 1 objects, so a walk that never
+    ends fails its count."""
     checked = []
     for n in range(1, max_n + 1):
         expected = catalan(n)
-        avoiders = sum(1 for _ in enumerate_avoiders(n))
+        bound = _catalan(n) + 1
+        avoiders = sum(1 for _ in islice(enumerate_avoiders(n), bound))
         if avoiders != expected:
             return _fail({"n": n, "avoiders": avoiders, "catalan": expected})
-        sequences = sum(1 for _ in enumerate_rank_sequences(n))
+        sequences = sum(1 for _ in islice(enumerate_rank_sequences(n), bound))
         if sequences != expected:
             return _fail({"n": n, "sequences": sequences, "catalan": expected})
         checked.append(expected)
@@ -265,9 +285,7 @@ _SUITES: dict[str, tuple[Callable[[int], dict[str, Any]], int, int]] = {
     "characterization": (_suite_characterization, 10, AVOIDER_CAP),
     "catalan": (_suite_catalan, 10, min(AVOIDER_CAP, SEQUENCE_CAP)),
     "oeis": (_suite_oeis, 9, ALL_PERMUTATION_CAP),
-}
-
-SUITE_NAMES = tuple(_SUITES)
+}  # in the order of SUITE_NAMES
 
 
 def run_suite(suite: str, max_n: int | None = None) -> RunReport:

@@ -1,9 +1,13 @@
+import importlib
+import os
+import pkgutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import ulisperm
-import ulisperm.cli  # noqa: F401  (loads every module of the package)
 from ulisperm import (
     InputError,
     census_enumerative,
@@ -20,6 +24,46 @@ def test_every_export_resolves_once():
     assert [name for name in names if not hasattr(ulisperm, name)] == []
 
 
+# In a new interpreter: a bare `import ulisperm` loads no submodule, and then
+# every exported name and every submodule resolves through the package.
+_BARE_IMPORT_PROBE = """
+import pkgutil, sys
+import ulisperm
+print(*sorted(name for name in sys.modules if name.startswith("ulisperm.")))
+print(*[name for name in ulisperm.__all__ if not hasattr(ulisperm, name)])
+modules = [info.name for info in pkgutil.iter_modules(ulisperm.__path__)]
+print(*[name for name in modules
+        if getattr(ulisperm, name) is not sys.modules["ulisperm." + name]])
+print(*sorted(set(ulisperm.__all__) - set(dir(ulisperm))))
+print(*modules)
+"""
+
+
+def test_bare_import_resolves_on_first_use():
+    src = str(Path(ulisperm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _BARE_IMPORT_PROBE], env=env,
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    preloaded, unresolved, unbound, undir, modules = out.split("\n")[:5]
+    assert (preloaded, unresolved, unbound, undir) == ("", "", "", "")
+    assert {"census", "cli", "verify"} <= set(modules.split())
+
+
+def test_parser_constants_have_one_home():
+    # the CLI's parser reads these from `errors`; each module that uses one
+    # re-exports the same object
+    from ulisperm import census, cli, errors, oeis, ranks, verify
+    for module, name in ((ranks, "SEQUENCE_CAP"), (census, "DP_CAP"),
+                         (verify, "SUITE_NAMES"), (oeis, "FIXTURE_ID"),
+                         (oeis, "CACHE_ENV_VAR")):
+        assert getattr(module, name) is getattr(errors, name), name
+        assert getattr(cli, name) is getattr(errors, name), name
+    for name in ("SEQUENCE_CAP", "DP_CAP", "SUITE_NAMES"):
+        assert getattr(ulisperm, name) is getattr(errors, name), name
+    assert tuple(verify._SUITES) == errors.SUITE_NAMES
+
+
 # Helpers on the hot paths of the verify suites, the enumerative census and
 # census formatting.  A benchmark tracer that wraps every public function of
 # the package would add 10^3 to 10^6 spans per run if one of them were
@@ -34,6 +78,9 @@ def test_hot_helpers_stay_private():
                ulisperm.ranks._lex_ranker(3),
                ulisperm.errors._int_text, ulisperm.errors._text_int]
     codes = {fn.__code__ for fn in helpers}
+    # every module, including those a test has not loaded yet
+    for info in pkgutil.iter_modules(ulisperm.__path__):
+        importlib.import_module(f"ulisperm.{info.name}")
     namespaces = {name: vars(module) for name, module in sys.modules.items()
                   if name.split(".")[0] == "ulisperm"}
     namespaces["ulisperm.Permutation"] = vars(ulisperm.Permutation)

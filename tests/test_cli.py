@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ulisperm
 from ulisperm import (
     ALL_PERMUTATION_CAP,
     AVOIDER_CAP,
@@ -28,6 +31,7 @@ from ulisperm import (
 from ulisperm import census as census_mod
 from ulisperm import cli as cli_mod
 from ulisperm import oeis as oeis_mod
+from ulisperm import ranks as ranks_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
 from ulisperm.permutations import start_lengths_counts
@@ -51,6 +55,39 @@ def run(capsys, *argv):
 def test_golden_stdout(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+def _child_env(**extra: str) -> dict[str, str]:
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# Runs every golden argv in one new interpreter, in file order: each command
+# imports what it runs itself, which the cases above cannot show once any
+# test has loaded every module.
+_GOLDEN_PROBE = """
+import contextlib, io, json, sys
+from ulisperm.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append({"code": code, "stdout": out.getvalue()})
+print(json.dumps(results))
+"""
+
+
+def test_golden_stdout_in_a_fresh_optimized_process():
+    # -O strips every assert, and a fixed hash seed differs from this run's
+    proc = subprocess.run([sys.executable, "-O", "-c", _GOLDEN_PROBE],
+                          input=json.dumps([case["argv"] for case in GOLDEN]),
+                          env=_child_env(PYTHONHASHSEED="12345"),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [
+        {"code": case["code"], "stdout": case["stdout"]} for case in GOLDEN]
 
 
 # --- rank ------------------------------------------------------------------
@@ -89,6 +126,9 @@ def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
         calls += 1
         return kernel(p)
 
+    # every module, so that none the commands load later keeps the kernel
+    for info in pkgutil.iter_modules(ulisperm.__path__):
+        importlib.import_module(f"ulisperm.{info.name}")
     for name, module in list(sys.modules.items()):
         if name.startswith("ulisperm") and hasattr(module, "start_lengths_counts"):
             monkeypatch.setattr(module, "start_lengths_counts", counting)
@@ -259,7 +299,8 @@ def test_listing_is_streamed(capsys, monkeypatch, fmt):
         yield RankSequence((1,))
         raise InputError("stopped after the first row")
 
-    monkeypatch.setattr(cli_mod, "enumerate_rank_sequences", first_then_fail)
+    # `sequences` imports the enumerator from `ranks` when it runs
+    monkeypatch.setattr(ranks_mod, "enumerate_rank_sequences", first_then_fail)
     code, out, err = run(capsys, "sequences", "1", "--format", fmt)
     assert code == 2
     assert "stopped" in err
@@ -318,7 +359,7 @@ def test_count_leaves_input_parsing_limited(capsys):
 # every entry point that reads or prints integers of unchosen size, with a
 # callee it reaches while it runs
 LIMIT_UNTOUCHED = [
-    pytest.param(cli_mod, "catalan",
+    pytest.param(ranks_mod, "catalan",
                  lambda: main(["sequences", "7153", "--cap", "7153", "--count"]),
                  id="count"),
     pytest.param(census_mod, "census_rows_dp",
@@ -704,11 +745,9 @@ def test_any_argv_exits_cleanly_and_deterministically(argv):
 
 def test_listing_into_a_closed_pipe_exits_quietly():
     # `ulisperm avoiders 12 | head -1`: the reader leaves after one line
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "ulisperm.cli", "avoiders", "12"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
     assert proc.stdout.readline() == b"1 2 3 4 5 6 7 8 9 10 11 12\n"
     proc.stdout.close()
     err = proc.stderr.read()

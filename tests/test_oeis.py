@@ -285,12 +285,36 @@ def test_failed_cache_write_warns_and_serves_fetched_text(tmp_path):
     assert not_a_directory.read_text() == "a file, not a directory\n"
 
 
+# Run in a fresh interpreter: what `rank "2 1"` loads beyond what the
+# interpreter held before (its `site` may load tempfile and
+# importlib.resources itself), then the exit codes of the commands that load
+# the rest.
+_START_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import ulisperm.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert ulisperm.cli.main(["rank", "2 1"]) == 0
+print(*sorted(set(sys.modules) - before))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [ulisperm.cli.main(argv) for argv in (
+        ["census", "--max-n", "5"], ["verify", "oeis", "--max-n", "4"],
+        ["verify", "bijection", "--max-n", "4"], ["oeis"])]
+print(codes)
+"""
+
+
 def test_cli_import_leaves_http_stack_unloaded():
-    # only `oeis --online` needs urllib.request and ssl; they load on first use
-    probe = ("import sys, ulisperm.cli; "
-             "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))")
+    # only `oeis --online` needs urllib.request and ssl; they load on first
+    # use, and so does every module `rank` does not run
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    out = subprocess.run([sys.executable, "-c", _START_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    loaded_text, codes = out.splitlines()
+    loaded = set(loaded_text.split())
+    assert {name for name in loaded if name.split(".")[0] == "ulisperm"} == {
+        "ulisperm", "ulisperm.cli", "ulisperm.errors", "ulisperm.permutations"}
+    assert loaded.isdisjoint({"urllib.request", "ssl", "fractions", "decimal",
+                              "tempfile", "importlib.resources"})
+    assert codes == "[0, 0, 0, 0]"

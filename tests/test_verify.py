@@ -12,6 +12,7 @@ from ulisperm import (
     catalan,
     census_enumerative,
     census_rows_dp,
+    enumerate_avoiders,
     enumerate_rank_sequences,
     invert,
     run_suite,
@@ -119,15 +120,30 @@ def _g_joins_fifth_to_third(p):
     return uniquify_lis(p)
 
 
+def _endless_sequences(n):
+    # every rank sequence of length n, then the first one again, forever
+    return itertools.chain(enumerate_rank_sequences(n),
+                           itertools.repeat(RankSequence((1,) * n)))
+
+
 # One case per failure site of every suite, plus a second case for each
-# collision whose first preimage is not the first input of its length: the
-# name broken in ulisperm.verify, its replacement, and the counterexample and
-# counters of the failing run at max_n = 6.
+# collision whose first preimage is not the first input of its length, and
+# the catalan suite's count of a walk that never ends: the name broken in
+# ulisperm.verify, its replacement, and the counterexample and counters of
+# the failing run at max_n = 6.
 FAILURE_CASES = [
     pytest.param(
         "bijection", "invert", lambda t: Permutation(tuple(reversed(invert(t).entries))),
         {"n": 2, "permutation": "1 2", "rank_sequence": "2 1", "reconstructed": "2 1"},
         {"round_trips": 3}, id="bijection-avoider-round-trip"),
+    pytest.param(
+        "bijection", "enumerate_avoiders", lambda n: list(enumerate_avoiders(n))[:-1],
+        {"n": 1, "avoiders": 0, "catalan": 1}, {"round_trips": 0},
+        id="bijection-avoider-count"),
+    pytest.param(
+        "bijection", "enumerate_rank_sequences", _endless_sequences,
+        {"n": 1, "sequences": 2, "catalan": 1}, {"round_trips": 3},
+        id="bijection-sequence-count"),
     pytest.param(
         "lemma1", "start_lengths_counts", _miscounts_3124,
         {"n": 4, "permutation": "3 1 2 4", "position": 2, "count": 2},
@@ -168,6 +184,9 @@ FAILURE_CASES = [
         "catalan", "enumerate_rank_sequences", lambda n: list(
             itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1))[:-1],
         {"n": 1, "sequences": 0, "catalan": 1}, {}, id="catalan-sequences"),
+    pytest.param(
+        "catalan", "enumerate_rank_sequences", _endless_sequences,
+        {"n": 1, "sequences": 2, "catalan": 1}, {}, id="catalan-sequences-endless"),
     pytest.param(
         "oeis", "fixture_text", lambda: "1 1\n2 1\n",
         {"n": 3, "reason": "missing from bundled A167995"}, {}, id="oeis-missing"),
