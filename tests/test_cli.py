@@ -80,7 +80,7 @@ print(json.dumps(results))
 
 
 def test_golden_stdout_in_a_fresh_optimized_process():
-    # -O strips every assert, and a fixed hash seed differs from this run's
+    # -O strips every assert; the string-hash seed is fixed, not random
     proc = subprocess.run([sys.executable, "-O", "-c", _GOLDEN_PROBE],
                           input=json.dumps([case["argv"] for case in GOLDEN]),
                           env=_child_env(PYTHONHASHSEED="12345"),
