@@ -2,47 +2,60 @@
 increasing subsequences: the rank-sequence bijection, the injections built
 on it, exact censuses proving the one-half floor, and OEIS cross-checks.
 
-`import ulisperm` loads no submodule.  Each name of `__all__`, and each
-submodule, is imported on first access (a module `__getattr__`, PEP 562),
-so a process loads only the modules it uses: `ulisperm.cli rank` loads
+`import ulisperm` runs no submodule.  It registers each of them (but `cli`)
+in `sys.modules` and on the package through `importlib.util.LazyLoader`,
+and a module runs on the first access to one of its attributes.  Each name
+of `__all__` resolves on first access too (a module `__getattr__`, PEP 562).
+So a process runs only the modules it uses: `ulisperm.cli rank` runs
 `errors` and `permutations` and none of the others.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines
+# submodule -> the public names it defines; each module comes before the
+# modules it imports from
 _EXPORTS = {
+    "verify": ("RunReport", "run_suite"),
     "census": ("CensusRow", "census_enumerative", "census_rows_dp", "ulis_count_all"),
-    "errors": ("ConstructionError", "DP_CAP", "InputError", "SEQUENCE_CAP",
-               "SUITE_NAMES", "SequenceValidationError"),
+    "ulis": ("uniquify_lis", "uniquify_max"),
+    "ranks": ("RankSequence", "catalan", "enumerate_rank_sequences", "invert",
+              "rank_sequence"),
     "oeis": ("BFileEntry", "FetchFallbackWarning", "fetch_bfile", "fixture_text",
              "parse_bfile"),
     "permutations": ("ALL_PERMUTATION_CAP", "AVOIDER_CAP", "PATTERN_132",
                      "PatternVerdict", "Permutation", "contains_pattern",
                      "enumerate_avoiders", "has_ulis", "lis_stats", "start_ranks"),
-    "ranks": ("RankSequence", "catalan", "enumerate_rank_sequences", "invert",
-              "rank_sequence"),
-    "ulis": ("uniquify_lis", "uniquify_max"),
-    "verify": ("RunReport", "run_suite"),
+    "errors": ("ConstructionError", "DP_CAP", "InputError", "SEQUENCE_CAP",
+               "SUITE_NAMES", "SequenceValidationError"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset({*_EXPORTS, "cli"})
 
-__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__all__ = sorted(_HOME)
+
+# Registered in that order, so a walk over `sys.modules` that reads each
+# module's namespace (perfbench's tracer does, then rebinds its functions)
+# runs every deferred module before it reaches one that module imports from:
+# each binds the functions themselves, never what the walk put in their place.
+for _name in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = _module
+    _spec.loader.exec_module(_module)
+    globals()[_name] = _module
+del _name, _spec, _module
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        # importing a submodule binds it on the package
-        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(globals()[_HOME[name]], name)
     globals()[name] = value  # later reads skip this function
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__all__})

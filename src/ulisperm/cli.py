@@ -17,12 +17,13 @@ input error.  Machine-readable output goes to stdout, diagnostics to stderr;
 repeated invocations produce byte-identical stdout (timing lives on stderr).
 There is no randomness anywhere: every command is deterministic.
 
-A command is run in a process of its own, so this module loads at the top
-only `errors` (which also holds the caps and names the parser shows) and
-`permutations`.  Each command imports the rest when it runs: `rank` loads
-nothing more, `rank --invert`, `sequences` and `avoiders --count` load
-`ranks`, `map` loads `ranks` and `ulis`, `census` and `verify` load what
-they compute with, and `oeis` loads `oeis`.
+A command is run in a process of its own, so this module imports at the
+top only `errors` (which also holds the caps and names the parser shows) and
+`permutations`.  `import ulisperm` registers the other modules without
+running them, and each command imports the ones it uses when it runs: `rank`
+runs nothing more, `rank --invert`, `sequences` and `avoiders --count` run
+`ranks`, `map` runs `ranks` and `ulis`, `census` and `verify` run what they
+compute with, and `oeis` runs `oeis`.
 """
 
 from __future__ import annotations

@@ -38,9 +38,6 @@ from .ranks import (
     invert,
     rank_sequence,
 )
-# bounds the walks: a binding of its own, apart from the `catalan` that
-# the catalan suite checks its counts against
-from .ranks import catalan as _catalan
 from .ulis import _unique_max, uniquify_lis, uniquify_max
 
 
@@ -79,7 +76,7 @@ def _suite_bijection(max_n: int) -> dict[str, Any]:
     fails too."""
     trips = 0
     for n in range(1, max_n + 1):
-        expected = _catalan(n)
+        expected = catalan(n)
         walked = 0
         for p in islice(enumerate_avoiders(n), expected + 1):
             t = rank_sequence(p)
@@ -246,7 +243,7 @@ def _suite_catalan(max_n: int) -> dict[str, Any]:
     checked = []
     for n in range(1, max_n + 1):
         expected = catalan(n)
-        bound = _catalan(n) + 1
+        bound = expected + 1
         avoiders = sum(1 for _ in islice(enumerate_avoiders(n), bound))
         if avoiders != expected:
             return _fail({"n": n, "avoiders": avoiders, "catalan": expected})
@@ -276,16 +273,16 @@ def _suite_oeis(max_n: int) -> dict[str, Any]:
     return _pass(compared=compared)
 
 
-_SUITES: dict[str, tuple[Callable[[int], dict[str, Any]], int, int]] = {
-    # name: (runner, default max_n, hard cap)
-    "bijection": (_suite_bijection, 10, min(AVOIDER_CAP, SEQUENCE_CAP)),
-    "lemma1": (_suite_lemma1, 9, AVOIDER_CAP),
-    "injection-f": (_suite_injection_f, 12, SEQUENCE_CAP),
-    "injection-g": (_suite_injection_g, 10, AVOIDER_CAP),
-    "characterization": (_suite_characterization, 10, AVOIDER_CAP),
-    "catalan": (_suite_catalan, 10, min(AVOIDER_CAP, SEQUENCE_CAP)),
-    "oeis": (_suite_oeis, 9, ALL_PERMUTATION_CAP),
-}  # in the order of SUITE_NAMES
+# name: (runner, default max_n, hard cap), named in the order of SUITE_NAMES
+_SUITES: dict[str, tuple[Callable[[int], dict[str, Any]], int, int]] = dict(zip(SUITE_NAMES, (
+    (_suite_bijection, 10, min(AVOIDER_CAP, SEQUENCE_CAP)),
+    (_suite_lemma1, 9, AVOIDER_CAP),
+    (_suite_injection_f, 12, SEQUENCE_CAP),
+    (_suite_injection_g, 10, AVOIDER_CAP),
+    (_suite_characterization, 10, AVOIDER_CAP),
+    (_suite_catalan, 10, min(AVOIDER_CAP, SEQUENCE_CAP)),
+    (_suite_oeis, 9, ALL_PERMUTATION_CAP),
+), strict=True))
 
 
 def run_suite(suite: str, max_n: int | None = None) -> RunReport:

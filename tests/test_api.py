@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -24,16 +25,20 @@ def test_every_export_resolves_once():
     assert [name for name in names if not hasattr(ulisperm, name)] == []
 
 
-# In a new interpreter: a bare `import ulisperm` loads no submodule, and then
-# every exported name and every submodule resolves through the package.
+# In a new interpreter: a bare `import ulisperm` runs no submodule, but
+# registers every one but `cli`; then every exported name and every
+# registered submodule resolves through the package.  A registered module
+# that has not run yet is still of LazyLoader's module type.
 _BARE_IMPORT_PROBE = """
-import pkgutil, sys
+import pkgutil, sys, types
 import ulisperm
-print(*sorted(name for name in sys.modules if name.startswith("ulisperm.")))
+print(*sorted(name for name, module in sys.modules.items()
+              if name.startswith("ulisperm.") and type(module) is types.ModuleType))
+print(*sorted(name[len("ulisperm."):] for name in sys.modules if name.startswith("ulisperm.")))
 print(*[name for name in ulisperm.__all__ if not hasattr(ulisperm, name)])
 modules = [info.name for info in pkgutil.iter_modules(ulisperm.__path__)]
-print(*[name for name in modules
-        if getattr(ulisperm, name) is not sys.modules["ulisperm." + name]])
+print(*[name for name in modules if name != "cli"
+        and getattr(ulisperm, name) is not sys.modules["ulisperm." + name]])
 print(*sorted(set(ulisperm.__all__) - set(dir(ulisperm))))
 print(*modules)
 """
@@ -45,9 +50,23 @@ def test_bare_import_resolves_on_first_use():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _BARE_IMPORT_PROBE], env=env,
                          check=True, capture_output=True, text=True, timeout=60).stdout
-    preloaded, unresolved, unbound, undir, modules = out.split("\n")[:5]
-    assert (preloaded, unresolved, unbound, undir) == ("", "", "", "")
+    ran, registered, unresolved, unbound, undir, modules = out.split("\n")[:6]
+    assert (ran, unresolved, unbound, undir) == ("", "", "", "")
     assert {"census", "cli", "verify"} <= set(modules.split())
+    assert set(registered.split()) == set(modules.split()) - {"cli"}
+
+
+def test_each_module_registers_before_those_it_imports_from():
+    # the order `import ulisperm` registers its submodules in: a module that
+    # binds another's function comes first
+    order = list(ulisperm._EXPORTS)
+    assert order == [name[len("ulisperm."):] for name in sys.modules
+                     if name.startswith("ulisperm.") and name != "ulisperm.cli"][:len(order)]
+    for name in order:
+        homes = {obj.__module__ for obj in vars(getattr(ulisperm, name)).values()
+                 if isinstance(obj, types.FunctionType)
+                 and obj.__module__.startswith("ulisperm.")}
+        assert {home[len("ulisperm."):] for home in homes} <= set(order[order.index(name):]), name
 
 
 def test_parser_constants_have_one_home():

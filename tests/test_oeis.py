@@ -287,15 +287,18 @@ def test_failed_cache_write_warns_and_serves_fetched_text(tmp_path):
 
 # Run in a fresh interpreter: what `rank "2 1"` loads beyond what the
 # interpreter held before (its `site` may load tempfile and
-# importlib.resources itself), then the exit codes of the commands that load
-# the rest.
+# importlib.resources itself), the package modules that ran (`import
+# ulisperm` registers every submodule but runs one only on first use), then
+# the exit codes of the commands that load the rest.
 _START_PROBE = """
-import contextlib, io, sys
+import contextlib, io, sys, types
 before = set(sys.modules)
 import ulisperm.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert ulisperm.cli.main(["rank", "2 1"]) == 0
 print(*sorted(set(sys.modules) - before))
+print(*sorted(name for name, module in sys.modules.items()
+              if name.split(".")[0] == "ulisperm" and type(module) is types.ModuleType))
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [ulisperm.cli.main(argv) for argv in (
         ["census", "--max-n", "5"], ["verify", "oeis", "--max-n", "4"],
@@ -311,9 +314,9 @@ def test_cli_import_leaves_http_stack_unloaded():
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _START_PROBE], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    loaded_text, codes = out.splitlines()
+    loaded_text, ran, codes = out.splitlines()
     loaded = set(loaded_text.split())
-    assert {name for name in loaded if name.split(".")[0] == "ulisperm"} == {
+    assert set(ran.split()) == {
         "ulisperm", "ulisperm.cli", "ulisperm.errors", "ulisperm.permutations"}
     assert loaded.isdisjoint({"urllib.request", "ssl", "fractions", "decimal",
                               "tempfile", "importlib.resources"})
