@@ -21,9 +21,9 @@ A command is run in a process of its own, so this module imports at the
 top only `errors` (which also holds the caps and names the parser shows) and
 `permutations`.  `import ulisperm` registers the other modules without
 running them, and each command imports the ones it uses when it runs: `rank`
-runs nothing more, `rank --invert`, `sequences` and `avoiders --count` run
-`ranks`, `map` runs `ranks` and `ulis`, `census` and `verify` run what they
-compute with, and `oeis` runs `oeis`.
+runs nothing more, `rank --invert`, `sequences` and `avoiders` run `ranks`,
+`map` runs `ranks` and `ulis`, `census` and `verify` run what they compute
+with, and `oeis` runs `oeis`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import csv
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     CACHE_ENV_VAR,
@@ -41,6 +42,7 @@ from .errors import (
     FIXTURE_ID,
     SEQUENCE_CAP,
     SUITE_NAMES,
+    ConstructionError,
     InputError,
     _check_length,
     _int_text,
@@ -151,6 +153,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ConstructionError as exc:  # a construction failed its own check
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFICATION_FAILURE
     except BrokenPipeError:
         # the reader left early (`| head`): quiet the interpreter's last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -216,17 +221,38 @@ def _list_or_count(args: argparse.Namespace, stream: Iterable, column: str) -> i
     """List `stream` or print its length.  The enumerator call that made
     `stream` has already checked the arguments, and the length is catalan(n)
     for rank sequences and for the avoiders of every length-3 pattern, so a
-    count walks nothing."""
-    if args.count:
-        from .ranks import catalan
+    count walks nothing, and a listing writes at most catalan(n) items."""
+    from .ranks import catalan
 
-        count = _int_text(catalan(args.n))
+    total = catalan(args.n)
+    if args.count:
+        count = _int_text(total)
         # unlike a table, a count's csv ends its lines in LF: fixed output bytes
         _emit(args.format, ["count"], [[count]], json_line=f'{{"count": {count}}}',
               csv_end="\n")
     else:
-        _emit(args.format, [column], ([str(item)] for item in stream))
+        _emit(args.format, [column], ([str(item)] for item in _walk(stream, args.n, total)))
     return 0
+
+
+def _walk(stream: Iterable, n: int, total: int) -> Iterator:
+    """The items of `stream`, which must number `total` = catalan(n).  The
+    walk is cut after total + 1 items, so one that never ends fails at once,
+    and one that yields more or fewer raises ConstructionError, as the
+    enumerative census does."""
+    walked = 0
+    for walked, item in enumerate(islice(stream, total + 1), 1):
+        if walked > total:
+            raise ConstructionError(
+                f"listing bug: the walk yielded more than catalan({n}) = "
+                f"{_int_text(total)} items"
+            )
+        yield item
+    if walked != total:
+        raise ConstructionError(
+            f"listing bug: the walk yielded {_int_text(walked)} items, not "
+            f"catalan({n}) = {_int_text(total)}"
+        )
 
 
 def _cmd_avoiders(args: argparse.Namespace) -> int:

@@ -255,23 +255,35 @@ def start_lengths_counts(p: Permutation) -> tuple[list[int], list[int]]:
 
     Returns two lists aligned with positions: `lengths[i]` is the length of
     the longest increasing subsequence beginning at position i+1, and
-    `counts[i]` is the exact number of position sets realizing it.  Computed
-    right to left: a subsequence starting here continues at any later, larger
-    entry.  The later entries sit in a Fenwick tree (Fenwick 1994) over
-    values, mirrored so that one read upward from v + 1 covers every entry
-    above v, the prefix of a tree over reversed values n + 1 - v.  Each node
-    holds the longest length in its range and the count at that length, and
-    nodes merge by max and sum.  O(n log n); an entry above every later one
-    skips the read.
+    `counts[i]` is the exact number of position sets realizing it.  One
+    `_fenwick_starts` pass, less its sentinel.  O(n log n).
     """
-    e = p.entries
+    lengths, counts = _fenwick_starts(p.entries)
+    return lengths[-2::-1], counts[-2::-1]
+
+
+def _fenwick_starts(e: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The start lengths and counts of `e` right to left, then those of a
+    sentinel entry 0 before the first: the package's one LIS kernel.
+
+    Computed right to left: a subsequence starting here continues at any
+    later, larger entry.  The later entries sit in a Fenwick tree (Fenwick
+    1994) over values, mirrored so that one read upward from v + 1 covers
+    every entry above v, the prefix of a tree over reversed values n + 1 - v.
+    Each node holds the longest length in its range and the count at that
+    length, and nodes merge by max and sum.  An entry above every later one
+    skips the read.  Every entry is above the sentinel, so its read, upward
+    from index 1, covers the whole tree: its length is one more than the
+    longest increasing subsequence's, and its count is the number of longest
+    ones (1 for the empty sequence, whose longest is empty).
+    """
     n = len(e)
     longest = [0] * (n + 1)
     tally = [0] * (n + 1)
     lengths = []
     counts = []
     top = 0  # the largest entry read so far
-    for v in reversed(e):
+    for v in (*reversed(e), 0):
         best, total = 0, 1  # nothing above v: the entry alone
         if v < top:
             q = v + 1
@@ -294,18 +306,17 @@ def start_lengths_counts(p: Permutation) -> tuple[list[int], list[int]]:
             elif best == length:
                 tally[v] += total
             v &= v - 1
-    lengths.reverse()
-    counts.reverse()
     return lengths, counts
 
 
 def start_ranks(p: Permutation) -> tuple[int, ...]:
     """The rank of each entry: length of the longest increasing subsequence
     starting there.  Defined for every permutation.  On a 132-avoider one
-    linear sweep gives them (`_sweep_132`); only an input containing 132 is
-    passed on to the O(n log n) `start_lengths_counts`.  The package's one way
-    to find ranks: `rank_sequence`, the `rank` command and `map` go through
-    it.  Outside this module only `ranks.invert`'s certificate reads
+    linear sweep gives them (`_avoider_ranks`); only an input containing 132
+    is passed on to the O(n log n) `start_lengths_counts`.  The package's one
+    way to find ranks: `rank_sequence`, the `rank` command and `map` go
+    through it, `map` by way of `_avoider_ranks`, which `start_ranks` runs
+    first.  Outside this module only `ranks.invert`'s certificate reads
     `_sweep_132` itself.
 
     >>> start_ranks(Permutation.from_text("213"))
@@ -315,30 +326,34 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
     >>> start_ranks(Permutation.from_text("1423"))
     (3, 1, 2, 1)
     """
+    ranks = _avoider_ranks(p)
+    if ranks is None:
+        lengths, _ = start_lengths_counts(p)
+        return tuple(lengths)
+    return ranks
+
+
+def _avoider_ranks(p: Permutation) -> tuple[int, ...] | None:
+    """The ranks of `p` from one `_sweep_132` if `p` avoids 132, else None:
+    a 132 verdict and the ranks of an avoider at the cost of one sweep."""
     first, ranks = _sweep_132(p.entries)
-    if first < 0:
-        return ranks
-    lengths, _ = start_lengths_counts(p)
-    return tuple(lengths)
+    return ranks if first < 0 else None
 
 
 def lis_stats(p: Permutation) -> tuple[int, int]:
     """Length of the longest increasing subsequence and the exact number of
-    position sets attaining it: the counts of one `start_lengths_counts` pass
-    summed over the positions whose start length is the longest (O(n log n),
-    any permutation).  The empty permutation yields (0, 1): the empty
-    subsequence is its unique longest one.
+    position sets attaining it, read from the sentinel of one
+    `_fenwick_starts` pass (O(n log n), any permutation).  The empty
+    permutation yields (0, 1): the empty subsequence is its unique longest
+    one.
 
     >>> lis_stats(Permutation.from_text("34256178"))
     (6, 1)
     >>> lis_stats(Permutation.from_text("32456178"))
     (6, 2)
     """
-    lengths, counts = start_lengths_counts(p)
-    if not lengths:
-        return 0, 1
-    longest = max(lengths)
-    return longest, sum(c for l, c in zip(lengths, counts) if l == longest)
+    lengths, counts = _fenwick_starts(p.entries)
+    return lengths[-1] - 1, counts[-1]
 
 
 def has_ulis(p: Permutation) -> bool:
@@ -365,8 +380,11 @@ def has_ulis(p: Permutation) -> bool:
 # value must still be placed.  It is sufficient, because any prefix that
 # obeys it completes: append the remaining values in increasing order for
 # 132, 321 and 231, in decreasing order for 123, 312 and 213, and each one
-# blocks only values already placed.  So every visited prefix completes: the
-# search visits catalan(n+1) prefixes for catalan(n) avoiders.
+# blocks only values already placed.  So every visited prefix completes.  For
+# n >= 2, of the catalan(n+1) prefixes of avoiders catalan(n) are complete and
+# catalan(n) are one value short, which take their one unplaced value without
+# an offer; the search offers values only after the other
+# catalan(n+1) - 2 catalan(n), the empty prefix among them.
 #
 # Solved for the candidate u, the rule names the admissible values: every
 # value after the empty prefix.  After a nonempty, incomplete one, let m and
@@ -386,7 +404,8 @@ def has_ulis(p: Permutation) -> bool:
 
 
 def _admissible(sig: tuple[int, int, int], used: bytearray) -> Sequence[int]:
-    """The admissible values after a nonempty, incomplete prefix, increasing."""
+    """The admissible values after a nonempty, incomplete prefix, increasing.
+    The search asks only after a prefix at least two values short."""
     top = len(used) - 1
     if sig[0] == 1:  # 132 or 123: below m, then one value above
         m = used.find(1, 1)
@@ -410,7 +429,9 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
 
     There are catalan(n) of them, whichever pattern is chosen.  The default
     cap keeps accidental `n` typos from enumerating millions of objects; pass
-    a larger `cap` explicitly to go further.
+    a larger `cap` explicitly to go further.  The search visits no dead end:
+    every prefix it extends completes, and one a value short completes with
+    its unplaced value, taken without a search step.
 
     >>> [str(p) for p in enumerate_avoiders(3)]
     ['1 2 3', '2 1 3', '2 3 1', '3 1 2', '3 2 1']
@@ -422,22 +443,25 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
 
 
 def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutation]:
+    if n < 2:  # the empty prefix is complete or one value short
+        yield Permutation._trusted(tuple(range(1, n + 1)))
+        return
     used = bytearray(n + 2)
     used[0] = used[n + 1] = 1  # the sentinels, counted as placed
     out: list[int] = []
     offers = [iter(range(1, n + 1))]  # one iterator per prefix, longest last
     while True:
-        if len(out) == n:
-            yield Permutation._trusted(tuple(out))
-        else:
-            v = next(offers[-1], 0)
-            if v:
-                used[v] = 1
-                out.append(v)
-                if len(out) < n:
-                    offers.append(iter(_admissible(sig, used)))
+        v = next(offers[-1], 0)
+        if v:
+            used[v] = 1
+            out.append(v)
+            if len(out) < n - 1:
+                offers.append(iter(_admissible(sig, used)))
                 continue
+            # every visited prefix completes, so its one unplaced value does
+            yield Permutation._trusted((*out, used.find(0)))
+        else:
             offers.pop()
-        if not out:
-            return
+            if not out:
+                return
         used[out.pop()] = 0

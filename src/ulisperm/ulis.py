@@ -13,7 +13,7 @@ count of the former below the count of the latter.
 from __future__ import annotations
 
 from .errors import ConstructionError, InputError
-from .permutations import PATTERN_132, Permutation, contains_pattern, start_ranks
+from .permutations import PATTERN_132, Permutation, _avoider_ranks, contains_pattern
 from .ranks import RankSequence, invert
 
 
@@ -73,20 +73,22 @@ def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permuta
     """`uniquify_lis` stage by stage: the rank sequence of `p`, that sequence
     with its maximum made unique by `uniquify_max`, and its inverse, the image
     of `p`.  Preconditions are recomputed here rather than trusted, in O(n):
-    `p` must avoid 132 (a linear sweep), and then `start_ranks` takes its
-    ranks from a second sweep.  By Lemma 1 each entry of an avoider starts
-    exactly one longest increasing subsequence among those starting there, so
-    `p` has as many longest increasing subsequences as its ranks have
-    positions of maximal rank: it lacks a unique one iff the maximum is tied.
-    The validating `RankSequence` constructor then wraps the ranks.
+    one linear sweep (`permutations._avoider_ranks`, which `start_ranks` runs
+    first) decides that `p` avoids 132 and gives its ranks, and only a
+    rejected input is swept again, by `contains_pattern`, to name a witness.
+    By Lemma 1 each entry of an avoider starts exactly one longest increasing
+    subsequence among those starting there, so `p` has as many longest
+    increasing subsequences as its ranks have positions of maximal rank: it
+    lacks a unique one iff the maximum is tied.  The validating
+    `RankSequence` constructor then wraps the ranks.
 
     >>> [str(stage) for stage in uniquify_stages(Permutation.from_text("321"))]
     ['1 1 1', '1 2 1', '3 1 2']
     """
-    verdict = contains_pattern(p, PATTERN_132)
-    if verdict.contains:
-        raise InputError(f"input contains 132 at positions {verdict.witness}: {p}")
-    values = start_ranks(p)
+    values = _avoider_ranks(p)
+    if values is None:
+        witness = contains_pattern(p, PATTERN_132).witness
+        raise InputError(f"input contains 132 at positions {witness}: {p}")
     if not values or _unique_max(values):
         raise InputError(f"input already has a unique longest increasing subsequence: {p}")
     ranks = RankSequence(values)

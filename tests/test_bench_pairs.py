@@ -1,0 +1,39 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "verify_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "rows", "unit": "count", "better": "higher", "bound": 0.1},
+]
+
+
+def test_summary_of_made_up_pairs():
+    parent = [{"verify_s": v, "rows": r} for v, r in [(3.0, 10), (3.2, 10), (3.1, 12), (3.4, 9)]]
+    change = [{"verify_s": v, "rows": r} for v, r in [(2.8, 10), (3.3, 8), (2.9, 8), (4.5, 8)]]
+    verify_row, rows_row = bench_pairs.summarise(METRICS, parent, change)
+    # parent medians 3.15 and 10; quantiles(n=4) of 3.0, 3.1, 3.2, 3.4 are 3.025 and 3.35
+    assert verify_row["parent_median"] == pytest.approx(3.15)
+    assert verify_row["change_median"] == pytest.approx(3.1)
+    assert verify_row["parent_spread"] == pytest.approx((3.35 - 3.025) / 3.15)
+    assert (verify_row["change_wins"], verify_row["pairs"]) == (2, 4)
+    assert not verify_row["worse_than_bound"]
+    # higher is better: a tie wins for neither side, and a median of 8 is
+    # below 10 by more than a tenth
+    assert (rows_row["parent_median"], rows_row["change_median"]) == (10, 8)
+    assert rows_row["change_wins"] == 0
+    assert rows_row["worse_than_bound"]
+    assert bench_pairs.format_row(rows_row).endswith("change wins 0/4, WORSE THAN BOUND")
+
+
+def test_worse_than_bound_only_past_the_bound():
+    parent = [{"verify_s": 1.0}] * 4
+    metrics = METRICS[:1]
+    assert not bench_pairs.summarise(metrics, parent, [{"verify_s": 1.25}] * 4)[0]["worse_than_bound"]
+    assert bench_pairs.summarise(metrics, parent, [{"verify_s": 1.26}] * 4)[0]["worse_than_bound"]

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from ulisperm import (
 from ulisperm import census as census_mod
 from ulisperm import cli as cli_mod
 from ulisperm import oeis as oeis_mod
+from ulisperm import permutations as permutations_mod
 from ulisperm import ranks as ranks_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
@@ -152,6 +154,26 @@ def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
     assert calls == 0
     assert run(capsys, "rank", "1 3 2")[1] == "2 1 1\n"
     assert calls == 1  # the counter does see the kernel
+
+
+def test_map_sweeps_an_avoider_twice(capsys, monkeypatch):
+    # once for the 132 test and the ranks together, once for `invert`'s
+    # certificate of the image; a rejected input is swept again for its
+    # witness and never decoded
+    sweeps = []
+    sweep = permutations_mod._sweep_132
+
+    def counting(entries):
+        sweeps.append(tuple(entries))
+        return sweep(entries)
+
+    monkeypatch.setattr(permutations_mod, "_sweep_132", counting)
+    monkeypatch.setattr(ranks_mod, "_sweep_132", counting)
+    assert run(capsys, "map", "3 2 1") == (0, "3 1 2\n", "")
+    assert sweeps == [(3, 2, 1), (3, 1, 2)]
+    sweeps.clear()
+    assert run(capsys, "map", "1 3 2")[0] == 2
+    assert sweeps == [(1, 3, 2), (1, 3, 2)]
 
 
 def test_rank_bad_input(capsys):
@@ -305,6 +327,49 @@ def test_listing_is_streamed(capsys, monkeypatch, fmt):
     assert code == 2
     assert "stopped" in err
     assert out.splitlines()[-1] == "1"  # written before the stream failed
+
+
+def _endless(item):
+    def walk(n, *args):
+        while True:
+            yield item(n)
+    return walk
+
+
+@pytest.mark.parametrize("command, module, walk", [
+    ("sequences", ranks_mod, "_generate_sequences"),
+    ("avoiders", permutations_mod, "_generate_avoiders"),
+])
+def test_listing_fails_on_a_walk_of_the_wrong_length(capsys, monkeypatch, command, module,
+                                                     walk):
+    # a walk that never ends is cut after catalan(n) + 1 items, and one that
+    # ends early fails its count: exit 1, no hang and no traceback
+    monkeypatch.setattr(module, walk, _endless(lambda n: tuple(range(1, n + 1))))
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, "4")
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert len(out.splitlines()) <= catalan(4)
+    assert err == "error: listing bug: the walk yielded more than catalan(4) = 14 items\n"
+
+    real = getattr(module, walk)
+    monkeypatch.setattr(module, walk, lambda n, *args: itertools.islice(real(n, *args), 3))
+    for fmt in ("plain", "json", "csv"):
+        code, out, err = run(capsys, command, "4", "--format", fmt)
+        assert code == 1
+        assert err == "error: listing bug: the walk yielded 3 items, not catalan(4) = 14\n"
+
+
+def test_construction_fault_exits_1(capsys, monkeypatch):
+    # `invert`'s certificate fails: an error line and exit 1, not a traceback
+    real_sweep = ranks_mod._sweep_132
+
+    def misreports_12(entries):
+        return (-1, (1, 1)) if entries == (1, 2) else real_sweep(entries)
+
+    monkeypatch.setattr(ranks_mod, "_sweep_132", misreports_12)
+    assert run(capsys, "rank", "--invert", "2 1") == (
+        1, "", "error: decoding 2 1 gave 1 2, not a 132-avoider with those ranks\n")
 
 
 def test_sequences_count_csv(capsys):

@@ -215,6 +215,15 @@ def test_lis_stats_matches_subset_enumeration():
             assert lis_stats(p) == lis_by_subsets(entries), entries
 
 
+@given(long_permutations_st())
+def test_lis_stats_matches_start_lengths_counts(p):
+    # `lis_stats` reads the Fenwick tree's root, not the per-position lists:
+    # the longest start length, and the counts summed where it is attained
+    lengths, counts = permutations_mod.start_lengths_counts(p)
+    longest = max(lengths)
+    assert lis_stats(p) == (longest, sum(c for l, c in zip(lengths, counts) if l == longest))
+
+
 def test_start_lengths_counts_match_scan_oracle_exhaustively():
     for n in range(8):
         for entries in itertools.permutations(range(1, n + 1)):
@@ -341,12 +350,14 @@ def test_avoiders_are_complete_past_the_filter(sig):
 @pytest.mark.parametrize("sig", ALL_SIGS)
 def test_avoider_search_has_no_dead_ends(sig, monkeypatch):
     # the search visits catalan(n+1) prefixes, the empty one included, when
-    # every visited prefix completes.  Each nonempty one is a candidate
+    # every visited prefix completes.  For n >= 2, catalan(n) of them are
+    # complete and catalan(n) are one value short, completed by their one
+    # unplaced value with no offer.  Every other nonempty one is a candidate
     # offered once: by range(1, n + 1) after the empty prefix, by
-    # `_admissible` after the others that are incomplete.  So the offers
-    # number catalan(n+1) - 1 exactly when no offered candidate is a dead
-    # end, and the helper is called once per visited prefix that is neither
-    # empty nor complete.
+    # `_admissible` after the others that are two or more values short.  So
+    # the offers number catalan(n+1) - catalan(n) - 1 exactly when no offered
+    # candidate is a dead end, and the helper is called once per visited
+    # prefix that is nonempty and two or more values short.
     calls = offered = 0
     admissible = permutations_mod._admissible
 
@@ -358,12 +369,16 @@ def test_avoider_search_has_no_dead_ends(sig, monkeypatch):
         return values
 
     monkeypatch.setattr(permutations_mod, "_admissible", counting)
-    for n in range(1, 8):
+    pattern = Permutation(sig)
+    for n, only in ((0, ()), (1, (1,))):
+        assert [p.entries for p in enumerate_avoiders(n, pattern)] == [only]
+    assert calls == 0
+    for n in range(2, 8):
         calls = 0
         offered = n
-        assert sum(1 for _ in enumerate_avoiders(n, Permutation(sig))) == catalan(n)
-        assert offered == catalan(n + 1) - 1, (n, offered)
-        assert calls == catalan(n + 1) - catalan(n) - 1, (n, calls)
+        assert sum(1 for _ in enumerate_avoiders(n, pattern)) == catalan(n)
+        assert offered == catalan(n + 1) - catalan(n) - 1, (n, offered)
+        assert calls == catalan(n + 1) - 2 * catalan(n) - 1, (n, calls)
 
 
 def test_enumerations_go_deep_without_recursion():

@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent and a change, one run at a time.
+
+Usage:
+    python3 tools/bench_pairs.py <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
+
+Pair i (0-based) runs the benchmark's command from BENCHMARK.json,
+
+    python3 perfbench/run.py --workload <workload> --seed <first-seed + i> --seconds <run_seconds> --trace 0
+
+in each checkout, one child process after the other: the parent first when i
+is even, the change first when it is odd.  The command, `run_seconds`, the
+end-to-end metrics and their bounds come from the change checkout's
+BENCHMARK.json.
+
+Each run's line is printed as it ends.  Then, for each metric: both medians,
+the parent's spread (interquartile range over median, from
+`statistics.quantiles(n=4)`), the pairs the change wins (better by the
+metric's `better`; ties count for neither) and whether the change's median is
+worse than the parent's by more than the metric's bound, a share of the
+parent's median.  The last line is a JSON object with every run's metrics.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def summarise(metrics: list[dict], parent: list[dict[str, float]],
+              change: list[dict[str, float]]) -> list[dict]:
+    """One row per metric of BENCHMARK.json's `end_to_end` list, from the
+    runs of each side in pair order (`parent[i]` and `change[i]` are pair i).
+    """
+    rows = []
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        lower = metric["better"] == "lower"
+        before = [run[name] for run in parent]
+        after = [run[name] for run in change]
+        median, changed = statistics.median(before), statistics.median(after)
+        q1, _, q3 = statistics.quantiles(before, n=4)
+        worse = changed - median if lower else median - changed
+        rows.append({
+            "name": name,
+            "unit": metric["unit"],
+            "parent_median": median,
+            "change_median": changed,
+            "parent_spread": (q3 - q1) / median,
+            "change_wins": sum(b > a if lower else b < a for b, a in zip(before, after)),
+            "pairs": len(before),
+            "worse_than_bound": worse > bound * abs(median),
+        })
+    return rows
+
+
+def format_row(row: dict) -> str:
+    return (f"{row['name']}: parent {row['parent_median']:.6g} {row['unit']} "
+            f"(spread {row['parent_spread']:.3f}), change {row['change_median']:.6g}, "
+            f"change wins {row['change_wins']}/{row['pairs']}"
+            + (", WORSE THAN BOUND" if row["worse_than_bound"] else ""))
+
+
+def run_once(command: list[str], checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One untraced run of the benchmark in `checkout`: its last stdout line."""
+    proc = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{checkout} seed={seed} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 5:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent_dir, change_dir = Path(argv[0]), Path(argv[1])
+    workload, first_seed, pairs = argv[2], int(argv[3]), int(argv[4])
+    benchmark = json.loads((change_dir / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        seed = first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(benchmark["command"],
+                              parent_dir if side == "parent" else change_dir,
+                              workload, seed, seconds)
+            result["seed"] = seed
+            runs[side].append(result)
+            values = {name: m["value"] for name, m in result["metrics"].items()}
+            print(f"{side} seed={seed} failed/attempted={result['failed']}/"
+                  f"{result['attempted']} {json.dumps(values)}", flush=True)
+    for side, results in runs.items():
+        print(f"{side}: failed/attempted = {sum(r['failed'] for r in results)}/"
+              f"{sum(r['attempted'] for r in results)}")
+    values = {side: [{name: m["value"] for name, m in r["metrics"].items()} for r in results]
+              for side, results in runs.items()}
+    for row in summarise(benchmark["end_to_end"], values["parent"], values["change"]):
+        print(format_row(row))
+    print(json.dumps({"workload": workload, "seconds": seconds, "runs": runs}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
