@@ -329,11 +329,9 @@ def test_listing_is_streamed(capsys, monkeypatch, fmt):
     assert out.splitlines()[-1] == "1"  # written before the stream failed
 
 
-def _endless(item):
-    def walk(n, *args):
-        while True:
-            yield item(n)
-    return walk
+def _endless_walk(n, *args):
+    while True:
+        yield tuple(range(1, n + 1))
 
 
 @pytest.mark.parametrize("command, module, walk", [
@@ -344,7 +342,7 @@ def test_listing_fails_on_a_walk_of_the_wrong_length(capsys, monkeypatch, comman
                                                      walk):
     # a walk that never ends is cut after catalan(n) + 1 items, and one that
     # ends early fails its count: exit 1, no hang and no traceback
-    monkeypatch.setattr(module, walk, _endless(lambda n: tuple(range(1, n + 1))))
+    monkeypatch.setattr(module, walk, _endless_walk)
     started = time.perf_counter()
     code, out, err = run(capsys, command, "4")
     assert time.perf_counter() - started < 1
@@ -352,8 +350,7 @@ def test_listing_fails_on_a_walk_of_the_wrong_length(capsys, monkeypatch, comman
     assert len(out.splitlines()) <= catalan(4)
     assert err == "error: listing bug: the walk yielded more than catalan(4) = 14 items\n"
 
-    real = getattr(module, walk)
-    monkeypatch.setattr(module, walk, lambda n, *args: itertools.islice(real(n, *args), 3))
+    monkeypatch.setattr(module, walk, lambda n, *args: itertools.islice(_endless_walk(n), 3))
     for fmt in ("plain", "json", "csv"):
         code, out, err = run(capsys, command, "4", "--format", fmt)
         assert code == 1
