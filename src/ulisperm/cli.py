@@ -17,13 +17,11 @@ input error.  Machine-readable output goes to stdout, diagnostics to stderr;
 repeated invocations produce byte-identical stdout (timing lives on stderr).
 There is no randomness anywhere: every command is deterministic.
 
-A command is run in a process of its own, so this module imports at the
-top only `errors` (which also holds the caps and names the parser shows) and
-`permutations`.  `import ulisperm` registers the other modules without
-running them, and each command imports the ones it uses when it runs: `rank`
-runs nothing more, `rank --invert`, `sequences` and `avoiders` run `ranks`,
-`map` runs `ranks` and `ulis`, `census` and `verify` run what they compute
-with, and `oeis` runs `oeis`.
+A command is run in a process of its own.  Every command runs `errors`
+(which also holds the caps and names the parser shows) and `permutations`;
+`import ulisperm` registers the other modules without running them, and
+binding one here runs nothing either: a module runs on the first read of one
+of its attributes, so each command runs only the modules it calls into.
 """
 
 from __future__ import annotations
@@ -34,8 +32,9 @@ import json
 import os
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from . import census, oeis, ranks, ulis, verify
 from .errors import (
     CACHE_ENV_VAR,
     DP_CAP,
@@ -56,9 +55,6 @@ from .permutations import (
     format_values,
     start_ranks,
 )
-
-if TYPE_CHECKING:
-    from .census import CensusRow
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -194,9 +190,7 @@ def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence],
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     if args.invert:
-        from .ranks import RankSequence, invert
-
-        print(invert(RankSequence.from_text(args.text)))
+        print(ranks.invert(ranks.RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
     verdict = contains_pattern(p, PATTERN_132)
@@ -208,11 +202,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    from .ulis import uniquify_stages
-
-    ranks, lifted, image = uniquify_stages(Permutation.from_text(args.text))
+    sequence, lifted, image = ulis.uniquify_stages(Permutation.from_text(args.text))
     if args.trace:
-        print(f"ranks:  {ranks}\nlifted: {lifted}")
+        print(f"ranks:  {sequence}\nlifted: {lifted}")
     print(image)
     return 0
 
@@ -222,9 +214,7 @@ def _list_or_count(args: argparse.Namespace, stream: Iterable, column: str) -> i
     `stream` has already checked the arguments, and the length is catalan(n)
     for rank sequences and for the avoiders of every length-3 pattern, so a
     count walks nothing, and a listing writes at most catalan(n) items."""
-    from .ranks import catalan
-
-    total = catalan(args.n)
+    total = ranks.catalan(args.n)
     if args.count:
         count = _int_text(total)
         # unlike a table, a count's csv ends its lines in LF: fixed output bytes
@@ -262,25 +252,22 @@ def _cmd_avoiders(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:
-    from .ranks import enumerate_rank_sequences
+    return _list_or_count(args, ranks.enumerate_rank_sequences(args.n, cap=args.cap),
+                          "sequence")
 
-    return _list_or_count(args, enumerate_rank_sequences(args.n, cap=args.cap), "sequence")
 
-
-def _census_rows(args: argparse.Namespace) -> list[CensusRow]:
+def _census_rows(args: argparse.Namespace) -> list[census.CensusRow]:
     cap = args.cap
     if cap is None:
         cap = SEQUENCE_CAP if args.engine == "enumerative" else DP_CAP
     # checked before either engine runs: the enumerative one walks every n < max_n first
     _check_length(f"{args.engine} census", args.max_n, 1, cap)
-    from .census import census_enumerative, census_rows_dp
-
     if args.engine == "enumerative":
-        return [census_enumerative(n, cap=cap) for n in range(1, args.max_n + 1)]
-    return list(census_rows_dp(args.max_n, cap=cap))
+        return [census.census_enumerative(n, cap=cap) for n in range(1, args.max_n + 1)]
+    return list(census.census_rows_dp(args.max_n, cap=cap))
 
 
-def _census_summary(rows: list[CensusRow]) -> dict:
+def _census_summary(rows: list[census.CensusRow]) -> dict:
     # every total is positive, so ratios compare as u * total' against u' * total
     min_row = rows[0]
     for row in rows:
@@ -324,9 +311,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_suite
-
-    report = run_suite(args.suite, args.max_n)
+    report = verify.run_suite(args.suite, args.max_n)
     max_n = report.parameters["max_n"]
     stats = {k: v for k, v in report.outcome.items() if k != "status"}
     _emit(args.format, ["suite", "max_n", "status", "outcome"],
@@ -339,10 +324,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
-    from .oeis import fetch_bfile, parse_bfile
-
-    text = fetch_bfile(args.id, online=args.online, cache_dir=args.cache_dir)
-    rows = [(_int_text(e.index), _int_text(e.value)) for e in parse_bfile(text)]
+    text = oeis.fetch_bfile(args.id, online=args.online, cache_dir=args.cache_dir)
+    rows = [(_int_text(e.index), _int_text(e.value)) for e in oeis.parse_bfile(text)]
     # values as json strings keep big integers exact as decimal text; indices
     # stay json numbers, placed by hand since json.dumps is under the digit limit
     objects = ", ".join(f'{{"index": {index}, "value": "{value}"}}' for index, value in rows)

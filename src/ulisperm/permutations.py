@@ -137,7 +137,8 @@ def contains_pattern(p: Permutation, pattern: Permutation) -> PatternVerdict:
     pattern's k side of e[i] (the minimum when the pattern puts e[j] above
     e[k], else the maximum), the last entry on the j side that beats it is
     the least j, and a forward scan from j finds the least k.  For 132 the
-    sweep (`_sweep_132`) also builds the start ranks, discarded here.
+    sweep (`_sweep_132`) also builds the start ranks, discarded here; only
+    `_avoider_ranks` keeps them.
 
     >>> contains_pattern(Permutation.from_text("2413"), PATTERN_132)
     PatternVerdict(contains=True, witness=(1, 2, 4))
@@ -316,8 +317,7 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
     is passed on to the O(n log n) `start_lengths_counts`.  The package's one
     way to find ranks: `rank_sequence`, the `rank` command and `map` go
     through it, `map` by way of `_avoider_ranks`, which `start_ranks` runs
-    first.  Outside this module only `ranks.invert`'s certificate reads
-    `_sweep_132` itself.
+    first.
 
     >>> start_ranks(Permutation.from_text("213"))
     (2, 2, 1)

@@ -39,7 +39,13 @@ from .errors import (
     SequenceValidationError,
     _check_length,
 )
-from .permutations import Permutation, _sweep_132, format_values, parse_values, start_ranks
+from .permutations import (
+    Permutation,
+    _avoider_ranks,
+    format_values,
+    parse_values,
+    start_ranks,
+)
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,8 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     census and the injection-f suite read those and wrap nothing they do
     not pass on.
 
-    >>> [str(t) for t in enumerate_rank_sequences(3)]
+    >>> from itertools import islice
+    >>> [str(t) for t in islice(enumerate_rank_sequences(3), catalan(3) + 1)]
     ['1 1 1', '1 2 1', '2 1 1', '2 2 1', '3 2 1']
     """
     _check_length("rank-sequence enumeration", n, 1, cap)
@@ -199,8 +206,9 @@ def _lex_ranker(n: int) -> Callable[[tuple[int, ...]], int]:
     only on values[k], both terms of a position are folded into one row
     indexed by values[k], so a call is one sum over the rows.
 
+    >>> from itertools import islice
     >>> rank = _lex_ranker(3)
-    >>> [rank(t.values) for t in enumerate_rank_sequences(3)]
+    >>> [rank(t.values) for t in islice(enumerate_rank_sequences(3), catalan(3) + 1)]
     [0, 1, 2, 3, 4]
     """
     prefix = [0, 0, 1]  # P(n-1, v) for v = 0..2: only the value 1 fits
@@ -235,9 +243,9 @@ def invert(t: RankSequence) -> Permutation:
     a cursor stops after each entry on the value just above it, the
     (r_i - 1)-th largest left.  By membership r_{i+1} >= r_i - 1, so from
     there the cursor only moves down, and the decoding takes O(n) steps.
-    The result is then checked in O(n) by `permutations._sweep_132`: it must
-    avoid 132, and its ranks, the heights of that sweep's stack, must equal
-    t; otherwise ConstructionError is raised, under `python -O` too.
+    The result is then checked in O(n) by `permutations._avoider_ranks`: it
+    must avoid 132 and have the ranks t; otherwise ConstructionError is
+    raised, under `python -O` too.
 
     >>> print(invert(RankSequence.from_text("121")))
     3 1 2
@@ -266,8 +274,7 @@ def invert(t: RankSequence) -> Permutation:
         rank -= 1
     # every value is unlinked once, so the result is a permutation as built
     result = Permutation._trusted(tuple(entries))
-    first, ranks = _sweep_132(result.entries)
-    if first >= 0 or ranks != values:
+    if _avoider_ranks(result) != values:
         raise ConstructionError(
             f"decoding {t} gave {result}, not a 132-avoider with those ranks"
         )

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import signal
 
 import pytest
@@ -41,12 +42,25 @@ def _time_limit(item):
     again every second after, so that a hypothesis shrink of the failure
     cannot hang in its turn.  Armed per phase rather than by a fixture, so it
     also covers the module-scoped fixtures a test sets up, which pytest sets
-    up before any function-scoped one."""
+    up before any function-scoped one.
+
+    The error is raised only where pytest can report it: not with no frame
+    or a frame without a line number (its traceback entry would break the
+    report), and not inside a garbage-collection callback, where it would be
+    unraisable.  There the timer just fires again a second later."""
     if item.get_closest_marker("slow"):
         yield
         return
 
     def expire(signum, frame):
+        if frame is None or frame.f_lineno is None:
+            return
+        callbacks = {getattr(callback, "__code__", None) for callback in gc.callbacks}
+        caller = frame
+        while caller is not None:
+            if caller.f_code in callbacks:
+                return
+            caller = caller.f_back
         raise TimeoutError(f"test phase ran past {TEST_TIME_LIMIT_S} s")
 
     previous = signal.signal(signal.SIGALRM, expire)

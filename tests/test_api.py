@@ -119,6 +119,9 @@ def test_hot_helpers_stay_private():
     assert not hasattr(ulisperm.permutations, "_lis_stats")
     # `invert` certifies every decode, so no suite tests its output for 132
     assert not hasattr(ulisperm.verify, "contains_pattern")
+    # `invert` certifies through `_avoider_ranks`, so only `permutations`
+    # reads the sweep's (first, ranks) pair
+    assert not hasattr(ulisperm.ranks, "_sweep_132")
     # census rows derive v and ratio, so nothing builds or checks them apart
     assert not hasattr(ulisperm.census, "_make_row")
     assert not hasattr(ulisperm.census, "CSV_COLUMNS")

@@ -66,8 +66,8 @@ def _child_env(**extra: str) -> dict[str, str]:
 
 
 # Runs every golden argv in one new interpreter, in file order: each command
-# imports what it runs itself, which the cases above cannot show once any
-# test has loaded every module.
+# runs a module when it first uses it, which the cases above cannot show
+# once any test has loaded every module.
 _GOLDEN_PROBE = """
 import contextlib, io, json, sys
 from ulisperm.cli import main
@@ -90,6 +90,40 @@ def test_golden_stdout_in_a_fresh_optimized_process():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == [
         {"code": case["code"], "stdout": case["stdout"]} for case in GOLDEN]
+
+
+# Runs one argv in a new interpreter and prints the `ulisperm` submodules that
+# have run: a registered module keeps LazyLoader's module type until then.
+_MODULES_RUN_PROBE = """
+import contextlib, io, sys, types
+from ulisperm.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(name.removeprefix("ulisperm.") for name, module in sys.modules.items()
+                    if name.startswith("ulisperm.") and type(module) is types.ModuleType))
+"""
+
+_EVERY_COMMAND_RUNS = ("cli", "errors", "permutations")
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["rank", "2 1"], _EVERY_COMMAND_RUNS),
+    (["avoiders", "3"], (*_EVERY_COMMAND_RUNS, "ranks")),
+    (["avoiders", "3", "--count"], (*_EVERY_COMMAND_RUNS, "ranks")),
+    (["rank", "--invert", "1 1"], (*_EVERY_COMMAND_RUNS, "ranks")),
+    (["sequences", "3"], (*_EVERY_COMMAND_RUNS, "ranks")),
+    (["map", "3 2 1"], (*_EVERY_COMMAND_RUNS, "ranks", "ulis")),
+    (["census", "--max-n", "3"], (*_EVERY_COMMAND_RUNS, "ranks", "ulis", "census")),
+    (["verify", "catalan", "--max-n", "3"],
+     ("census", "cli", "errors", "oeis", "permutations", "ranks", "ulis", "verify")),
+    (["oeis"], ("cli", "errors", "oeis", "permutations")),
+], ids=" ".join)
+def test_each_command_runs_only_its_modules(argv, modules):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_RUN_PROBE, *argv],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, *ran = proc.stdout.split()
+    assert (code, ran) == ("0", sorted(modules))
 
 
 # --- rank ------------------------------------------------------------------
@@ -168,7 +202,6 @@ def test_map_sweeps_an_avoider_twice(capsys, monkeypatch):
         return sweep(entries)
 
     monkeypatch.setattr(permutations_mod, "_sweep_132", counting)
-    monkeypatch.setattr(ranks_mod, "_sweep_132", counting)
     assert run(capsys, "map", "3 2 1") == (0, "3 1 2\n", "")
     assert sweeps == [(3, 2, 1), (3, 1, 2)]
     sweeps.clear()
@@ -321,7 +354,7 @@ def test_listing_is_streamed(capsys, monkeypatch, fmt):
         yield RankSequence((1,))
         raise InputError("stopped after the first row")
 
-    # `sequences` imports the enumerator from `ranks` when it runs
+    # `sequences` reads the enumerator from `ranks` when it runs
     monkeypatch.setattr(ranks_mod, "enumerate_rank_sequences", first_then_fail)
     code, out, err = run(capsys, "sequences", "1", "--format", fmt)
     assert code == 2
@@ -359,12 +392,12 @@ def test_listing_fails_on_a_walk_of_the_wrong_length(capsys, monkeypatch, comman
 
 def test_construction_fault_exits_1(capsys, monkeypatch):
     # `invert`'s certificate fails: an error line and exit 1, not a traceback
-    real_sweep = ranks_mod._sweep_132
+    real_ranks = ranks_mod._avoider_ranks
 
-    def misreports_12(entries):
-        return (-1, (1, 1)) if entries == (1, 2) else real_sweep(entries)
+    def misreports_12(p):
+        return (1, 1) if p.entries == (1, 2) else real_ranks(p)
 
-    monkeypatch.setattr(ranks_mod, "_sweep_132", misreports_12)
+    monkeypatch.setattr(ranks_mod, "_avoider_ranks", misreports_12)
     assert run(capsys, "rank", "--invert", "2 1") == (
         1, "", "error: decoding 2 1 gave 1 2, not a 132-avoider with those ranks\n")
 

@@ -214,14 +214,14 @@ _DECODE_FAULT = "decoding 2 1 gave 1 2, not a 132-avoider with those ranks"
 def test_construction_fault_fails_the_suite(monkeypatch, capsys):
     # A decode whose certificate fails ends the run as a failure naming it,
     # in the library and in the CLI, not in a traceback.
-    real_sweep = ranks_mod._sweep_132
+    real_ranks = ranks_mod._avoider_ranks
 
-    def misreports_12(entries):
-        if entries == (1, 2):
-            return -1, (1, 1)
-        return real_sweep(entries)
+    def misreports_12(p):
+        if p.entries == (1, 2):
+            return 1, 1
+        return real_ranks(p)
 
-    monkeypatch.setattr(ranks_mod, "_sweep_132", misreports_12)
+    monkeypatch.setattr(ranks_mod, "_avoider_ranks", misreports_12)
     for suite in ("bijection", "injection-g"):
         assert run_suite(suite, 6).to_payload() == {
             "command": "verify",
