@@ -21,12 +21,11 @@ _EXPORTS = {
     "verify": ("RunReport", "run_suite"),
     "census": ("CensusRow", "census_enumerative", "census_rows_dp", "ulis_count_all"),
     "ulis": ("uniquify_lis", "uniquify_max"),
-    "ranks": ("RankSequence", "catalan", "enumerate_rank_sequences", "invert",
-              "rank_sequence"),
+    "ranks": ("RankSequence", "enumerate_rank_sequences", "invert", "rank_sequence"),
     "oeis": ("BFileEntry", "FetchFallbackWarning", "fetch_bfile", "fixture_text",
              "parse_bfile"),
     "permutations": ("ALL_PERMUTATION_CAP", "AVOIDER_CAP", "PATTERN_132",
-                     "PatternVerdict", "Permutation", "contains_pattern",
+                     "PatternVerdict", "Permutation", "catalan", "contains_pattern",
                      "enumerate_avoiders", "has_ulis", "lis_stats", "start_ranks"),
     "errors": ("ConstructionError", "DP_CAP", "InputError", "SEQUENCE_CAP",
                "SUITE_NAMES", "SequenceValidationError"),

@@ -4,8 +4,9 @@ subsequence.
 Two independent engines produce the same rows:
 
 - `census_enumerative` walks the values of every rank sequence of length n,
-  as plain tuples, and classifies each by maximum multiplicity.
-  Transparent, but bounded by the Catalan explosion (the default cap is 12).
+  as plain tuples, and classifies each by maximum multiplicity; the walk
+  certifies its length, catalan(n).  Transparent, but bounded by the
+  Catalan explosion (the default cap is 12).
 - `census_rows_dp` (the `dp` engine) evaluates a closed form.  Read right
   to left, a rank sequence of length n is the preorder depth sequence of a
   plane tree with n + 1 nodes, and a unique maximum is a unique deepest node.
@@ -44,10 +45,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator
 
-from .errors import DP_CAP, ConstructionError, _check_length, _int_text
+from .errors import DP_CAP, _check_length, _int_text
 from .permutations import ALL_PERMUTATION_CAP
 from .ranks import SEQUENCE_CAP, _generate_sequences, catalan
 from .ulis import _unique_max
@@ -86,24 +86,14 @@ class CensusRow:
 def census_enumerative(n: int, *, cap: int = SEQUENCE_CAP) -> CensusRow:
     """Count by walking the values of all rank sequences of length n, the
     plain tuples of `ranks._generate_sequences` (no `RankSequence` is
-    built); the number walked must be catalan(n).  The walk is cut after
-    catalan(n) + 1 tuples, so one that never ends fails that check at once.
+    built).  The walk yields exactly catalan(n) tuples, the row's total, or
+    raises ConstructionError.
 
     >>> census_enumerative(3)
     CensusRow(n=3, total=5, u=3, v=2, ratio=Fraction(3, 5))
     """
     _check_length("enumerative census", n, 1, cap)
-    total = catalan(n)
-    u = walked = 0
-    for walked, values in enumerate(islice(_generate_sequences(n), total + 1), 1):
-        if _unique_max(values):
-            u += 1
-    if walked != total:
-        raise ConstructionError(
-            f"census bug: u + v = {_int_text(walked)} differs from "
-            f"catalan({n}) = {_int_text(total)}"
-        )
-    return CensusRow(n, total, u)
+    return CensusRow(n, catalan(n), sum(map(_unique_max, _generate_sequences(n))))
 
 
 def census_rows_dp(max_n: int, *, cap: int = DP_CAP) -> Iterator[CensusRow]:

@@ -31,8 +31,7 @@ import csv
 import json
 import os
 import sys
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import census, oeis, ranks, ulis, verify
 from .errors import (
@@ -50,6 +49,7 @@ from .permutations import (
     AVOIDER_CAP,
     PATTERN_132,
     Permutation,
+    catalan,
     contains_pattern,
     enumerate_avoiders,
     format_values,
@@ -213,36 +213,16 @@ def _list_or_count(args: argparse.Namespace, stream: Iterable, column: str) -> i
     """List `stream` or print its length.  The enumerator call that made
     `stream` has already checked the arguments, and the length is catalan(n)
     for rank sequences and for the avoiders of every length-3 pattern, so a
-    count walks nothing, and a listing writes at most catalan(n) items."""
-    total = ranks.catalan(args.n)
+    count walks nothing.  Both walks certify that length, so a listing
+    writes at most catalan(n) items or ends in ConstructionError."""
     if args.count:
-        count = _int_text(total)
+        count = _int_text(catalan(args.n))
         # unlike a table, a count's csv ends its lines in LF: fixed output bytes
         _emit(args.format, ["count"], [[count]], json_line=f'{{"count": {count}}}',
               csv_end="\n")
     else:
-        _emit(args.format, [column], ([str(item)] for item in _walk(stream, args.n, total)))
+        _emit(args.format, [column], ([str(item)] for item in stream))
     return 0
-
-
-def _walk(stream: Iterable, n: int, total: int) -> Iterator:
-    """The items of `stream`, which must number `total` = catalan(n).  The
-    walk is cut after total + 1 items, so one that never ends fails at once,
-    and one that yields more or fewer raises ConstructionError, as the
-    enumerative census does."""
-    walked = 0
-    for walked, item in enumerate(islice(stream, total + 1), 1):
-        if walked > total:
-            raise ConstructionError(
-                f"listing bug: the walk yielded more than catalan({n}) = "
-                f"{_int_text(total)} items"
-            )
-        yield item
-    if walked != total:
-        raise ConstructionError(
-            f"listing bug: the walk yielded {_int_text(walked)} items, not "
-            f"catalan({n}) = {_int_text(total)}"
-        )
 
 
 def _cmd_avoiders(args: argparse.Namespace) -> int:

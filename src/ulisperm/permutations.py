@@ -21,10 +21,11 @@ kept as Python ints, never floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InputError, _check_length
+from .errors import ConstructionError, InputError, _check_length, _int_text
 
 # Default enumeration ceilings.  Avoider enumeration visits C_n objects
 # (C_12 = 208012); the count over all permutations (`census.ulis_count_all`,
@@ -367,6 +368,28 @@ def has_ulis(p: Permutation) -> bool:
     return lis_stats(p)[1] == 1
 
 
+def catalan(n: int) -> int:
+    """The n-th Catalan number, binom(2n, n) // (n+1), in exact integers:
+    the division leaves no remainder.  The avoider walk here and the
+    rank-sequence walk in `ranks` each certify their length with it.
+
+    >>> [catalan(n) for n in range(7)]
+    [1, 1, 2, 5, 14, 42, 132]
+    """
+    if n < 0:
+        raise InputError(f"catalan is defined for n >= 0, got {n}")
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def _walk_fault(family: str, n: int, walked: int, total: int) -> ConstructionError:
+    """The error of a `family` walk of length n that yielded `walked` items,
+    or total + 1 when it would go on past `total` = catalan(n)."""
+    told = f"catalan({n}) = {_int_text(total)}"
+    tail = (f"more than {told} items" if walked > total
+            else f"{_int_text(walked)} items, not {told}")
+    return ConstructionError(f"walk bug: the {family} walk of length {n} yielded {tail}")
+
+
 # --- enumeration of pattern avoiders -------------------------------------
 #
 # Lexicographic backtracking.  A prefix is extended one value at a time; a
@@ -427,11 +450,12 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
     """Yield every permutation of length `n` avoiding the length-3 `pattern`,
     exactly once, in lexicographic order of entries.
 
-    There are catalan(n) of them, whichever pattern is chosen.  The default
-    cap keeps accidental `n` typos from enumerating millions of objects; pass
-    a larger `cap` explicitly to go further.  The search visits no dead end:
-    every prefix it extends completes, and one a value short completes with
-    its unplaced value, taken without a search step.
+    There are catalan(n) of them, whichever pattern is chosen; a walk that
+    miscounts raises ConstructionError.  The default cap keeps accidental
+    `n` typos from enumerating millions of objects; pass a larger `cap`
+    explicitly to go further.  The search visits no dead end: every prefix
+    it extends completes, and one a value short completes with its unplaced
+    value, taken without a search step.
 
     >>> [str(p) for p in enumerate_avoiders(3)]
     ['1 2 3', '2 1 3', '2 3 1', '3 1 2', '3 2 1']
@@ -443,9 +467,15 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
 
 
 def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutation]:
+    """The avoiders of `sig` of length n, in lexicographic order; the length
+    is not checked.  The search is finite, so it can only miscount: it
+    raises ConstructionError before yielding item catalan(n) + 1 and at an
+    end short of catalan(n)."""
     if n < 2:  # the empty prefix is complete or one value short
         yield Permutation._trusted(tuple(range(1, n + 1)))
         return
+    total = catalan(n)
+    walked = 0
     used = bytearray(n + 2)
     used[0] = used[n + 1] = 1  # the sentinels, counted as placed
     out: list[int] = []
@@ -459,9 +489,14 @@ def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutatio
                 offers.append(iter(_admissible(sig, used)))
                 continue
             # every visited prefix completes, so its one unplaced value does
+            walked += 1
+            if walked > total:
+                raise _walk_fault("avoider", n, walked, total)
             yield Permutation._trusted((*out, used.find(0)))
         else:
             offers.pop()
             if not out:
+                if walked != total:
+                    raise _walk_fault("avoider", n, walked, total)
                 return
         used[out.pop()] = 0

@@ -4,9 +4,9 @@ The rank sequence of a permutation records, position by position, the length
 of the longest increasing subsequence starting there.  For 132-avoiding
 permutations the resulting sequences are exactly the positive-integer
 sequences that end in 1 and never drop by more than 1 between neighbours;
-this module owns that family (membership validation, exhaustive generation,
-exact counting) and the inverse map reconstructing the unique 132-avoider
-from its rank sequence.
+this module owns that family (membership validation, exhaustive generation)
+and the inverse map reconstructing the unique 132-avoider from its rank
+sequence.  It is counted by `permutations.catalan`, re-exported here.
 
 In a 132-avoider the entries right of p_i that are larger than p_i increase
 (two of them in decreasing order would make a 132 with p_i), so the rank of
@@ -26,7 +26,6 @@ and are smaller there: the sum over k of W(k, x) for lo_k <= x < values[k].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
@@ -35,13 +34,14 @@ from typing import Callable, Iterator
 from .errors import (
     SEQUENCE_CAP,
     ConstructionError,
-    InputError,
     SequenceValidationError,
     _check_length,
 )
 from .permutations import (
     Permutation,
     _avoider_ranks,
+    _walk_fault,
+    catalan,
     format_values,
     parse_values,
     start_ranks,
@@ -145,21 +145,10 @@ def rank_sequence(p: Permutation) -> RankSequence:
     return RankSequence(start_ranks(p))
 
 
-def catalan(n: int) -> int:
-    """The n-th Catalan number, binom(2n, n) // (n+1), in exact integers:
-    the division leaves no remainder.
-
-    >>> [catalan(n) for n in range(7)]
-    [1, 1, 2, 5, 14, 42, 132]
-    """
-    if n < 0:
-        raise InputError(f"catalan is defined for n >= 0, got {n}")
-    return math.comb(2 * n, n) // (n + 1)
-
-
 def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[RankSequence]:
     """Yield every rank sequence of length n exactly once, in lexicographic
-    order.  There are catalan(n) of them.
+    order.  There are catalan(n) of them; a walk that miscounts raises
+    ConstructionError.
 
     Generated as lexicographic successors, without recursion: raise the
     rightmost entry below n - i (the most that still reaches the final 1 by
@@ -171,8 +160,7 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     census and the injection-f suite read those and wrap nothing they do
     not pass on.
 
-    >>> from itertools import islice
-    >>> [str(t) for t in islice(enumerate_rank_sequences(3), catalan(3) + 1)]
+    >>> [str(t) for t in enumerate_rank_sequences(3)]
     ['1 1 1', '1 2 1', '2 1 1', '2 2 1', '3 2 1']
     """
     _check_length("rank-sequence enumeration", n, 1, cap)
@@ -182,18 +170,24 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
 
 def _generate_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """The values of every rank sequence of length n, in lexicographic
-    order, as plain tuples; the length is not checked."""
+    order, as plain tuples; the length is not checked.  After catalan(n) - 1
+    successor steps, each of which must find an entry to raise, the last
+    tuple must be the last member, n ... 2 1; else ConstructionError."""
     values = [1] * n
     stairs = [*range(n, 1, -1), *[1] * n]
-    while True:
+    total = catalan(n)
+    for walked in range(1, total):
         yield tuple(values)
         i = n - 2
         while i >= 0 and values[i] == n - i:
             i -= 1
         if i < 0:
-            return
+            raise _walk_fault("rank-sequence", n, walked, total)
         start = n - 1 - values[i]  # where stairs holds values[i] + 1
         values[i:] = stairs[start:start + n - i]
+    yield tuple(values)
+    if values != stairs[:n]:
+        raise _walk_fault("rank-sequence", n, total + 1, total)
 
 
 def _lex_ranker(n: int) -> Callable[[tuple[int, ...]], int]:
@@ -206,9 +200,8 @@ def _lex_ranker(n: int) -> Callable[[tuple[int, ...]], int]:
     only on values[k], both terms of a position are folded into one row
     indexed by values[k], so a call is one sum over the rows.
 
-    >>> from itertools import islice
     >>> rank = _lex_ranker(3)
-    >>> [rank(t.values) for t in islice(enumerate_rank_sequences(3), catalan(3) + 1)]
+    >>> [rank(t.values) for t in enumerate_rank_sequences(3)]
     [0, 1, 2, 3, 4]
     """
     prefix = [0, 0, 1]  # P(n-1, v) for v = 0..2: only the value 1 fits

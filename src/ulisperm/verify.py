@@ -5,8 +5,8 @@ of the structural facts the library rests on, reporting either a pass with
 summary counts or the first counterexample found (objects are visited in
 lexicographic order, so the reported counterexample is the least one).  A
 `ConstructionError` raised inside a suite, by a construction's own check of
-its result (`invert`'s certificate, `uniquify_max`'s image check, the
-enumerative census's count), ends the run as a failure too, with the error's
+its result (`invert`'s certificate, `uniquify_max`'s image check, a walk's
+count of its family), ends the run as a failure too, with the error's
 message as the counterexample.  The suites exist so the mathematical claims
 stay claims about *this code*, not about intentions.
 """

@@ -1,6 +1,8 @@
 import contextlib
 import gc
+import os
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,15 @@ def pytest_addoption(parser):
         default=False,
         help="also run tests marked network (they fetch from oeis.org)",
     )
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a new interpreter that imports this checkout's
+    package: PYTHONPATH is the checkout's `src`, then the caller's."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def pytest_collection_modifyitems(config, items):

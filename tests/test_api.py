@@ -1,10 +1,8 @@
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
@@ -44,11 +42,8 @@ print(*modules)
 """
 
 
-def test_bare_import_resolves_on_first_use():
-    src = str(Path(ulisperm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _BARE_IMPORT_PROBE], env=env,
+def test_bare_import_resolves_on_first_use(child_env):
+    out = subprocess.run([sys.executable, "-c", _BARE_IMPORT_PROBE], env=child_env,
                          check=True, capture_output=True, text=True, timeout=60).stdout
     ran, registered, unresolved, unbound, undir, modules = out.split("\n")[:6]
     assert (ran, unresolved, unbound, undir) == ("", "", "", "")
@@ -129,6 +124,18 @@ def test_hot_helpers_stay_private():
     for module in (ulisperm, ulisperm.ulis):
         assert not hasattr(module, "max_profile")
         assert not hasattr(module, "MaxProfile")
+
+
+def test_catalan_has_one_home():
+    # defined beside the avoider walk, which certifies its length with it;
+    # `ranks` re-exports it for the rank-sequence walk
+    from ulisperm import cli
+    assert ulisperm.catalan is ulisperm.ranks.catalan is ulisperm.permutations.catalan
+    assert "catalan" in ulisperm._EXPORTS["permutations"]
+    # the walks certify their own length, so neither the listings nor the
+    # enumerative census cut or count a walk
+    assert not hasattr(cli, "_walk")
+    assert not hasattr(ulisperm.census, "islice")
 
 
 # every length-checked entry point: (call with n and cap, noun, least n)

@@ -32,6 +32,17 @@ def test_summary_of_made_up_pairs():
     assert bench_pairs.format_row(rows_row).endswith("change wins 0/4, WORSE THAN BOUND")
 
 
+def test_fewer_than_two_pairs_is_a_usage_error(monkeypatch, capsys):
+    # the parent's spread needs two runs: refused before any run, not after
+    def run_once(*args):
+        pytest.fail("run_once was called")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["parent", "change", "verify", "1", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", bench_pairs.__doc__.split("\n\n")[1] + "\n")
+
+
 def test_worse_than_bound_only_past_the_bound():
     parent = [{"verify_s": 1.0}] * 4
     metrics = METRICS[:1]

@@ -1,4 +1,3 @@
-import itertools
 import types
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ from ulisperm import (
     ulis_count_all,
 )
 from ulisperm import census as census_mod
+from ulisperm import ranks as ranks_mod
 from ulisperm.census import DP_CAP, CensusRow
 
 from oracles import (
@@ -100,19 +100,22 @@ def test_dp_carries_catalan_without_calling_it(monkeypatch):
     assert totals == [catalan(n) for n in range(1, DP_CAP + 1)]
 
 
+# The census counts nothing itself: the walk it reads certifies its length
+# against the `catalan` binding of `ranks`, here set one above and one below.
 def test_enumerative_checks_its_sum_against_catalan(monkeypatch):
-    monkeypatch.setattr(census_mod, "catalan", lambda n: 6)
+    monkeypatch.setattr(ranks_mod, "catalan", lambda n: 6)
     with pytest.raises(ConstructionError) as raised:
         census_enumerative(3)
-    assert str(raised.value) == "census bug: u + v = 5 differs from catalan(3) = 6"
+    assert str(raised.value) == (
+        "walk bug: the rank-sequence walk of length 3 yielded 5 items, not catalan(3) = 6")
 
 
 def test_enumerative_stops_a_walk_that_never_ends(monkeypatch):
-    monkeypatch.setattr(census_mod, "_generate_sequences",
-                        lambda n: itertools.repeat((1,) * n))
+    monkeypatch.setattr(ranks_mod, "catalan", lambda n: 4)
     with pytest.raises(ConstructionError) as raised:
         census_enumerative(3)
-    assert str(raised.value) == "census bug: u + v = 6 differs from catalan(3) = 5"
+    assert str(raised.value) == (
+        "walk bug: the rank-sequence walk of length 3 yielded more than catalan(3) = 4 items")
 
 
 def test_dp_window_leaves_rows_unchanged_for_every_max_n():

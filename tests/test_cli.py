@@ -4,7 +4,6 @@ import importlib
 import io
 import itertools
 import json
-import os
 import pkgutil
 import shlex
 import subprocess
@@ -59,12 +58,6 @@ def test_golden_stdout(capsys, case):
     assert (code, out) == (case["code"], case["stdout"])
 
 
-def _child_env(**extra: str) -> dict[str, str]:
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 # Runs every golden argv in one new interpreter, in file order: each command
 # runs a module when it first uses it, which the cases above cannot show
 # once any test has loaded every module.
@@ -81,11 +74,11 @@ print(json.dumps(results))
 """
 
 
-def test_golden_stdout_in_a_fresh_optimized_process():
+def test_golden_stdout_in_a_fresh_optimized_process(child_env):
     # -O strips every assert; the string-hash seed is fixed, not random
     proc = subprocess.run([sys.executable, "-O", "-c", _GOLDEN_PROBE],
                           input=json.dumps([case["argv"] for case in GOLDEN]),
-                          env=_child_env(PYTHONHASHSEED="12345"),
+                          env={**child_env, "PYTHONHASHSEED": "12345"},
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == [
@@ -108,8 +101,8 @@ _EVERY_COMMAND_RUNS = ("cli", "errors", "permutations")
 
 @pytest.mark.parametrize("argv, modules", [
     (["rank", "2 1"], _EVERY_COMMAND_RUNS),
-    (["avoiders", "3"], (*_EVERY_COMMAND_RUNS, "ranks")),
-    (["avoiders", "3", "--count"], (*_EVERY_COMMAND_RUNS, "ranks")),
+    (["avoiders", "3"], _EVERY_COMMAND_RUNS),
+    (["avoiders", "3", "--count"], _EVERY_COMMAND_RUNS),
     (["rank", "--invert", "1 1"], (*_EVERY_COMMAND_RUNS, "ranks")),
     (["sequences", "3"], (*_EVERY_COMMAND_RUNS, "ranks")),
     (["map", "3 2 1"], (*_EVERY_COMMAND_RUNS, "ranks", "ulis")),
@@ -118,9 +111,9 @@ _EVERY_COMMAND_RUNS = ("cli", "errors", "permutations")
      ("census", "cli", "errors", "oeis", "permutations", "ranks", "ulis", "verify")),
     (["oeis"], ("cli", "errors", "oeis", "permutations")),
 ], ids=" ".join)
-def test_each_command_runs_only_its_modules(argv, modules):
+def test_each_command_runs_only_its_modules(child_env, argv, modules):
     proc = subprocess.run([sys.executable, "-c", _MODULES_RUN_PROBE, *argv],
-                          env=_child_env(), capture_output=True, text=True, timeout=120)
+                          env=child_env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     code, *ran = proc.stdout.split()
     assert (code, ran) == ("0", sorted(modules))
@@ -362,32 +355,26 @@ def test_listing_is_streamed(capsys, monkeypatch, fmt):
     assert out.splitlines()[-1] == "1"  # written before the stream failed
 
 
-def _endless_walk(n, *args):
-    while True:
-        yield tuple(range(1, n + 1))
-
-
-@pytest.mark.parametrize("command, module, walk", [
-    ("sequences", ranks_mod, "_generate_sequences"),
-    ("avoiders", permutations_mod, "_generate_avoiders"),
+@pytest.mark.parametrize("command, module, family", [
+    ("sequences", ranks_mod, "rank-sequence"),
+    ("avoiders", permutations_mod, "avoider"),
 ])
 def test_listing_fails_on_a_walk_of_the_wrong_length(capsys, monkeypatch, command, module,
-                                                     walk):
-    # a walk that never ends is cut after catalan(n) + 1 items, and one that
-    # ends early fails its count: exit 1, no hang and no traceback
-    monkeypatch.setattr(module, walk, _endless_walk)
-    started = time.perf_counter()
-    code, out, err = run(capsys, command, "4")
-    assert time.perf_counter() - started < 1
-    assert code == 1
-    assert len(out.splitlines()) <= catalan(4)
-    assert err == "error: listing bug: the walk yielded more than catalan(4) = 14 items\n"
-
-    monkeypatch.setattr(module, walk, lambda n, *args: itertools.islice(_endless_walk(n), 3))
-    for fmt in ("plain", "json", "csv"):
-        code, out, err = run(capsys, command, "4", "--format", fmt)
-        assert code == 1
-        assert err == "error: listing bug: the walk yielded 3 items, not catalan(4) = 14\n"
+                                                     family):
+    # each walk certifies its length against the `catalan` binding it reads:
+    # set one below the true 14, the walk stops after 13 items, and one
+    # above, it ends short.  Either way: exit 1, no hang and no traceback.
+    for told, message in (
+            (13, f"the {family} walk of length 4 yielded more than catalan(4) = 13 items"),
+            (15, f"the {family} walk of length 4 yielded 14 items, not catalan(4) = 15")):
+        monkeypatch.setattr(module, "catalan", lambda n: told)
+        for fmt in ("plain", "json", "csv"):
+            started = time.perf_counter()
+            code, out, err = run(capsys, command, "4", "--format", fmt)
+            assert time.perf_counter() - started < 1
+            assert code == 1
+            assert len(out.splitlines()) <= told + (fmt == "csv")  # the csv header
+            assert err == f"error: walk bug: {message}\n"
 
 
 def test_construction_fault_exits_1(capsys, monkeypatch):
@@ -454,7 +441,7 @@ def test_count_leaves_input_parsing_limited(capsys):
 # every entry point that reads or prints integers of unchosen size, with a
 # callee it reaches while it runs
 LIMIT_UNTOUCHED = [
-    pytest.param(ranks_mod, "catalan",
+    pytest.param(cli_mod, "catalan",
                  lambda: main(["sequences", "7153", "--cap", "7153", "--count"]),
                  id="count"),
     pytest.param(census_mod, "census_rows_dp",
@@ -838,11 +825,11 @@ def test_any_argv_exits_cleanly_and_deterministically(argv):
     assert _run_captured(argv) == (code, out), argv
 
 
-def test_listing_into_a_closed_pipe_exits_quietly():
+def test_listing_into_a_closed_pipe_exits_quietly(child_env):
     # `ulisperm avoiders 12 | head -1`: the reader leaves after one line
     proc = subprocess.Popen([sys.executable, "-m", "ulisperm.cli", "avoiders", "12"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=_child_env())
+                            env=child_env)
     assert proc.stdout.readline() == b"1 2 3 4 5 6 7 8 9 10 11 12\n"
     proc.stdout.close()
     err = proc.stderr.read()

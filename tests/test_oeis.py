@@ -3,7 +3,6 @@ import re
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +18,6 @@ from ulisperm import (
 from ulisperm.oeis import CACHE_ENV_VAR, BFileParseError, bfile_url
 
 from oracles import _digit_limit
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # --- parsing -----------------------------------------------------------------
@@ -307,12 +304,10 @@ print(codes)
 """
 
 
-def test_cli_import_leaves_http_stack_unloaded():
+def test_cli_import_leaves_http_stack_unloaded(child_env):
     # only `oeis --online` needs urllib.request and ssl; they load on first
     # use, and so does every module `rank` does not run
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _START_PROBE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _START_PROBE], env=child_env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     loaded_text, ran, codes = out.splitlines()
     loaded = set(loaded_text.split())

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -21,6 +22,7 @@ from ulisperm import (
     uniquify_max,
 )
 from ulisperm import cli as cli_mod
+from ulisperm import permutations as permutations_mod
 from ulisperm import ranks as ranks_mod
 from ulisperm import verify as verify_mod
 from ulisperm.permutations import start_lengths_counts
@@ -233,6 +235,25 @@ def test_construction_fault_fails_the_suite(monkeypatch, capsys):
     assert out == ('FAIL bijection max_n=6 {"counterexample": {"error": '
                    f'"{_DECODE_FAULT}"}}}}\n')
     assert err.startswith("duration_ms=")
+
+
+# Each Catalan walk certifies its own length against the `catalan` binding of
+# its module, so a walk one short of catalan(n) fails every suite that walks
+# that family, with no check of its own: for n = 1 the total is 0 and the
+# walk's one item is still the last member, so the fault shows at n = 2.
+@pytest.mark.parametrize("module, family, suites", [
+    (ranks_mod, "rank-sequence", ("bijection", "injection-f", "characterization", "catalan")),
+    (permutations_mod, "avoider",
+     ("bijection", "lemma1", "injection-g", "characterization", "catalan")),
+], ids=["rank-sequence", "avoider"])
+def test_every_suite_fails_fast_on_a_miscounted_walk(monkeypatch, module, family, suites):
+    monkeypatch.setattr(module, "catalan", lambda n: catalan(n) - 1)
+    error = f"walk bug: the {family} walk of length 2 yielded more than catalan(2) = 1 items"
+    for suite in suites:
+        started = time.perf_counter()
+        report = run_suite(suite, 6)
+        assert time.perf_counter() - started < 1, suite
+        assert report.outcome == {"status": "fail", "counterexample": {"error": error}}, suite
 
 
 def test_injection_g_cap_fits_bytes_keys():

@@ -3,6 +3,7 @@
 
 Usage:
     python3 tools/bench_pairs.py <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
+with <pairs> at least 2, the fewest runs the parent's spread is defined for.
 
 Pair i (0-based) runs the benchmark's command from BENCHMARK.json,
 
@@ -78,7 +79,7 @@ def run_once(command: list[str], checkout: Path, workload: str, seed: int,
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 5:
+    if len(argv) != 5 or int(argv[4]) < 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     parent_dir, change_dir = Path(argv[0]), Path(argv[1])
