@@ -132,10 +132,11 @@ def test_catalan_has_one_home():
     from ulisperm import cli
     assert ulisperm.catalan is ulisperm.ranks.catalan is ulisperm.permutations.catalan
     assert "catalan" in ulisperm._EXPORTS["permutations"]
-    # the walks certify their own length, so neither the listings nor the
-    # enumerative census cut or count a walk
+    # the walks certify their own length, so neither the listings, the
+    # enumerative census nor the verify suites cut or count a walk
     assert not hasattr(cli, "_walk")
     assert not hasattr(ulisperm.census, "islice")
+    assert not hasattr(ulisperm.verify, "islice")
 
 
 # every length-checked entry point: (call with n and cap, noun, least n)

@@ -1,4 +1,3 @@
-import itertools
 import time
 import tracemalloc
 
@@ -13,8 +12,6 @@ from ulisperm import (
     catalan,
     census_enumerative,
     census_rows_dp,
-    enumerate_avoiders,
-    enumerate_rank_sequences,
     invert,
     run_suite,
     ulis_count_all,
@@ -78,22 +75,6 @@ def test_payload_shape():
     assert payload["outcome"]["counts"] == [1, 2, 5, 14]
 
 
-def test_failure_reports_least_counterexample(monkeypatch):
-    # Break the inverse map and watch the bijection suite name the first
-    # (lexicographically least) object that exposes the breakage.
-    real_invert = verify_mod.invert
-
-    def broken_invert(t):
-        return Permutation(tuple(reversed(real_invert(t).entries)))
-
-    monkeypatch.setattr(verify_mod, "invert", broken_invert)
-    report = run_suite("bijection", 4)
-    assert not report.passed
-    example = report.outcome["counterexample"]
-    assert example["n"] == 2
-    assert example["permutation"] == "1 2"
-
-
 def test_run_report_is_dataclass():
     report = RunReport({"suite": "catalan", "max_n": 2}, {"status": "pass"}, 1.0)
     assert report.passed
@@ -122,30 +103,16 @@ def _g_joins_fifth_to_third(p):
     return uniquify_lis(p)
 
 
-def _endless_sequences(n):
-    # every rank sequence of length n, then the first one again, forever
-    return itertools.chain(enumerate_rank_sequences(n),
-                           itertools.repeat(RankSequence((1,) * n)))
-
-
 # One case per failure site of every suite, plus a second case for each
-# collision whose first preimage is not the first input of its length, and
-# the catalan suite's count of a walk that never ends: the name broken in
-# ulisperm.verify, its replacement, and the counterexample and counters of
-# the failing run at max_n = 6.
+# collision whose first preimage is not the first input of its length: the
+# name broken in ulisperm.verify, its replacement, and the counterexample and
+# counters of the failing run at max_n = 6.  A miscounted walk has no site in
+# the suites; the walk itself fails, as tested below.
 FAILURE_CASES = [
     pytest.param(
         "bijection", "invert", lambda t: Permutation(tuple(reversed(invert(t).entries))),
         {"n": 2, "permutation": "1 2", "rank_sequence": "2 1", "reconstructed": "2 1"},
         {"round_trips": 3}, id="bijection-avoider-round-trip"),
-    pytest.param(
-        "bijection", "enumerate_avoiders", lambda n: list(enumerate_avoiders(n))[:-1],
-        {"n": 1, "avoiders": 0, "catalan": 1}, {"round_trips": 0},
-        id="bijection-avoider-count"),
-    pytest.param(
-        "bijection", "enumerate_rank_sequences", _endless_sequences,
-        {"n": 1, "sequences": 2, "catalan": 1}, {"round_trips": 3},
-        id="bijection-sequence-count"),
     pytest.param(
         "lemma1", "start_lengths_counts", _miscounts_3124,
         {"n": 4, "permutation": "3 1 2 4", "position": 2, "count": 2},
@@ -179,16 +146,6 @@ FAILURE_CASES = [
         "characterization", "census_enumerative", lambda n: census_enumerative(n + 1),
         {"n": 2, "avoider_count": 1, "census_u": 3},
         {"permutations": 3}, id="characterization-census-u"),
-    pytest.param(
-        "catalan", "catalan", lambda n: catalan(n + 1),
-        {"n": 1, "avoiders": 1, "catalan": 2}, {}, id="catalan-avoiders"),
-    pytest.param(
-        "catalan", "enumerate_rank_sequences", lambda n: list(
-            itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1))[:-1],
-        {"n": 1, "sequences": 0, "catalan": 1}, {}, id="catalan-sequences"),
-    pytest.param(
-        "catalan", "enumerate_rank_sequences", _endless_sequences,
-        {"n": 1, "sequences": 2, "catalan": 1}, {}, id="catalan-sequences-endless"),
     pytest.param(
         "oeis", "fixture_text", lambda: "1 1\n2 1\n",
         {"n": 3, "reason": "missing from bundled A167995"}, {}, id="oeis-missing"),
@@ -237,18 +194,34 @@ def test_construction_fault_fails_the_suite(monkeypatch, capsys):
     assert err.startswith("duration_ms=")
 
 
+_RANK_SEQUENCE_SUITES = ("bijection", "injection-f", "characterization", "catalan")
+_AVOIDER_SUITES = ("bijection", "lemma1", "injection-g", "characterization", "catalan")
+
+
 # Each Catalan walk certifies its own length against the `catalan` binding of
-# its module, so a walk one short of catalan(n) fails every suite that walks
-# that family, with no check of its own: for n = 1 the total is 0 and the
-# walk's one item is still the last member, so the fault shows at n = 2.
-@pytest.mark.parametrize("module, family, suites", [
-    (ranks_mod, "rank-sequence", ("bijection", "injection-f", "characterization", "catalan")),
-    (permutations_mod, "avoider",
-     ("bijection", "lemma1", "injection-g", "characterization", "catalan")),
-], ids=["rank-sequence", "avoider"])
-def test_every_suite_fails_fast_on_a_miscounted_walk(monkeypatch, module, family, suites):
-    monkeypatch.setattr(module, "catalan", lambda n: catalan(n) - 1)
-    error = f"walk bug: the {family} walk of length 2 yielded more than catalan(2) = 1 items"
+# its module, and the suites count no walk themselves, so a walk told one item
+# less or one more than catalan(n) fails every suite that walks that family.
+# Told one less, a walk of length 1 is told 0 and its one item is still the
+# last member, so the fault shows at n = 2.  Told one more, the rank-sequence
+# walk ends short at n = 1; the avoider walk of length 1 yields its one item
+# without a count, so its fault shows at n = 2.
+@pytest.mark.parametrize("module, shift, suites, error", [
+    pytest.param(ranks_mod, -1, _RANK_SEQUENCE_SUITES,
+                 "the rank-sequence walk of length 2 yielded more than catalan(2) = 1 items",
+                 id="rank-sequence"),
+    pytest.param(permutations_mod, -1, _AVOIDER_SUITES,
+                 "the avoider walk of length 2 yielded more than catalan(2) = 1 items",
+                 id="avoider"),
+    pytest.param(ranks_mod, 1, _RANK_SEQUENCE_SUITES,
+                 "the rank-sequence walk of length 1 yielded 1 items, not catalan(1) = 2",
+                 id="rank-sequence-short"),
+    pytest.param(permutations_mod, 1, _AVOIDER_SUITES,
+                 "the avoider walk of length 2 yielded 2 items, not catalan(2) = 3",
+                 id="avoider-short"),
+])
+def test_every_suite_fails_fast_on_a_miscounted_walk(monkeypatch, module, shift, suites, error):
+    monkeypatch.setattr(module, "catalan", lambda n: catalan(n) + shift)
+    error = f"walk bug: {error}"
     for suite in suites:
         started = time.perf_counter()
         report = run_suite(suite, 6)
