@@ -47,8 +47,8 @@ from .errors import (
 )
 from .permutations import (
     AVOIDER_CAP,
-    PATTERN_132,
     Permutation,
+    _avoider_ranks,
     catalan,
     contains_pattern,
     enumerate_avoiders,
@@ -193,11 +193,13 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         print(ranks.invert(ranks.RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
-    verdict = contains_pattern(p, PATTERN_132)
-    if verdict.contains:
-        print(f"warning: input contains 132 at positions {verdict.witness}; "
+    values = _avoider_ranks(p)  # one sweep: the 132 test and an avoider's ranks
+    if values is None:
+        witness = contains_pattern(p).witness
+        print(f"warning: input contains 132 at positions {witness}; "
               "ranks are still well-defined", file=sys.stderr)
-    print(format_values(start_ranks(p)))
+        values = start_ranks(p)
+    print(format_values(values))
     return 0
 
 

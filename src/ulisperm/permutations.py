@@ -87,8 +87,7 @@ class PatternVerdict:
     """Outcome of a containment check.
 
     When `contains` is true, `witness` holds the lexicographically least
-    triple of 1-based positions whose entries are order-isomorphic to the
-    pattern.
+    triple of 1-based positions whose entries form a 132.
     """
 
     contains: bool
@@ -127,92 +126,40 @@ def format_values(values: Sequence[int]) -> str:
     return " ".join(str(v) for v in values)
 
 
-def contains_pattern(p: Permutation, pattern: Permutation) -> PatternVerdict:
-    """Decide whether `p` contains the length-3 `pattern`.
+def contains_pattern(p: Permutation) -> PatternVerdict:
+    """Decide whether `p` contains 132.
 
-    Containment means some positions i < j < k carry entries order-isomorphic
-    to the pattern.  The witness returned is the lexicographically least
-    triple.  Linear time: one right-to-left sweep finds the least i that
-    starts an occurrence (`_least_start`); for that i alone, one more pass
-    from the right keeps the extreme value so far among later entries on the
-    pattern's k side of e[i] (the minimum when the pattern puts e[j] above
-    e[k], else the maximum), the last entry on the j side that beats it is
-    the least j, and a forward scan from j finds the least k.  For 132 the
-    sweep (`_sweep_132`) also builds the start ranks, discarded here; only
-    `_avoider_ranks` keeps them.
+    Containment means some positions i < j < k carry entries e_i < e_k < e_j.
+    The witness returned is the lexicographically least triple.  Linear
+    time: `_sweep_132` finds the least i that starts an occurrence; for that
+    i alone, one more pass from the right keeps the least entry above e_i so
+    far, the last entry it finds above that one is the least j, and a forward
+    scan from j finds the least k.  The sweep also builds the start ranks, discarded
+    here; `rank` and `map` call this only on an input that contains 132, to
+    name its witness, and take the ranks of an avoider from
+    `_avoider_ranks`.
 
-    >>> contains_pattern(Permutation.from_text("2413"), PATTERN_132)
+    >>> contains_pattern(Permutation.from_text("2413"))
     PatternVerdict(contains=True, witness=(1, 2, 4))
-    >>> contains_pattern(Permutation.from_text("34256178"), PATTERN_132).contains
+    >>> contains_pattern(Permutation.from_text("34256178")).contains
     False
     """
-    if pattern.n != 3:
-        raise InputError(f"pattern must have length 3, got length {pattern.n}")
-    a, b, c = pattern.entries
     e = p.entries
-    i = _least_start(e, a, b, c)
+    i = _sweep_132(e)[0]
     if i < 0:
         return PatternVerdict(False)
-    j_above_i, k_above_i, j_above_k = b > a, c > a, b > c
     n = len(e)
     ei = e[i]
-    # a sentinel no entry beats: above every value for a minimum, below for a maximum
-    extreme = n + 1 if j_above_k else 0
+    low = n + 1  # the least entry above e_i right of m, or above every entry
     for m in range(n - 1, i, -1):
         em = e[m]
-        if (em > extreme) == j_above_k:
-            if (em > ei) == j_above_i:
-                j = m
-        elif (em > ei) == k_above_i:
-            extreme = em
+        if em > low:
+            j = m
+        elif em > ei:
+            low = em
     ej = e[j]
-    k = next(k for k in range(j + 1, n)
-             if (e[k] > ei) == k_above_i and (ej > e[k]) == j_above_k)
+    k = next(k for k in range(j + 1, n) if ei < e[k] < ej)
     return PatternVerdict(True, (i + 1, j + 1, k + 1))
-
-
-def _least_start(e: Sequence[int], a: int, b: int, c: int) -> int:
-    """The least 0-based i that starts an occurrence of the pattern a b c in
-    `e`, or -1.  Negating every entry keeps positions and turns 312, 321 and
-    231 into 132, 123 and 213, so three sweeps from the right cover all six
-    patterns: `_sweep_132` for 132, and below for 123 and 213, each keeping
-    `first`, the last (so least) start it has seen.
-    """
-    if a > c:
-        e, b = [-v for v in e], 4 - b
-    if b == 3:
-        return _sweep_132(e)[0]
-    first = -1
-    low = -len(e) - 1  # below every entry, negated or not
-    if b == 2:
-        # 123: `best` is the largest entry with a larger one after it, `top`
-        # the largest entry right of i
-        best = top = low
-        for i in range(len(e) - 1, -1, -1):
-            v = e[i]
-            if v < best:
-                first = i
-            elif v < top:
-                best = v
-            else:
-                top = v
-    else:
-        # 213: i starts one iff some entry right of its next smaller entry
-        # exceeds e[i]; the stack holds the candidates for next smaller entry,
-        # each with the largest entry right of it
-        top, values, tops = low, [], []
-        for i in range(len(e) - 1, -1, -1):
-            v = e[i]
-            while values and values[-1] > v:
-                values.pop()
-                tops.pop()
-            if tops and tops[-1] > v:
-                first = i
-            values.append(v)
-            tops.append(top)
-            if v > top:
-                top = v
-    return first
 
 
 def _sweep_132(e: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -234,7 +181,7 @@ def _sweep_132(e: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     0
     """
     first = -1
-    third = -len(e) - 1  # below every entry, negated or not
+    third = 0  # below every entry
     stack = []
     ranks = [0] * len(e)
     for i in range(len(e) - 1, -1, -1):
@@ -316,9 +263,9 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
     starting there.  Defined for every permutation.  On a 132-avoider one
     linear sweep gives them (`_avoider_ranks`); only an input containing 132
     is passed on to the O(n log n) `start_lengths_counts`.  The package's one
-    way to find ranks: `rank_sequence`, the `rank` command and `map` go
-    through it, `map` by way of `_avoider_ranks`, which `start_ranks` runs
-    first.
+    way to find ranks: `rank_sequence` goes through it, and `rank` and `map`
+    through `_avoider_ranks`, which `start_ranks` runs first, `rank` through
+    `start_ranks` itself only on an input that contains 132.
 
     >>> start_ranks(Permutation.from_text("213"))
     (2, 2, 1)

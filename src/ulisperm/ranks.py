@@ -12,24 +12,13 @@ In a 132-avoider the entries right of p_i that are larger than p_i increase
 (two of them in decreasing order would make a 132 with p_i), so the rank of
 p_i is one more than their number: the rank sequence minus one is the
 avoider's larger-to-the-right inversion table, which `invert` decodes.
-
-Members of length n are also ranked by their position in lexicographic
-order, 0..catalan(n) - 1 (`_lex_ranker`).  Position k (0-based) holds a value
-from lo_k = max(1, values[k-1] - 1) (lo_0 = 1) up to n - k, and W(k, v), the
-number of ways to fill positions k+1..n-1 after value v at position k, obeys
-
-    W(n-1, 1) = 1,    W(k, v) = sum of W(k+1, w) over w >= max(1, v - 1).
-
-A member's rank counts the members that agree with it before some position k
-and are smaller there: the sum over k of W(k, x) for lo_k <= x < values[k].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import sub
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import (
     SEQUENCE_CAP,
@@ -188,38 +177,6 @@ def _generate_sequences(n: int) -> Iterator[tuple[int, ...]]:
     yield tuple(values)
     if values != stairs[:n]:
         raise _walk_fault("rank-sequence", n, total + 1, total)
-
-
-def _lex_ranker(n: int) -> Callable[[tuple[int, ...]], int]:
-    """A function from the values of a member of length n to its 0-based
-    position in `enumerate_rank_sequences(n)`; a tuple of any other length
-    is refused by an assertion, and non-members are not ranked.
-
-    With P(k, v) = W(k, 1) + ... + W(k, v - 1) (module docstring), the rank is
-    the sum over k of P(k, values[k]) - P(k, lo_k).  Since lo_(k+1) depends
-    only on values[k], both terms of a position are folded into one row
-    indexed by values[k], so a call is one sum over the rows.
-
-    >>> rank = _lex_ranker(3)
-    >>> [rank(t.values) for t in enumerate_rank_sequences(3)]
-    [0, 1, 2, 3, 4]
-    """
-    prefix = [0, 0, 1]  # P(n-1, v) for v = 0..2: only the value 1 fits
-    rows = [[0, 0]]
-    for k in range(n - 2, -1, -1):
-        # P(k+1, lo) for each value v = 0..n-k at position k, lo = max(1, v - 1)
-        before = [prefix[max(1, v - 1)] for v in range(n - k + 1)]
-        completions = [prefix[-1] - b for b in before]  # W(k, v)
-        below = [0, *accumulate(completions[1:], initial=0)]  # P(k, v)
-        rows.append([p - b for p, b in zip(below, before)])
-        prefix = below
-    rows.reverse()
-
-    def rank(values: tuple[int, ...]) -> int:
-        assert len(values) == n, (n, values)
-        return sum(map(list.__getitem__, rows, values))
-
-    return rank
 
 
 def invert(t: RankSequence) -> Permutation:

@@ -13,7 +13,7 @@ count of the former below the count of the latter.
 from __future__ import annotations
 
 from .errors import ConstructionError, InputError
-from .permutations import PATTERN_132, Permutation, _avoider_ranks, contains_pattern
+from .permutations import Permutation, _avoider_ranks, contains_pattern
 from .ranks import RankSequence, invert
 
 
@@ -31,7 +31,7 @@ def uniquify_max(t: RankSequence) -> RankSequence:
     [i, j) is incremented by one.  Only position i held the maximum there, so
     the result has a unique maximum, one higher, at position i; entries at and
     beyond j are untouched.  Distinct inputs give distinct outputs, since the
-    image determines i, j, and hence the original sequence.
+    image determines i, j, and hence the original sequence (`_restore_max`).
 
     j is found as the first maximum of the reversed sequence and i as the
     next one after it; the bumped sequence is spliced from three slices.  The
@@ -69,6 +69,39 @@ def uniquify_max(t: RankSequence) -> RankSequence:
     return result
 
 
+def _restore_max(values: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The input of `uniquify_max` whose image has the values `values`, or
+    None if there is none: the left inverse that proves the bump injective.
+
+    In an image with maximum M, i is the position of M, its only one, and j
+    the last position holding M - 1, right of i: the bump left the old
+    maximum M - 1 at j and raised nothing after it.  Subtracting one on
+    [i, j) gives the input back.  None when M is tied, when no M - 1 follows
+    it, or when an entry on (i, j) would fall to 0.  On a member of the
+    family that covers every non-image; any other tuple gives None or a
+    tuple outside the family.  Never raises.
+
+    >>> _restore_max((2, 3, 2, 1))
+    (2, 2, 2, 1)
+    >>> _restore_max((1, 1)) is None
+    True
+    """
+    top = max(values, default=1)
+    if values.count(top) != 1:
+        return None
+    i = values.index(top)
+    try:
+        j = len(values) - 1 - values[::-1].index(top - 1)
+    except ValueError:  # no M - 1 anywhere
+        return None
+    if j < i or 1 in values[i + 1:j]:
+        return None
+    restored = list(values)
+    for k in range(i, j):
+        restored[k] -= 1
+    return tuple(restored)
+
+
 def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permutation]:
     """`uniquify_lis` stage by stage: the rank sequence of `p`, that sequence
     with its maximum made unique by `uniquify_max`, and its inverse, the image
@@ -87,7 +120,7 @@ def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permuta
     """
     values = _avoider_ranks(p)
     if values is None:
-        witness = contains_pattern(p, PATTERN_132).witness
+        witness = contains_pattern(p).witness
         raise InputError(f"input contains 132 at positions {witness}: {p}")
     if not values or _unique_max(values):
         raise InputError(f"input already has a unique longest increasing subsequence: {p}")

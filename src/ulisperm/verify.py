@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any, Callable
 
-from .census import census_enumerative, ulis_count_all
+from .census import census_enumerative, census_rows_dp, ulis_count_all
 from .errors import SUITE_NAMES, ConstructionError, InputError
 from .oeis import FIXTURE_ID, fixture_text, parse_bfile
 from .permutations import (
     ALL_PERMUTATION_CAP,
     AVOIDER_CAP,
     enumerate_avoiders,
+    format_values,
     has_ulis,
     start_lengths_counts,
 )
@@ -31,13 +33,12 @@ from .ranks import (
     SEQUENCE_CAP,
     RankSequence,
     _generate_sequences,
-    _lex_ranker,
     catalan,
     enumerate_rank_sequences,
     invert,
     rank_sequence,
 )
-from .ulis import _unique_max, uniquify_lis, uniquify_max
+from .ulis import _restore_max, _unique_max, uniquify_lis, uniquify_max
 
 
 @dataclass
@@ -114,16 +115,13 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
     """The tied-maximum bump is injective, and its images are valid
     sequences with a unique maximum (checked inside uniquify_max).
 
-    Injectivity is checked per length with one flag per rank sequence of
-    that length, `bytearray(catalan(n))`, indexed by the image's position in
-    lexicographic order (`ranks._lex_ranker`).  Every image is a member of
-    length n (uniquify_max validates it), and the ranker maps those members
-    one to one onto 0..catalan(n) - 1, so two images share a flag exactly
-    when they are equal.  No image is kept, and no bound on the values
-    applies.  A passing run formats nothing.  Only on a collision is the
-    length's domain walked again, to find the earliest input with the same
-    image: enumeration is lexicographic and the suite stops at the first
-    repeat, so that input is the one that set the flag.
+    Injectivity is checked as the paper proves it: the image determines the
+    input.  `ulis._restore_max`, the bump's left inverse, must give each
+    tied input back from its image; no image is kept, and a passing run
+    formats nothing.  The first input whose round trip fails is the least
+    one.  Only then are the earlier inputs of its length walked again: the
+    first with the same image makes a collision, and without one the
+    payload names the input, its image and what was restored.
 
     The domain is walked as the plain tuples of `ranks._generate_sequences`;
     only the tied inputs, the ones passed to `uniquify_max`, are wrapped
@@ -132,25 +130,23 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
     inputs = 0
     wrap = RankSequence._trusted
     for n in range(1, max_n + 1):
-        rank = _lex_ranker(n)
-        seen = bytearray(catalan(n))
         for values in _generate_sequences(n):
             if _unique_max(values):
                 continue
             inputs += 1
             t = wrap(values)
             image = uniquify_max(t)
-            position = rank(image.values)
-            if seen[position]:
-                first = next(s for s in enumerate_rank_sequences(n)
-                             if not _unique_max(s.values)
-                             and uniquify_max(s).values == image.values)
-                return _fail(
-                    {"n": n, "first": str(first), "second": str(t),
-                     "image": str(image)},
-                    inputs=inputs,
-                )
-            seen[position] = 1
+            restored = _restore_max(image.values)
+            if restored != values:
+                earlier = takewhile(lambda s: s.values != values, enumerate_rank_sequences(n))
+                first = next((s for s in earlier if not _unique_max(s.values)
+                              and uniquify_max(s).values == image.values), None)
+                if first is not None:
+                    fault = {"n": n, "first": str(first), "second": str(t), "image": str(image)}
+                else:
+                    fault = {"n": n, "sequence": str(t), "image": str(image), "restored":
+                             None if restored is None else format_values(restored)}
+                return _fail(fault, inputs=inputs)
     return _pass(inputs=inputs, distinct_images=inputs)
 
 
@@ -162,9 +158,7 @@ def _suite_injection_g(max_n: int) -> dict[str, Any]:
 
     Injectivity is checked per length with a set of `bytes(image.entries)`
     keys, exact while every entry is below 256 (the hard cap is far lower).
-    A set, not rank flags as in `_suite_injection_f`: at the default bound
-    it holds at most v(10) = 7 979 keys, and ranking a permutation image
-    would cost one more pass over its longest increasing subsequences.  The
+    At the default bound the set holds at most v(10) = 7 979 keys.  The
     earliest preimage of a colliding image is found by a second walk of the
     length's domain, and only then.
     """
@@ -198,8 +192,10 @@ def _suite_injection_g(max_n: int) -> dict[str, Any]:
 
 def _suite_characterization(max_n: int) -> dict[str, Any]:
     """A 132-avoider has a unique longest increasing subsequence exactly when
-    its rank sequence has a unique maximum; the two resulting counts agree
-    with the enumerative census."""
+    its rank sequence has a unique maximum; the resulting count agrees with
+    the enumerative census and with u(n) of the closed form (one
+    `census_rows_dp` call per run)."""
+    dp_u = [row.u for row in census_rows_dp(max_n)]
     permutations = 0
     for n in range(1, max_n + 1):
         with_unique = 0
@@ -214,12 +210,10 @@ def _suite_characterization(max_n: int) -> dict[str, Any]:
                     permutations=permutations,
                 )
             with_unique += direct
-        row = census_enumerative(n)
-        if with_unique != row.u:
-            return _fail(
-                {"n": n, "avoider_count": with_unique, "census_u": row.u},
-                permutations=permutations,
-            )
+        for engine, u in (("census_u", census_enumerative(n).u), ("dp_u", dp_u[n - 1])):
+            if with_unique != u:
+                return _fail({"n": n, "avoider_count": with_unique, engine: u},
+                             permutations=permutations)
     return _pass(permutations=permutations)
 
 

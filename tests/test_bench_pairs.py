@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,38 @@ def test_worse_than_bound_only_past_the_bound():
     metrics = METRICS[:1]
     assert not bench_pairs.summarise(metrics, parent, [{"verify_s": 1.25}] * 4)[0]["worse_than_bound"]
     assert bench_pairs.summarise(metrics, parent, [{"verify_s": 1.26}] * 4)[0]["worse_than_bound"]
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("396 passed, 9 skipped in 19.71s", (396, 9, 0, 0, 19.71)),
+    ("1 failed, 389 passed, 9 skipped, 2 warnings in 65.12s (0:01:05)", (389, 9, 1, 0, 65.12)),
+    ("========= 390 passed, 1 error in 30.00s =========", (390, 0, 0, 1, 30.0)),
+    ("2 errors in 0.50s", (0, 0, 0, 2, 0.5)),
+])
+def test_tier1_summary_line_is_parsed(line, expected):
+    # made-up pytest output: progress dots, then the summary line last
+    output = f"........s.... [100%]\n{line}\n"
+    result = bench_pairs.parse_tier1(output)
+    assert tuple(result[key] for key in ("passed", "skipped", "failed", "errors",
+                                         "wall_s")) == expected
+
+
+def test_tier1_without_a_summary_line_is_none():
+    assert bench_pairs.parse_tier1("ERROR: usage: pytest [options]\n") is None
+    assert bench_pairs.parse_tier1("no tests ran in 0.01s\n") is None
+
+
+def test_tier1_run_stops_on_a_failure(monkeypatch, tmp_path):
+    summary = "2 passed in 1.00s\n"
+
+    def fake_run(command, **kwargs):
+        assert command[1:] == bench_pairs.TIER1
+        assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == "src"
+        return subprocess.CompletedProcess(command, 0 if summary.startswith("2") else 1,
+                                           summary, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_tier1(tmp_path)["wall_s"] == 1.0
+    summary = "1 failed, 2 passed in 1.00s\n"
+    with pytest.raises(SystemExit, match="tier1 exited 1"):
+        bench_pairs.run_tier1(tmp_path)

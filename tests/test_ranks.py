@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ulisperm import (
     ConstructionError,
     InputError,
-    PATTERN_132,
     Permutation,
     RankSequence,
     SequenceValidationError,
@@ -22,7 +21,7 @@ from ulisperm import (
     run_suite,
     start_ranks,
 )
-from ulisperm.ranks import _generate_sequences, _lex_ranker
+from ulisperm.ranks import _generate_sequences
 
 from oracles import (
     catalan_by_recurrence,
@@ -242,24 +241,6 @@ def test_sequences_cap():
         list(enumerate_rank_sequences(0))
 
 
-def test_lex_ranker_gives_enumeration_positions():
-    # the k-th sequence ranks to k, so the last one ranks to catalan(n) - 1
-    for n in range(1, 13):
-        rank = _lex_ranker(n)
-        got = itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
-        ranks = [rank(t.values) for t in got]
-        assert ranks == list(range(catalan(n))), n
-
-
-@pytest.mark.parametrize("n", [2, 5, 12])
-def test_lex_ranker_refuses_other_lengths(n):
-    rank = _lex_ranker(n)
-    for length in (n - 1, n + 1):
-        member = next(enumerate_rank_sequences(length, cap=length)).values
-        with pytest.raises(AssertionError):
-            rank(member)
-
-
 def test_catalan_values():
     assert catalan(0) == 1
     assert catalan(3) == 5
@@ -375,7 +356,7 @@ def test_invert_raises_when_its_check_fails(monkeypatch):
 
 def test_invert_output_avoids_132():
     for t in itertools.islice(enumerate_rank_sequences(6), catalan(6) + 1):
-        assert not contains_pattern(invert(t), PATTERN_132).contains
+        assert not contains_pattern(invert(t)).contains
 
 
 @settings(max_examples=200)
@@ -383,7 +364,7 @@ def test_invert_output_avoids_132():
 def test_round_trip_random_sequences(t):
     p = invert(t)
     assert rank_sequence(p) == t
-    assert not contains_pattern(p, PATTERN_132).contains
+    assert not contains_pattern(p).contains
 
 
 # --- equivalent zero-based family --------------------------------------------

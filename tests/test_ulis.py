@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from ulisperm import (
     ConstructionError,
     InputError,
-    PATTERN_132,
     Permutation,
     RankSequence,
     catalan,
@@ -18,7 +17,7 @@ from ulisperm import (
     uniquify_lis,
     uniquify_max,
 )
-from ulisperm.ulis import _unique_max, uniquify_stages
+from ulisperm.ulis import _restore_max, _unique_max, uniquify_stages
 
 from oracles import max_positions, rank_sequences_by_filter, uniquify_max_by_profile
 
@@ -134,6 +133,41 @@ def test_uniquify_max_random(t):
     assert max(image.values) == max(t.values) + 1
 
 
+# --- the bump's left inverse --------------------------------------------------------
+
+def test_restore_max_inverts_the_bump_exhaustively():
+    # every tied input comes back from its image, and every other member of
+    # the family restores to None
+    for n in range(1, 10):
+        images = set()
+        for t in enumerate_rank_sequences(n):
+            if not _unique_max(t.values):
+                image = uniquify_max(t).values
+                assert _restore_max(image) == t.values, t
+                images.add(image)
+        for t in enumerate_rank_sequences(n):
+            if t.values not in images:
+                assert _restore_max(t.values) is None, t
+
+
+@given(tied_max_sequences_st(max_n=300))
+def test_restore_max_inverts_long_bumps(t):
+    assert _restore_max(uniquify_max(t).values) == t.values
+
+
+@pytest.mark.parametrize("values", [
+    (),
+    (1,),
+    (1, 1, 1),        # all ones: no M - 1
+    (2, 2, 1),        # a tied maximum
+    (1, 2, 3),        # M - 1 only before M
+    (2, 1, 3, 1),
+    (3, 2, 1, 2, 1),  # the 1 between M and the last M - 1 would fall to 0
+])
+def test_restore_max_refuses_non_images(values):
+    assert _restore_max(values) is None
+
+
 # --- the permutation-level injection ---------------------------------------------
 
 @pytest.mark.parametrize("text,expected", [
@@ -169,7 +203,7 @@ def test_uniquify_lis_typing_and_injectivity():
             assert uniquify_stages(p)[0] == rank_sequence(p)
             image = uniquify_lis(p)
             assert has_ulis(image)
-            assert not contains_pattern(image, PATTERN_132).contains
+            assert not contains_pattern(image).contains
             images.append(image.entries)
         assert len(images) == len(set(images))
 

@@ -119,7 +119,11 @@ FAILURE_CASES = [
         {"permutations": 13}, id="lemma1-count"),
     pytest.param(
         "injection-f", "uniquify_max", lambda t: RankSequence((1,) * t.n),
-        {"n": 3, "first": "1 1 1", "second": "2 2 1", "image": "1 1 1"},
+        {"n": 2, "sequence": "1 1", "image": "1 1", "restored": None},
+        {"inputs": 1}, id="injection-f-round-trip"),
+    pytest.param(
+        "injection-f", "uniquify_max", lambda t: uniquify_max(RankSequence((1,) * t.n)),
+        {"n": 3, "first": "1 1 1", "second": "2 2 1", "image": "1 2 1"},
         {"inputs": 3}, id="injection-f-collision"),
     pytest.param(
         "injection-f", "uniquify_max", _f_joins_fifth_to_third,
@@ -146,6 +150,10 @@ FAILURE_CASES = [
         "characterization", "census_enumerative", lambda n: census_enumerative(n + 1),
         {"n": 2, "avoider_count": 1, "census_u": 3},
         {"permutations": 3}, id="characterization-census-u"),
+    pytest.param(
+        "characterization", "census_rows_dp", lambda max_n: list(census_rows_dp(max_n + 1))[1:],
+        {"n": 2, "avoider_count": 1, "dp_u": 3},
+        {"permutations": 3}, id="characterization-dp-u"),
     pytest.param(
         "oeis", "fixture_text", lambda: "1 1\n2 1\n",
         {"n": 3, "reason": "missing from bundled A167995"}, {}, id="oeis-missing"),
@@ -237,11 +245,11 @@ def test_injection_g_cap_fits_bytes_keys():
 
 
 def test_injection_f_peak_memory_per_image():
-    # No image is kept: one flag byte per rank sequence of the current length
-    # marks the images seen, so the traced peak of the run to n = 10 stays
+    # No image is kept: each one is checked against its input by the bump's
+    # left inverse and dropped, so the traced peak of the run to n = 10 stays
     # below 40 B per image of length 10.  An untraced run first fills
     # CPython's free lists, so little of the figure depends on what ran before.
-    # On Python 3.11 it measures 3-21 B; a set of bytes keys measured
+    # On Python 3.11 it measures 6-19 B; a set of bytes keys measured
     # 120-127 B, and a dict from image tuples to formatted preimages 236-291 B.
     images = list(census_rows_dp(10))[-1].v
     assert images == 7_979

@@ -4,6 +4,7 @@
 Usage:
     python3 tools/bench_pairs.py <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
 with <pairs> at least 2, the fewest runs the parent's spread is defined for.
+<workload> is a benchmark workload, or tier1 for the Tier-1 tests.
 
 Pair i (0-based) runs the benchmark's command from BENCHMARK.json,
 
@@ -20,16 +21,37 @@ the parent's spread (interquartile range over median, from
 metric's `better`; ties count for neither) and whether the change's median is
 worse than the parent's by more than the metric's bound, a share of the
 parent's median.  The last line is a JSON object with every run's metrics.
+
+With the workload tier1, each run is instead the Tier-1 command,
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+
+in the same alternating order, and the seeds are not used.  Its wall time
+is the seconds of pytest's summary line ("396 passed, 9 skipped in
+19.71s"); a run with a failure or an error, or without that line, stops the
+comparison.  The time is reported, not gated: the summary has only the
+`wall_s` row, and the last line is {"workload": "tier1", "tier1": {...}}
+with each side in the shape of the `tier1` entry of the BENCH_*.json files
+(command, wall_s per run, passed and skipped of its first run).
 Standard library only.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_TEXT = " ".join(["PYTHONPATH=src python", *TIER1])
+TIER1_METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": math.inf}]
+# pytest's last line: "1 failed, 389 passed, 9 skipped, 2 warnings in 65.12s (0:01:05)"
+_SUMMARY = re.compile(r"=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([0-9.]+)s\b")
 
 
 def summarise(metrics: list[dict], parent: list[dict[str, float]],
@@ -78,6 +100,33 @@ def run_once(command: list[str], checkout: Path, workload: str, seed: int,
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def parse_tier1(output: str) -> dict | None:
+    """The counts and seconds of the last pytest summary line in `output`,
+    or None if there is none."""
+    for line in reversed(output.splitlines()):
+        match = _SUMMARY.match(line.strip())
+        if match:
+            counts = {noun: int(k) for k, noun in re.findall(r"(\d+) (\w+)", match[1])}
+            return {"passed": counts.get("passed", 0), "skipped": counts.get("skipped", 0),
+                    "failed": counts.get("failed", 0),
+                    "errors": counts.get("error", 0) + counts.get("errors", 0),
+                    "wall_s": float(match[2])}
+    return None
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One run of the Tier-1 tests in `checkout`: its parsed summary line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    result = parse_tier1(proc.stdout)
+    if result is None or result["failed"] or result["errors"]:
+        tail = "\n".join(proc.stdout.splitlines()[-20:])
+        sys.exit(f"{checkout} tier1 exited {proc.returncode}:\n{tail}\n{proc.stderr}")
+    return result
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 5 or int(argv[4]) < 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -91,14 +140,25 @@ def main(argv: list[str]) -> int:
         seed = first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(benchmark["command"],
-                              parent_dir if side == "parent" else change_dir,
-                              workload, seed, seconds)
+            checkout = parent_dir if side == "parent" else change_dir
+            if workload == "tier1":
+                result = run_tier1(checkout)
+                runs[side].append(result)
+                print(f"{side} pair={i} {json.dumps(result)}", flush=True)
+                continue
+            result = run_once(benchmark["command"], checkout, workload, seed, seconds)
             result["seed"] = seed
             runs[side].append(result)
             values = {name: m["value"] for name, m in result["metrics"].items()}
             print(f"{side} seed={seed} failed/attempted={result['failed']}/"
                   f"{result['attempted']} {json.dumps(values)}", flush=True)
+    if workload == "tier1":
+        print(format_row(summarise(TIER1_METRICS, runs["parent"], runs["change"])[0]))
+        print(json.dumps({"workload": workload, "tier1": {
+            side: {"command": TIER1_TEXT, "wall_s": [r["wall_s"] for r in results],
+                   "passed": results[0]["passed"], "skipped": results[0]["skipped"]}
+            for side, results in runs.items()}}))
+        return 0
     for side, results in runs.items():
         print(f"{side}: failed/attempted = {sum(r['failed'] for r in results)}/"
               f"{sum(r['attempted'] for r in results)}")
