@@ -53,7 +53,7 @@ from .permutations import (
     contains_pattern,
     enumerate_avoiders,
     format_values,
-    start_ranks,
+    start_lengths_counts,
 )
 
 USAGE_ERROR = 2
@@ -198,7 +198,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         witness = contains_pattern(p).witness
         print(f"warning: input contains 132 at positions {witness}; "
               "ranks are still well-defined", file=sys.stderr)
-        values = start_ranks(p)
+        values, _ = start_lengths_counts(p)  # `start_ranks` without its sweep
     print(format_values(values))
     return 0
 

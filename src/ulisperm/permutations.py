@@ -68,9 +68,10 @@ class Permutation:
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
         """Wrap `entries` without validating them.  Only for tuples that are
-        permutations by construction: the avoider search's output and
-        `ranks.invert`'s decoding.  Its twin `RankSequence._trusted` wraps
-        the rank-sequence enumerator's output."""
+        permutations by construction.  Two callers: the avoider search, on
+        its output, and `ranks.invert`, on its decoding.  Its twin
+        `RankSequence._trusted` wraps the rank-sequence enumerator's output
+        and `uniquify_max`'s validated image."""
         p = object.__new__(cls)
         p.__dict__["entries"] = entries  # past the frozen __setattr__
         return p
@@ -262,10 +263,10 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
     """The rank of each entry: length of the longest increasing subsequence
     starting there.  Defined for every permutation.  On a 132-avoider one
     linear sweep gives them (`_avoider_ranks`); only an input containing 132
-    is passed on to the O(n log n) `start_lengths_counts`.  The package's one
-    way to find ranks: `rank_sequence` goes through it, and `rank` and `map`
-    through `_avoider_ranks`, which `start_ranks` runs first, `rank` through
-    `start_ranks` itself only on an input that contains 132.
+    is passed on to the O(n log n) `start_lengths_counts`.  `rank_sequence`
+    and the characterization suite find ranks through it.  `rank` and `map`
+    run `_avoider_ranks` themselves, and `rank` passes an input that
+    contains 132, already swept once, straight to `start_lengths_counts`.
 
     >>> start_ranks(Permutation.from_text("213"))
     (2, 2, 1)

@@ -42,11 +42,12 @@ class RankSequence:
     """A member of the rank-sequence family: positive integers, final value 1,
     adjacent drops at most 1.
 
-    Direct construction, `from_text`, `rank_sequence` and `uniquify_max`'s
-    image validate their values (any sequence of ints is stored as a tuple).
-    Only tuples that are members by construction are wrapped unchecked,
-    through `_trusted`: those `enumerate_rank_sequences` yields, and the tied
-    inputs the injection-f suite passes to `uniquify_max`.
+    Direct construction, `from_text` and `rank_sequence` validate their
+    values (any sequence of ints is stored as a tuple).  Only tuples that
+    are members by construction, or already validated, are wrapped
+    unchecked, through `_trusted`: those `enumerate_rank_sequences` yields,
+    and `uniquify_max`'s image, which `ulis._bump` validates.  The
+    injection-f suite bumps plain tuples and builds none.
 
     >>> RankSequence((2, 2, 1)).n
     3
@@ -76,9 +77,10 @@ class RankSequence:
     @classmethod
     def _trusted(cls, values: tuple[int, ...]) -> "RankSequence":
         """Wrap `values` without validating them.  Only for tuples that are
-        members by construction: those `_generate_sequences` yields, wrapped
-        by `enumerate_rank_sequences` and, for its tied inputs only, by the
-        injection-f suite.  The twin of `Permutation._trusted`."""
+        members by construction or already validated.  Two callers:
+        `enumerate_rank_sequences`, on what `_generate_sequences` yields, and
+        `uniquify_max`, on the image `ulis._bump` validated.  The twin of
+        `Permutation._trusted`."""
         t = object.__new__(cls)
         t.__dict__["values"] = values  # past the frozen __setattr__
         return t
@@ -146,8 +148,8 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     member, so it is wrapped unvalidated (`RankSequence._trusted`); the
     constructor, `from_text` and `rank_sequence` still validate.  The walk
     itself, `_generate_sequences`, yields plain tuples: the enumerative
-    census and the injection-f suite read those and wrap nothing they do
-    not pass on.
+    census classifies them and the injection-f suite bumps and restores
+    them, and neither wraps any.
 
     >>> [str(t) for t in enumerate_rank_sequences(3)]
     ['1 1 1', '1 2 1', '2 1 1', '2 2 1', '3 2 1']

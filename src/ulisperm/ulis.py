@@ -13,8 +13,8 @@ count of the former below the count of the latter.
 from __future__ import annotations
 
 from .errors import ConstructionError, InputError
-from .permutations import Permutation, _avoider_ranks, contains_pattern
-from .ranks import RankSequence, invert
+from .permutations import Permutation, _avoider_ranks, contains_pattern, format_values
+from .ranks import RankSequence, invert, validate_values
 
 
 def _unique_max(values: tuple[int, ...]) -> bool:
@@ -33,40 +33,50 @@ def uniquify_max(t: RankSequence) -> RankSequence:
     beyond j are untouched.  Distinct inputs give distinct outputs, since the
     image determines i, j, and hence the original sequence (`_restore_max`).
 
-    j is found as the first maximum of the reversed sequence and i as the
-    next one after it; the bumped sequence is spliced from three slices.  The
-    image is rebuilt through the validating `RankSequence` constructor, and
-    then checked: its maximum must be the old maximum plus one, occur once,
-    and sit at position i.
-
-    A sequence whose maximum is already unique is rejected: accepting it
-    silently would hide classification bugs in callers.
+    The work and every check are `_bump`'s, on the plain values; the image
+    it returns is validated there, so it is wrapped unchecked
+    (`RankSequence._trusted`).  A sequence whose maximum is already unique
+    is rejected: accepting it silently would hide classification bugs in
+    callers.
 
     >>> str(uniquify_max(RankSequence.from_text("221")))
     '3 2 1'
     >>> str(uniquify_max(RankSequence.from_text("2221")))
     '2 3 2 1'
     """
-    values = t.values
+    return RankSequence._trusted(_bump(t.values))
+
+
+def _bump(values: tuple[int, ...]) -> tuple[int, ...]:
+    """`uniquify_max` on the plain values of a rank sequence: the image's
+    values, checked.  The injection-f suite calls it on tuples directly.
+
+    j is found as the first maximum of the reversed sequence and i as the
+    next one after it; the bumped sequence is spliced from three slices.
+    The image is validated as a member of the family (`validate_values`)
+    and then checked: its maximum must be the old maximum plus one, occur
+    once, and sit at position i.  A tied maximum is required (InputError),
+    and a failed check raises ConstructionError, under `python -O` too.
+    """
     top = max(values)
     if values.count(top) == 1:
         raise InputError(
-            f"sequence already has a unique maximum: {t}"
+            f"sequence already has a unique maximum: {format_values(values)}"
         )
     # i and j as 0-based indices, from the right end of the sequence
     last = len(values) - 1
     backwards = values[::-1]
     j = last - backwards.index(top)
     i = last - backwards.index(top, last - j + 1)
-    bumped = values[:i] + tuple(v + 1 for v in values[i:j]) + values[j:]
-    result = RankSequence(bumped)  # revalidates family membership
-    image = result.values
+    image = values[:i] + tuple(v + 1 for v in values[i:j]) + values[j:]
+    validate_values(image)
     if not (max(image) == top + 1 and image.count(top + 1) == 1
             and image[i] == top + 1):
         raise ConstructionError(
-            f"image of {t} lacks the promised unique maximum: {result}"
+            f"image of {format_values(values)} lacks the promised unique maximum: "
+            f"{format_values(image)}"
         )
-    return result
+    return image
 
 
 def _restore_max(values: tuple[int, ...]) -> tuple[int, ...] | None:

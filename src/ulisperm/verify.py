@@ -5,7 +5,7 @@ of the structural facts the library rests on, reporting either a pass with
 summary counts or the first counterexample found (objects are visited in
 lexicographic order, so the reported counterexample is the least one).  A
 `ConstructionError` raised inside a suite, by a construction's own check of
-its result (`invert`'s certificate, `uniquify_max`'s image check, a Catalan
+its result (`invert`'s certificate, the bump's image check, a Catalan
 walk's check of its own length), ends the run as a failure too, with the
 error's message as the counterexample.  The suites exist so the mathematical
 claims stay claims about *this code*, not about intentions.
@@ -28,17 +28,17 @@ from .permutations import (
     format_values,
     has_ulis,
     start_lengths_counts,
+    start_ranks,
 )
 from .ranks import (
     SEQUENCE_CAP,
-    RankSequence,
     _generate_sequences,
     catalan,
     enumerate_rank_sequences,
     invert,
     rank_sequence,
 )
-from .ulis import _restore_max, _unique_max, uniquify_lis, uniquify_max
+from .ulis import _bump, _restore_max, _unique_max, uniquify_lis
 
 
 @dataclass
@@ -113,7 +113,7 @@ def _suite_lemma1(max_n: int) -> dict[str, Any]:
 
 def _suite_injection_f(max_n: int) -> dict[str, Any]:
     """The tied-maximum bump is injective, and its images are valid
-    sequences with a unique maximum (checked inside uniquify_max).
+    sequences with a unique maximum (checked inside `ulis._bump`).
 
     Injectivity is checked as the paper proves it: the image determines the
     input.  `ulis._restore_max`, the bump's left inverse, must give each
@@ -123,28 +123,29 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
     first with the same image makes a collision, and without one the
     payload names the input, its image and what was restored.
 
-    The domain is walked as the plain tuples of `ranks._generate_sequences`;
-    only the tied inputs, the ones passed to `uniquify_max`, are wrapped
-    (unvalidated, as members by construction, by `RankSequence._trusted`).
+    The domain is walked as the plain tuples of `ranks._generate_sequences`,
+    and each tied input is bumped by `ulis._bump`, `uniquify_max`'s body,
+    and restored as a plain tuple: a passing run builds no `RankSequence`,
+    and each image is validated once, inside `_bump`.
     """
     inputs = 0
-    wrap = RankSequence._trusted
     for n in range(1, max_n + 1):
         for values in _generate_sequences(n):
             if _unique_max(values):
                 continue
             inputs += 1
-            t = wrap(values)
-            image = uniquify_max(t)
-            restored = _restore_max(image.values)
+            image = _bump(values)
+            restored = _restore_max(image)
             if restored != values:
-                earlier = takewhile(lambda s: s.values != values, enumerate_rank_sequences(n))
-                first = next((s for s in earlier if not _unique_max(s.values)
-                              and uniquify_max(s).values == image.values), None)
+                earlier = takewhile(lambda s: s != values, _generate_sequences(n))
+                first = next((s for s in earlier
+                              if not _unique_max(s) and _bump(s) == image), None)
                 if first is not None:
-                    fault = {"n": n, "first": str(first), "second": str(t), "image": str(image)}
+                    fault = {"n": n, "first": format_values(first),
+                             "second": format_values(values), "image": format_values(image)}
                 else:
-                    fault = {"n": n, "sequence": str(t), "image": str(image), "restored":
+                    fault = {"n": n, "sequence": format_values(values),
+                             "image": format_values(image), "restored":
                              None if restored is None else format_values(restored)}
                 return _fail(fault, inputs=inputs)
     return _pass(inputs=inputs, distinct_images=inputs)
@@ -194,7 +195,8 @@ def _suite_characterization(max_n: int) -> dict[str, Any]:
     """A 132-avoider has a unique longest increasing subsequence exactly when
     its rank sequence has a unique maximum; the resulting count agrees with
     the enumerative census and with u(n) of the closed form (one
-    `census_rows_dp` call per run)."""
+    `census_rows_dp` call per run).  The ranks are read as the plain tuple
+    `start_ranks` gives, without wrapping them in a `RankSequence`."""
     dp_u = [row.u for row in census_rows_dp(max_n)]
     permutations = 0
     for n in range(1, max_n + 1):
@@ -202,7 +204,7 @@ def _suite_characterization(max_n: int) -> dict[str, Any]:
         for p in enumerate_avoiders(n):
             permutations += 1
             direct = has_ulis(p)
-            via_ranks = _unique_max(rank_sequence(p).values)
+            via_ranks = _unique_max(start_ranks(p))
             if direct != via_ranks:
                 return _fail(
                     {"n": n, "permutation": str(p), "has_ulis": direct,

@@ -87,7 +87,8 @@ def test_hot_helpers_stay_private():
     # any name
     helpers = [ulisperm.Permutation._trusted.__func__,
                ulisperm.RankSequence._trusted.__func__, ulisperm.ulis._unique_max,
-               ulisperm.ulis._restore_max, ulisperm.permutations._admissible,
+               ulisperm.ulis._restore_max, ulisperm.ulis._bump,
+               ulisperm.permutations._admissible,
                ulisperm.ranks._generate_sequences,
                ulisperm.errors._int_text, ulisperm.errors._text_int]
     codes = {fn.__code__ for fn in helpers}
@@ -103,7 +104,7 @@ def test_hot_helpers_stay_private():
               if not name.startswith("_")
               and getattr(getattr(obj, "__func__", obj), "__code__", None) in codes]
     assert public == []
-    assert {"_trusted", "_unique_max", "_restore_max", "_admissible",
+    assert {"_trusted", "_unique_max", "_restore_max", "_bump", "_admissible",
             "_generate_sequences", "_int_text", "_text_int"}.isdisjoint(ulisperm.__all__)
     # the quadratic start-length scan lives on only as a test oracle
     assert not hasattr(ulisperm.permutations, "_fill_starts")

@@ -31,7 +31,37 @@ def test_summary_of_made_up_pairs():
     assert (rows_row["parent_median"], rows_row["change_median"]) == (10, 8)
     assert rows_row["change_wins"] == 0
     assert rows_row["worse_than_bound"]
-    assert bench_pairs.format_row(rows_row).endswith("change wins 0/4, WORSE THAN BOUND")
+    assert bench_pairs.format_row(rows_row).endswith(
+        "change wins 0/4 (gain not shown), WORSE THAN BOUND")
+
+
+@pytest.mark.parametrize("change, shown", [
+    # wins 10/10 by 0.2 against an IQR of 0.0475 (quantiles 3.0375, 3.085)
+    ([2.85] * 10, True),
+    # 9/10 is enough; the median still falls by 0.2
+    ([2.85] * 9 + [3.5], True),
+    # 8/10 is not, however far the median falls
+    ([2.0] * 8 + [3.5] * 2, False),
+    # a tie counts for neither side: 9 wins and one tie is still 9/10
+    ([2.85] * 9 + [3.09], True),
+    # 10/10, but the median beats the parent's by less than its IQR
+    ([v - 0.01 for v in (3.0, 3.05, 3.04, 3.06, 3.09, 3.03, 3.1, 3.02, 3.07, 3.08)], False),
+])
+def test_gain_shown_needs_nine_wins_in_ten_and_a_gain_past_the_spread(change, shown):
+    parent_runs = [3.0, 3.05, 3.04, 3.06, 3.09, 3.03, 3.1, 3.02, 3.07, 3.08]
+    row = bench_pairs.summarise(METRICS[:1], [{"verify_s": v} for v in parent_runs],
+                                [{"verify_s": v} for v in change])[0]
+    assert row["gain_shown"] is shown
+    assert bench_pairs.format_row(row).endswith(
+        f"/10 (gain {'shown' if shown else 'not shown'})")
+
+
+def test_gain_shown_where_higher_is_better():
+    parent = [{"rows": r} for r in (10, 11, 10, 12, 11, 10, 11, 12, 10, 11)]
+    row = bench_pairs.summarise(METRICS[1:], parent, [{"rows": 14}] * 10)[0]
+    assert (row["change_wins"], row["gain_shown"]) == (10, True)
+    row = bench_pairs.summarise(METRICS[1:], parent, [{"rows": 8}] * 10)[0]
+    assert (row["change_wins"], row["gain_shown"]) == (0, False)
 
 
 def test_fewer_than_two_pairs_is_a_usage_error(monkeypatch, capsys):
@@ -85,3 +115,53 @@ def test_tier1_run_stops_on_a_failure(monkeypatch, tmp_path):
     summary = "1 failed, 2 passed in 1.00s\n"
     with pytest.raises(SystemExit, match="tier1 exited 1"):
         bench_pairs.run_tier1(tmp_path)
+
+
+def test_startup_is_the_median_of_fresh_processes(monkeypatch, tmp_path):
+    # made-up timings: process k takes k ms, so the median of 11 is 6 ms
+    clock = iter(x / 1000 for k in range(1, 12) for x in (0, k))
+    started = []
+
+    def fake_run(command, **kwargs):
+        assert command[1:] == bench_pairs.STARTUP
+        assert kwargs["cwd"] == tmp_path
+        assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == "src"
+        started.append(command)
+        return subprocess.CompletedProcess(command, 0, "1 1\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs.time, "perf_counter", lambda: next(clock))
+    result = bench_pairs.run_startup(tmp_path)
+    assert len(started) == bench_pairs.STARTUP_RUNS == 11
+    assert result == {"startup_ms": pytest.approx(6.0)}
+
+
+@pytest.mark.parametrize("code, stdout", [(2, ""), (0, "1 2\n"), (0, "")])
+def test_startup_stops_on_a_wrong_exit_or_output(monkeypatch, tmp_path, code, stdout):
+    def fake_run(command, **kwargs):
+        return subprocess.CompletedProcess(command, code, stdout, "error: x\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match=f"startup exited {code}"):
+        bench_pairs.run_startup(tmp_path)
+
+
+def test_startup_summary_is_reported_not_gated(monkeypatch, capsys):
+    # made-up medians per pair; no process is started
+    medians = iter([90.0, 88.0, 91.0, 89.5, 95.0, 130.0])
+
+    def fake_startup(checkout):
+        return {"startup_ms": next(medians)}
+
+    monkeypatch.setattr(bench_pairs, "run_startup", fake_startup)
+    root = str(_PATH.parents[1])  # its BENCHMARK.json is read, its code not run
+    assert bench_pairs.main([root, root, "startup", "1", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # pair 0 runs the parent first, pair 1 the change, pair 2 the parent
+    assert out[-1] == ('{"workload": "startup", "startup": {"parent": {"command": '
+                       f'"{bench_pairs.STARTUP_TEXT}", "startup_ms": [90.0, 89.5, 95.0]}}, '
+                       f'"change": {{"command": "{bench_pairs.STARTUP_TEXT}", '
+                       '"startup_ms": [88.0, 91.0, 130.0]}}}')
+    # the change's median is 91.0 against 90.0, but no bound applies
+    assert out[-2] == ("startup_ms: parent 90 ms (spread 0.061), change 91, "
+                       "change wins 1/3 (gain not shown)")

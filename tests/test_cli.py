@@ -202,6 +202,27 @@ def test_map_sweeps_an_avoider_twice(capsys, monkeypatch):
     assert sweeps == [(1, 3, 2), (1, 3, 2)]
 
 
+def test_rank_sweeps_a_132_input_twice(capsys, monkeypatch):
+    # once for the 132 test and an avoider's ranks together, once more on an
+    # input that contains 132, for its witness; its ranks then come from the
+    # Fenwick pass alone
+    sweeps = []
+    sweep = permutations_mod._sweep_132
+
+    def counting(entries):
+        sweeps.append(tuple(entries))
+        return sweep(entries)
+
+    monkeypatch.setattr(permutations_mod, "_sweep_132", counting)
+    assert run(capsys, "rank", "1 3 2") == (
+        0, "2 1 1\n", "warning: input contains 132 at positions (1, 2, 3); "
+                      "ranks are still well-defined\n")
+    assert sweeps == [(1, 3, 2), (1, 3, 2)]
+    sweeps.clear()
+    assert run(capsys, "rank", "3 2 1") == (0, "1 1 1\n", "")
+    assert sweeps == [(3, 2, 1)]
+
+
 def test_rank_bad_input(capsys):
     code, _, err = run(capsys, "rank", "1 1 2")
     assert code == 2

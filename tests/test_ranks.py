@@ -20,6 +20,7 @@ from ulisperm import (
     ranks,
     run_suite,
     start_ranks,
+    ulis,
 )
 from ulisperm.ranks import _generate_sequences
 
@@ -187,11 +188,13 @@ def test_enumeration_skips_validation(monkeypatch):
         calls += 1
         validate(values)
 
-    monkeypatch.setattr(ranks, "validate_values", counting)
+    # the bump validates its image through the `ulis` binding
+    for module in (ranks, ulis):
+        monkeypatch.setattr(module, "validate_values", counting)
     census_enumerative(10)
     assert run_suite("catalan", 10).passed
     assert calls == 0
-    # injection-f validates each image in `uniquify_max`, and nothing else
+    # injection-f validates each image in `ulis._bump`, and nothing else
     report = run_suite("injection-f", 9)
     assert report.passed and calls == report.outcome["inputs"] == 3256
     RankSequence((1,))
@@ -208,24 +211,32 @@ def test_walk_yields_the_enumerated_values():
 
 
 def test_census_and_injection_f_wrap_only_what_they_pass_on(monkeypatch):
-    calls = 0
-    wrap = RankSequence._trusted
+    built = []
+    wrap, init = RankSequence._trusted, RankSequence.__init__
 
-    def counting(values):
-        nonlocal calls
-        calls += 1
+    def counting_wrap(values):
+        built.append(values)
         return wrap(values)
 
-    monkeypatch.setattr(RankSequence, "_trusted", counting)
+    def counting_init(self, values):
+        built.append(values)
+        init(self, values)
+
+    monkeypatch.setattr(RankSequence, "_trusted", counting_wrap)
+    monkeypatch.setattr(RankSequence, "__init__", counting_init)
     # the census classifies plain tuples and wraps none
     for n in range(1, 10):
         census_enumerative(n)
-    assert calls == 0
-    # injection-f wraps each tied input it passes to `uniquify_max`
+    assert built == []
+    # injection-f bumps and restores plain tuples, and wraps or constructs
+    # no rank sequence
     report = run_suite("injection-f", 9)
-    assert report.passed and calls == report.outcome["inputs"] == 3256
+    assert report.passed and report.outcome["inputs"] == 3256
+    assert built == []
+    # the counters do see the public enumerator and the constructor
     next(enumerate_rank_sequences(3))
-    assert calls == 3257  # the counter does see the public enumerator
+    RankSequence((1,))
+    assert built == [(1, 1, 1), (1,)]
 
 
 def test_sequences_counted_by_catalan():

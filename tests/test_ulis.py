@@ -17,6 +17,7 @@ from ulisperm import (
     uniquify_lis,
     uniquify_max,
 )
+from ulisperm import ulis as ulis_mod
 from ulisperm.ulis import _restore_max, _unique_max, uniquify_stages
 
 from oracles import max_positions, rank_sequences_by_filter, uniquify_max_by_profile
@@ -86,7 +87,7 @@ def test_uniquify_max_images_exhaustive():
             before = max_positions(t.values)
             if len(before) == 1:
                 continue
-            image = uniquify_max(t)  # construction revalidates membership
+            image = uniquify_max(t)  # the bump validates membership
             assert max(image.values) == max(t.values) + 1
             assert max_positions(image.values) == (before[-2],)
             # right edge of the bumped stretch still drops by at most 1
@@ -118,12 +119,15 @@ def test_uniquify_max_matches_profile_oracle():
 
 
 def test_uniquify_max_checks_its_image(monkeypatch):
-    # a constructor that loses the bump: (3, 2, 1) comes back as (2, 2, 1)
+    # a bump that is lost: the bumped stretch is built back at its old
+    # values, so (3, 2, 1) comes out as (2, 2, 1), a member of the family
+    # that the image check must refuse
     t = seq("221")
-    monkeypatch.setattr("ulisperm.ulis.RankSequence",
-                        lambda values: RankSequence(tuple(min(v, 2) for v in values)))
-    with pytest.raises(ConstructionError, match="lacks the promised unique maximum"):
+    monkeypatch.setattr(ulis_mod, "tuple", lambda bumped: tuple(v - 1 for v in bumped),
+                        raising=False)
+    with pytest.raises(ConstructionError) as error:
         uniquify_max(t)
+    assert str(error.value) == "image of 2 2 1 lacks the promised unique maximum: 2 2 1"
 
 
 @given(tied_max_sequences_st())

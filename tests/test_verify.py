@@ -16,13 +16,13 @@ from ulisperm import (
     run_suite,
     ulis_count_all,
     uniquify_lis,
-    uniquify_max,
 )
 from ulisperm import cli as cli_mod
 from ulisperm import permutations as permutations_mod
 from ulisperm import ranks as ranks_mod
 from ulisperm import verify as verify_mod
 from ulisperm.permutations import start_lengths_counts
+from ulisperm.ulis import _bump
 
 
 def test_suite_names():
@@ -87,12 +87,12 @@ def _miscounts_3124(p):
     return lengths, counts
 
 
-def _f_joins_fifth_to_third(t):
+def _f_joins_fifth_to_third(values):
     # The 3rd and 5th tied-maximum sequences of length 5 share an image, so
     # the collision's first preimage is not the first input of its length.
-    if t.values == (1, 2, 2, 2, 1):
-        t = RankSequence((1, 2, 1, 2, 1))
-    return uniquify_max(t)
+    if values == (1, 2, 2, 2, 1):
+        values = (1, 2, 1, 2, 1)
+    return _bump(values)
 
 
 def _g_joins_fifth_to_third(p):
@@ -118,15 +118,15 @@ FAILURE_CASES = [
         {"n": 4, "permutation": "3 1 2 4", "position": 2, "count": 2},
         {"permutations": 13}, id="lemma1-count"),
     pytest.param(
-        "injection-f", "uniquify_max", lambda t: RankSequence((1,) * t.n),
+        "injection-f", "_bump", lambda values: (1,) * len(values),
         {"n": 2, "sequence": "1 1", "image": "1 1", "restored": None},
         {"inputs": 1}, id="injection-f-round-trip"),
     pytest.param(
-        "injection-f", "uniquify_max", lambda t: uniquify_max(RankSequence((1,) * t.n)),
+        "injection-f", "_bump", lambda values: _bump((1,) * len(values)),
         {"n": 3, "first": "1 1 1", "second": "2 2 1", "image": "1 2 1"},
         {"inputs": 3}, id="injection-f-collision"),
     pytest.param(
-        "injection-f", "uniquify_max", _f_joins_fifth_to_third,
+        "injection-f", "_bump", _f_joins_fifth_to_third,
         {"n": 5, "first": "1 2 1 2 1", "second": "1 2 2 2 1", "image": "1 3 2 2 1"},
         {"inputs": 14}, id="injection-f-collision-later-first"),
     pytest.param(

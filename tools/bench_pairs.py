@@ -4,7 +4,8 @@
 Usage:
     python3 tools/bench_pairs.py <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
 with <pairs> at least 2, the fewest runs the parent's spread is defined for.
-<workload> is a benchmark workload, or tier1 for the Tier-1 tests.
+<workload> is a benchmark workload, tier1 for the Tier-1 tests, or startup
+for the start-up of one command in a fresh process.
 
 Pair i (0-based) runs the benchmark's command from BENCHMARK.json,
 
@@ -18,9 +19,11 @@ BENCHMARK.json.
 Each run's line is printed as it ends.  Then, for each metric: both medians,
 the parent's spread (interquartile range over median, from
 `statistics.quantiles(n=4)`), the pairs the change wins (better by the
-metric's `better`; ties count for neither) and whether the change's median is
-worse than the parent's by more than the metric's bound, a share of the
-parent's median.  The last line is a JSON object with every run's metrics.
+metric's `better`; ties count for neither), whether a gain is shown (the
+change wins at least 9 in 10 of the pairs and its median beats the parent's
+by more than the parent's spread) and whether the change's median is worse
+than the parent's by more than the metric's bound, a share of the parent's
+median.  The last line is a JSON object with every run's metrics.
 
 With the workload tier1, each run is instead the Tier-1 command,
 
@@ -33,6 +36,18 @@ comparison.  The time is reported, not gated: the summary has only the
 `wall_s` row, and the last line is {"workload": "tier1", "tier1": {...}}
 with each side in the shape of the `tier1` entry of the BENCH_*.json files
 (command, wall_s per run, passed and skipped of its first run).
+
+With the workload startup, each run is instead the median wall time of 11
+fresh processes of the interpreter running this tool,
+
+    PYTHONPATH=src python3 -m ulisperm.cli rank "2 1"
+
+started one at a time in the checkout, in the same alternating order; the
+seeds are not used.  A process that exits other than 0 or prints other than
+"1 1" stops the comparison.  Like tier1 it is reported, not gated: the
+summary has only the `startup_ms` row, and the last line is
+{"workload": "startup", "startup": {side: {"command": ..., "startup_ms":
+[median per pair]}}}.
 Standard library only.
 """
 
@@ -45,11 +60,17 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_TEXT = " ".join(["PYTHONPATH=src python", *TIER1])
 TIER1_METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": math.inf}]
+STARTUP = ["-m", "ulisperm.cli", "rank", "2 1"]
+STARTUP_TEXT = "PYTHONPATH=src python3 -m ulisperm.cli rank '2 1'"
+STARTUP_RUNS = 11
+STARTUP_METRICS = [{"name": "startup_ms", "unit": "ms", "better": "lower",
+                    "bound": math.inf}]
 # pytest's last line: "1 failed, 389 passed, 9 skipped, 2 warnings in 65.12s (0:01:05)"
 _SUMMARY = re.compile(r"=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([0-9.]+)s\b")
 
@@ -68,14 +89,16 @@ def summarise(metrics: list[dict], parent: list[dict[str, float]],
         median, changed = statistics.median(before), statistics.median(after)
         q1, _, q3 = statistics.quantiles(before, n=4)
         worse = changed - median if lower else median - changed
+        wins = sum(b > a if lower else b < a for b, a in zip(before, after))
         rows.append({
             "name": name,
             "unit": metric["unit"],
             "parent_median": median,
             "change_median": changed,
             "parent_spread": (q3 - q1) / median,
-            "change_wins": sum(b > a if lower else b < a for b, a in zip(before, after)),
+            "change_wins": wins,
             "pairs": len(before),
+            "gain_shown": 10 * wins >= 9 * len(before) and -worse > q3 - q1,
             "worse_than_bound": worse > bound * abs(median),
         })
     return rows
@@ -84,7 +107,8 @@ def summarise(metrics: list[dict], parent: list[dict[str, float]],
 def format_row(row: dict) -> str:
     return (f"{row['name']}: parent {row['parent_median']:.6g} {row['unit']} "
             f"(spread {row['parent_spread']:.3f}), change {row['change_median']:.6g}, "
-            f"change wins {row['change_wins']}/{row['pairs']}"
+            f"change wins {row['change_wins']}/{row['pairs']} "
+            f"(gain {'shown' if row['gain_shown'] else 'not shown'})"
             + (", WORSE THAN BOUND" if row["worse_than_bound"] else ""))
 
 
@@ -114,17 +138,37 @@ def parse_tier1(output: str) -> dict | None:
     return None
 
 
+def _src_env() -> dict[str, str]:
+    """This process's environment with `src` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+
+
 def run_tier1(checkout: Path) -> dict:
     """One run of the Tier-1 tests in `checkout`: its parsed summary line."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=_src_env(),
                           capture_output=True, text=True)
     result = parse_tier1(proc.stdout)
     if result is None or result["failed"] or result["errors"]:
         tail = "\n".join(proc.stdout.splitlines()[-20:])
         sys.exit(f"{checkout} tier1 exited {proc.returncode}:\n{tail}\n{proc.stderr}")
     return result
+
+
+def run_startup(checkout: Path) -> dict:
+    """The median wall time of STARTUP_RUNS fresh `rank "2 1"` processes in
+    `checkout`, started one after another."""
+    env = _src_env()
+    times = []
+    for _ in range(STARTUP_RUNS):
+        started = time.perf_counter()
+        proc = subprocess.run([sys.executable, *STARTUP], cwd=checkout, env=env,
+                              capture_output=True, text=True)
+        times.append((time.perf_counter() - started) * 1000)
+        if proc.returncode or proc.stdout != "1 1\n":
+            sys.exit(f"{checkout} startup exited {proc.returncode}:\n"
+                     f"{proc.stdout}{proc.stderr}")
+    return {"startup_ms": statistics.median(times)}
 
 
 def main(argv: list[str]) -> int:
@@ -141,8 +185,8 @@ def main(argv: list[str]) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = parent_dir if side == "parent" else change_dir
-            if workload == "tier1":
-                result = run_tier1(checkout)
+            if workload in ("tier1", "startup"):
+                result = (run_tier1 if workload == "tier1" else run_startup)(checkout)
                 runs[side].append(result)
                 print(f"{side} pair={i} {json.dumps(result)}", flush=True)
                 continue
@@ -157,6 +201,12 @@ def main(argv: list[str]) -> int:
         print(json.dumps({"workload": workload, "tier1": {
             side: {"command": TIER1_TEXT, "wall_s": [r["wall_s"] for r in results],
                    "passed": results[0]["passed"], "skipped": results[0]["skipped"]}
+            for side, results in runs.items()}}))
+        return 0
+    if workload == "startup":
+        print(format_row(summarise(STARTUP_METRICS, runs["parent"], runs["change"])[0]))
+        print(json.dumps({"workload": workload, "startup": {
+            side: {"command": STARTUP_TEXT, "startup_ms": [r["startup_ms"] for r in results]}
             for side, results in runs.items()}}))
         return 0
     for side, results in runs.items():
