@@ -193,7 +193,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         print(ranks.invert(ranks.RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
-    values = _avoider_ranks(p)  # one sweep: the 132 test and an avoider's ranks
+    values = _avoider_ranks(p.entries)  # one sweep: the 132 test and an avoider's ranks
     if values is None:
         witness = contains_pattern(p).witness
         print(f"warning: input contains 132 at positions {witness}; "

@@ -68,10 +68,12 @@ class Permutation:
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
         """Wrap `entries` without validating them.  Only for tuples that are
-        permutations by construction.  Two callers: the avoider search, on
-        its output, and `ranks.invert`, on its decoding.  Its twin
-        `RankSequence._trusted` wraps the rank-sequence enumerator's output
-        and `uniquify_max`'s validated image."""
+        permutations by construction.  Four callers: `enumerate_avoiders`,
+        on what `_generate_avoiders` yields; `ranks.invert`, on what
+        `ranks._decode` certified; `ulis.uniquify_stages`, on the image of
+        `ulis._stages`; and `ulis._stages` itself, on a rejected input, to
+        name its 132.  The verify suites other than `catalan` wrap nothing.
+        Its twin is `RankSequence._trusted`."""
         p = object.__new__(cls)
         p.__dict__["entries"] = entries  # past the frozen __setattr__
         return p
@@ -206,9 +208,15 @@ def start_lengths_counts(p: Permutation) -> tuple[list[int], list[int]]:
     Returns two lists aligned with positions: `lengths[i]` is the length of
     the longest increasing subsequence beginning at position i+1, and
     `counts[i]` is the exact number of position sets realizing it.  One
-    `_fenwick_starts` pass, less its sentinel.  O(n log n).
+    `_fenwick_starts` pass, less its sentinel.  O(n log n).  The lemma1
+    suite calls the body, `_start_lengths_counts`, on the plain entries.
     """
-    lengths, counts = _fenwick_starts(p.entries)
+    return _start_lengths_counts(p.entries)
+
+
+def _start_lengths_counts(e: Sequence[int]) -> tuple[list[int], list[int]]:
+    """`start_lengths_counts` on the entries of a permutation."""
+    lengths, counts = _fenwick_starts(e)
     return lengths[-2::-1], counts[-2::-1]
 
 
@@ -263,10 +271,11 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
     """The rank of each entry: length of the longest increasing subsequence
     starting there.  Defined for every permutation.  On a 132-avoider one
     linear sweep gives them (`_avoider_ranks`); only an input containing 132
-    is passed on to the O(n log n) `start_lengths_counts`.  `rank_sequence`
-    and the characterization suite find ranks through it.  `rank` and `map`
-    run `_avoider_ranks` themselves, and `rank` passes an input that
-    contains 132, already swept once, straight to `start_lengths_counts`.
+    is passed on to the O(n log n) Fenwick pass.  `rank_sequence` finds
+    ranks through it, and the bijection and characterization suites through
+    its body, `_start_ranks`, on the plain entries.  `rank` and `map` run
+    `_avoider_ranks` themselves, and `rank` passes an input that contains
+    132, already swept once, straight to `start_lengths_counts`.
 
     >>> start_ranks(Permutation.from_text("213"))
     (2, 2, 1)
@@ -275,17 +284,22 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
     >>> start_ranks(Permutation.from_text("1423"))
     (3, 1, 2, 1)
     """
-    ranks = _avoider_ranks(p)
+    return _start_ranks(p.entries)
+
+
+def _start_ranks(e: Sequence[int]) -> tuple[int, ...]:
+    """`start_ranks` on the entries of a permutation."""
+    ranks = _avoider_ranks(e)
     if ranks is None:
-        lengths, _ = start_lengths_counts(p)
-        return tuple(lengths)
+        return tuple(_start_lengths_counts(e)[0])
     return ranks
 
 
-def _avoider_ranks(p: Permutation) -> tuple[int, ...] | None:
-    """The ranks of `p` from one `_sweep_132` if `p` avoids 132, else None:
-    a 132 verdict and the ranks of an avoider at the cost of one sweep."""
-    first, ranks = _sweep_132(p.entries)
+def _avoider_ranks(e: Sequence[int]) -> tuple[int, ...] | None:
+    """The ranks of the entries `e` from one `_sweep_132` if they avoid 132,
+    else None: a 132 verdict and the ranks of an avoider at the cost of one
+    sweep."""
+    first, ranks = _sweep_132(e)
     return ranks if first < 0 else None
 
 
@@ -313,7 +327,14 @@ def has_ulis(p: Permutation) -> bool:
     >>> has_ulis(Permutation.from_text("32456178"))
     False
     """
-    return lis_stats(p)[1] == 1
+    return _has_ulis(p.entries)
+
+
+def _has_ulis(e: Sequence[int]) -> bool:
+    """`has_ulis` on the entries of a permutation: the count of longest
+    increasing subsequences, read from the sentinel of one `_fenwick_starts`
+    pass, is 1."""
+    return _fenwick_starts(e)[1][-1] == 1
 
 
 def catalan(n: int) -> int:
@@ -405,22 +426,27 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
     it extends completes, and one a value short completes with its unplaced
     value, taken without a search step.
 
+    The search itself, `_generate_avoiders`, yields plain tuples, and each
+    is wrapped unvalidated (`Permutation._trusted`).  The verify suites
+    other than `catalan` walk and check those tuples and wrap none.
+
     >>> [str(p) for p in enumerate_avoiders(3)]
     ['1 2 3', '2 1 3', '2 3 1', '3 1 2', '3 2 1']
     """
     if pattern.n != 3:
         raise InputError(f"pattern must have length 3, got length {pattern.n}")
     _check_length("avoider enumeration", n, 0, cap)
-    return _generate_avoiders(n, pattern.entries)
+    wrap = Permutation._trusted
+    return (wrap(entries) for entries in _generate_avoiders(n, pattern.entries))
 
 
-def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutation]:
-    """The avoiders of `sig` of length n, in lexicographic order; the length
-    is not checked.  The search is finite, so it can only miscount: it
-    raises ConstructionError before yielding item catalan(n) + 1 and at an
-    end short of catalan(n)."""
+def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[tuple[int, ...]]:
+    """The entries of the avoiders of `sig` of length n, in lexicographic
+    order, as plain tuples; the length is not checked.  The search is
+    finite, so it can only miscount: it raises ConstructionError before
+    yielding item catalan(n) + 1 and at an end short of catalan(n)."""
     if n < 2:  # the empty prefix is complete or one value short
-        yield Permutation._trusted(tuple(range(1, n + 1)))
+        yield tuple(range(1, n + 1))
         return
     total = catalan(n)
     walked = 0
@@ -440,7 +466,7 @@ def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[Permutatio
             walked += 1
             if walked > total:
                 raise _walk_fault("avoider", n, walked, total)
-            yield Permutation._trusted((*out, used.find(0)))
+            yield (*out, used.find(0))
         else:
             offers.pop()
             if not out:

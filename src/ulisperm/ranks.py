@@ -46,8 +46,8 @@ class RankSequence:
     values (any sequence of ints is stored as a tuple).  Only tuples that
     are members by construction, or already validated, are wrapped
     unchecked, through `_trusted`: those `enumerate_rank_sequences` yields,
-    and `uniquify_max`'s image, which `ulis._bump` validates.  The
-    injection-f suite bumps plain tuples and builds none.
+    and the stages `ulis._stages` validated.  The verify suites other than
+    `catalan` check the plain values and build none.
 
     >>> RankSequence((2, 2, 1)).n
     3
@@ -77,10 +77,11 @@ class RankSequence:
     @classmethod
     def _trusted(cls, values: tuple[int, ...]) -> "RankSequence":
         """Wrap `values` without validating them.  Only for tuples that are
-        members by construction or already validated.  Two callers:
-        `enumerate_rank_sequences`, on what `_generate_sequences` yields, and
-        `uniquify_max`, on the image `ulis._bump` validated.  The twin of
-        `Permutation._trusted`."""
+        members by construction or already validated.  Three callers:
+        `enumerate_rank_sequences`, on what `_generate_sequences` yields;
+        `ulis.uniquify_max`, on the image `ulis._bump` validated; and
+        `ulis.uniquify_stages`, on the ranks and the image `ulis._stages`
+        validated.  The twin of `Permutation._trusted`."""
         t = object.__new__(cls)
         t.__dict__["values"] = values  # past the frozen __setattr__
         return t
@@ -148,8 +149,8 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     member, so it is wrapped unvalidated (`RankSequence._trusted`); the
     constructor, `from_text` and `rank_sequence` still validate.  The walk
     itself, `_generate_sequences`, yields plain tuples: the enumerative
-    census classifies them and the injection-f suite bumps and restores
-    them, and neither wraps any.
+    census classifies them, the bijection suite decodes them and the
+    injection-f suite bumps and restores them, and none wraps any.
 
     >>> [str(t) for t in enumerate_rank_sequences(3)]
     ['1 1 1', '1 2 1', '2 1 1', '2 2 1', '3 2 1']
@@ -197,14 +198,21 @@ def invert(t: RankSequence) -> Permutation:
     there the cursor only moves down, and the decoding takes O(n) steps.
     The result is then checked in O(n) by `permutations._avoider_ranks`: it
     must avoid 132 and have the ranks t; otherwise ConstructionError is
-    raised, under `python -O` too.
+    raised, under `python -O` too.  The decoding and its certificate are
+    `_decode`'s, on the plain values; the bijection and injection-g suites
+    call it directly.
 
     >>> print(invert(RankSequence.from_text("121")))
     3 1 2
     >>> print(invert(RankSequence.from_text("221")))
     2 1 3
     """
-    values = t.values
+    return Permutation._trusted(_decode(t.values))
+
+
+def _decode(values: tuple[int, ...]) -> tuple[int, ...]:
+    """`invert` on the values of a rank sequence: the entries of the
+    decoded avoider, certified."""
     n = len(values)
     # the unplaced values between the sentinels n + 1 (above the largest) and
     # 0 (below the smallest): below[v] and above[v] are v's neighbours
@@ -225,9 +233,8 @@ def invert(t: RankSequence) -> Permutation:
         cursor = up
         rank -= 1
     # every value is unlinked once, so the result is a permutation as built
-    result = Permutation._trusted(tuple(entries))
+    result = tuple(entries)
     if _avoider_ranks(result) != values:
-        raise ConstructionError(
-            f"decoding {t} gave {result}, not a 132-avoider with those ranks"
-        )
+        raise ConstructionError(f"decoding {format_values(values)} gave "
+                                f"{format_values(result)}, not a 132-avoider with those ranks")
     return result

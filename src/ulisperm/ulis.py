@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import ConstructionError, InputError
 from .permutations import Permutation, _avoider_ranks, contains_pattern, format_values
-from .ranks import RankSequence, invert, validate_values
+from .ranks import RankSequence, _decode, validate_values
 
 
 def _unique_max(values: tuple[int, ...]) -> bool:
@@ -35,34 +35,37 @@ def uniquify_max(t: RankSequence) -> RankSequence:
 
     The work and every check are `_bump`'s, on the plain values; the image
     it returns is validated there, so it is wrapped unchecked
-    (`RankSequence._trusted`).  A sequence whose maximum is already unique
-    is rejected: accepting it silently would hide classification bugs in
-    callers.
+    (`RankSequence._trusted`).  A sequence whose maximum is already unique,
+    for which `_bump` returns None, is rejected with InputError: accepting it
+    silently would hide classification bugs in callers.
 
     >>> str(uniquify_max(RankSequence.from_text("221")))
     '3 2 1'
     >>> str(uniquify_max(RankSequence.from_text("2221")))
     '2 3 2 1'
     """
-    return RankSequence._trusted(_bump(t.values))
+    image = _bump(t.values)
+    if image is None:
+        raise InputError(f"sequence already has a unique maximum: {t}")
+    return RankSequence._trusted(image)
 
 
-def _bump(values: tuple[int, ...]) -> tuple[int, ...]:
+def _bump(values: tuple[int, ...]) -> tuple[int, ...] | None:
     """`uniquify_max` on the plain values of a rank sequence: the image's
-    values, checked.  The injection-f suite calls it on tuples directly.
+    values, checked, or None if the maximum is already unique.  So one call
+    both classifies a sequence and bumps it: the injection-f suite and
+    `_stages` call it on every candidate, with no separate `_unique_max`.
 
     j is found as the first maximum of the reversed sequence and i as the
     next one after it; the bumped sequence is spliced from three slices.
     The image is validated as a member of the family (`validate_values`)
     and then checked: its maximum must be the old maximum plus one, occur
-    once, and sit at position i.  A tied maximum is required (InputError),
-    and a failed check raises ConstructionError, under `python -O` too.
+    once, and sit at position i.  A failed check raises ConstructionError,
+    under `python -O` too.
     """
     top = max(values)
     if values.count(top) == 1:
-        raise InputError(
-            f"sequence already has a unique maximum: {format_values(values)}"
-        )
+        return None
     # i and j as 0-based indices, from the right end of the sequence
     last = len(values) - 1
     backwards = values[::-1]
@@ -122,21 +125,37 @@ def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permuta
     By Lemma 1 each entry of an avoider starts exactly one longest increasing
     subsequence among those starting there, so `p` has as many longest
     increasing subsequences as its ranks have positions of maximal rank: it
-    lacks a unique one iff the maximum is tied.  The validating
-    `RankSequence` constructor then wraps the ranks.
+    lacks a unique one iff the maximum is tied.
+
+    The work and every check are `_stages`', on the plain entries; it
+    validates the ranks and the bump validates the lifted sequence, so all
+    three stages are wrapped unchecked.
 
     >>> [str(stage) for stage in uniquify_stages(Permutation.from_text("321"))]
     ['1 1 1', '1 2 1', '3 1 2']
     """
-    values = _avoider_ranks(p)
+    ranks, lifted, image = _stages(p.entries)
+    return RankSequence._trusted(ranks), RankSequence._trusted(lifted), Permutation._trusted(image)
+
+
+def _stages(e: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """`uniquify_stages` on the entries of a permutation: the three stages
+    as plain tuples.  The injection-g suite calls it directly.
+
+    The bump classifies the ranks, returning None on a unique maximum, and
+    only then are they validated as a member of the family: the ranks of a
+    rejected input are not.
+    """
+    values = _avoider_ranks(e)
     if values is None:
-        witness = contains_pattern(p).witness
-        raise InputError(f"input contains 132 at positions {witness}: {p}")
-    if not values or _unique_max(values):
-        raise InputError(f"input already has a unique longest increasing subsequence: {p}")
-    ranks = RankSequence(values)
-    lifted = uniquify_max(ranks)
-    return ranks, lifted, invert(lifted)
+        witness = contains_pattern(Permutation._trusted(e)).witness
+        raise InputError(f"input contains 132 at positions {witness}: {format_values(e)}")
+    lifted = _bump(values) if values else None
+    if lifted is None:
+        raise InputError("input already has a unique longest increasing subsequence: "
+                         f"{format_values(e)}")
+    validate_values(values)
+    return values, lifted, _decode(lifted)
 
 
 def uniquify_lis(p: Permutation) -> Permutation:

@@ -9,6 +9,15 @@ its result (`invert`'s certificate, the bump's image check, a Catalan
 walk's check of its own length), ends the run as a failure too, with the
 error's message as the counterexample.  The suites exist so the mathematical
 claims stay claims about *this code*, not about intentions.
+
+Every suite but `catalan` walks the plain tuples of the private walks
+(`permutations._generate_avoiders`, `ranks._generate_sequences`) and checks
+them with the tuple twins of the public kernels, each of which is the body
+of its public function (`_start_ranks`, `_start_lengths_counts`,
+`_has_ulis`, `ranks._decode`, `ulis._bump`, `ulis._stages`): a passing run
+wraps no `Permutation` or `RankSequence`, and a failing one formats its
+counterexample with `format_values`.  `catalan` drains the public
+enumerators, since its claim is about what they yield.
 """
 
 from __future__ import annotations
@@ -24,21 +33,25 @@ from .oeis import FIXTURE_ID, fixture_text, parse_bfile
 from .permutations import (
     ALL_PERMUTATION_CAP,
     AVOIDER_CAP,
+    PATTERN_132,
+    _generate_avoiders,
+    _has_ulis,
+    _start_lengths_counts,
+    _start_ranks,
     enumerate_avoiders,
     format_values,
-    has_ulis,
-    start_lengths_counts,
-    start_ranks,
 )
 from .ranks import (
     SEQUENCE_CAP,
+    _decode,
     _generate_sequences,
     catalan,
     enumerate_rank_sequences,
-    invert,
-    rank_sequence,
+    validate_values,
 )
-from .ulis import _bump, _restore_max, _unique_max, uniquify_lis
+from .ulis import _bump, _restore_max, _stages, _unique_max
+
+_SIG = PATTERN_132.entries
 
 
 @dataclass
@@ -68,43 +81,46 @@ def _pass(**stats: Any) -> dict[str, Any]:
 
 
 def _suite_bijection(max_n: int) -> dict[str, Any]:
-    """Both round trips of the rank map are identities.  From avoiders,
-    `invert(rank_sequence(p))` must give p back; from rank sequences, the
-    check is `invert`'s own certificate: the decode avoids 132 and has ranks
-    t, or `ConstructionError` stops the run.  Both walks run in full; each
-    certifies that it yields catalan(n) objects."""
+    """Both round trips of the rank map are identities.  From avoiders, the
+    ranks of p (`_start_ranks`, validated as a member of the family, as
+    `rank_sequence` does) must decode to p again; from rank sequences, the
+    check is the decode's own certificate (`ranks._decode`, `invert`'s
+    body): the decode avoids 132 and has ranks t, or `ConstructionError`
+    stops the run.  Both walks run in full, as plain tuples; each certifies
+    that it yields catalan(n) objects."""
     trips = 0
     for n in range(1, max_n + 1):
-        for p in enumerate_avoiders(n):
-            t = rank_sequence(p)
-            back = invert(t)
+        for e in _generate_avoiders(n, _SIG):
+            t = _start_ranks(e)
+            validate_values(t)
+            back = _decode(t)
             trips += 1
-            if back != p:
+            if back != e:
                 return _fail(
-                    {"n": n, "permutation": str(p), "rank_sequence": str(t),
-                     "reconstructed": str(back)},
+                    {"n": n, "permutation": format_values(e), "rank_sequence": format_values(t),
+                     "reconstructed": format_values(back)},
                     round_trips=trips,
                 )
-        for t in enumerate_rank_sequences(n):
-            invert(t)
+        for t in _generate_sequences(n):
+            _decode(t)
             trips += 1
     return _pass(round_trips=trips)
 
 
 def _suite_lemma1(max_n: int) -> dict[str, Any]:
     """Every entry of every 132-avoider starts exactly one maximal
-    increasing subsequence."""
+    increasing subsequence: `_start_lengths_counts` on the plain entries."""
     permutations = 0
     entries = 0
     for n in range(1, max_n + 1):
-        for p in enumerate_avoiders(n):
+        for e in _generate_avoiders(n, _SIG):
             permutations += 1
-            _, counts = start_lengths_counts(p)
+            _, counts = _start_lengths_counts(e)
             entries += n
             for position, count in enumerate(counts, start=1):
                 if count != 1:
                     return _fail(
-                        {"n": n, "permutation": str(p), "position": position,
+                        {"n": n, "permutation": format_values(e), "position": position,
                          "count": count},
                         permutations=permutations,
                     )
@@ -123,23 +139,23 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
     first with the same image makes a collision, and without one the
     payload names the input, its image and what was restored.
 
-    The domain is walked as the plain tuples of `ranks._generate_sequences`,
-    and each tied input is bumped by `ulis._bump`, `uniquify_max`'s body,
-    and restored as a plain tuple: a passing run builds no `RankSequence`,
-    and each image is validated once, inside `_bump`.
+    The domain is walked as the plain tuples of `ranks._generate_sequences`.
+    `ulis._bump`, `uniquify_max`'s body, both classifies each one (None on
+    a unique maximum) and bumps the tied ones, so each input is classified
+    once; the image is restored as a plain tuple.  A passing run builds no
+    `RankSequence`, and each image is validated once, inside `_bump`.
     """
     inputs = 0
     for n in range(1, max_n + 1):
         for values in _generate_sequences(n):
-            if _unique_max(values):
+            image = _bump(values)
+            if image is None:
                 continue
             inputs += 1
-            image = _bump(values)
             restored = _restore_max(image)
             if restored != values:
                 earlier = takewhile(lambda s: s != values, _generate_sequences(n))
-                first = next((s for s in earlier
-                              if not _unique_max(s) and _bump(s) == image), None)
+                first = next((s for s in earlier if _bump(s) == image), None)
                 if first is not None:
                     fault = {"n": n, "first": format_values(first),
                              "second": format_values(values), "image": format_values(image)}
@@ -153,38 +169,38 @@ def _suite_injection_f(max_n: int) -> dict[str, Any]:
 
 def _suite_injection_g(max_n: int) -> dict[str, Any]:
     """The composed map on avoiders lands in the unique-subsequence class
-    injectively.  Each image is `invert`'s output, already certified to
+    injectively.  Each image is the last stage of `ulis._stages`
+    (`uniquify_stages`' body), the decode that `ranks._decode` certified to
     avoid 132; whether it has a unique longest increasing subsequence is
-    checked by `has_ulis`, the independent Fenwick kernel.
+    checked by `_has_ulis`, the independent Fenwick kernel.
 
-    Injectivity is checked per length with a set of `bytes(image.entries)`
-    keys, exact while every entry is below 256 (the hard cap is far lower).
-    At the default bound the set holds at most v(10) = 7 979 keys.  The
+    Injectivity is checked per length with a set of `bytes(image)` keys,
+    exact while every entry is below 256 (the hard cap is far lower).  At
+    the default bound the set holds at most v(10) = 7 979 keys.  The
     earliest preimage of a colliding image is found by a second walk of the
     length's domain, and only then.
     """
     domain = 0
     for n in range(1, max_n + 1):
         seen: set[bytes] = set()
-        for p in enumerate_avoiders(n):
-            if has_ulis(p):
+        for e in _generate_avoiders(n, _SIG):
+            if _has_ulis(e):
                 continue
             domain += 1
-            image = uniquify_lis(p)
-            if not has_ulis(image):
+            image = _stages(e)[2]
+            if not _has_ulis(image):
                 return _fail(
-                    {"n": n, "permutation": str(p), "image": str(image),
+                    {"n": n, "permutation": format_values(e), "image": format_values(image),
                      "reason": "image lacks a unique longest increasing subsequence"},
                     domain=domain,
                 )
-            key = bytes(image.entries)
+            key = bytes(image)
             if key in seen:
-                first = next(q for q in enumerate_avoiders(n)
-                             if not has_ulis(q)
-                             and uniquify_lis(q).entries == image.entries)
+                first = next(q for q in _generate_avoiders(n, _SIG)
+                             if not _has_ulis(q) and _stages(q)[2] == image)
                 return _fail(
-                    {"n": n, "first": str(first), "second": str(p),
-                     "image": str(image)},
+                    {"n": n, "first": format_values(first), "second": format_values(e),
+                     "image": format_values(image)},
                     domain=domain,
                 )
             seen.add(key)
@@ -195,19 +211,19 @@ def _suite_characterization(max_n: int) -> dict[str, Any]:
     """A 132-avoider has a unique longest increasing subsequence exactly when
     its rank sequence has a unique maximum; the resulting count agrees with
     the enumerative census and with u(n) of the closed form (one
-    `census_rows_dp` call per run).  The ranks are read as the plain tuple
-    `start_ranks` gives, without wrapping them in a `RankSequence`."""
+    `census_rows_dp` call per run).  Both sides read the plain entries:
+    `_has_ulis` by the Fenwick kernel, `_start_ranks` by the 132 sweep."""
     dp_u = [row.u for row in census_rows_dp(max_n)]
     permutations = 0
     for n in range(1, max_n + 1):
         with_unique = 0
-        for p in enumerate_avoiders(n):
+        for e in _generate_avoiders(n, _SIG):
             permutations += 1
-            direct = has_ulis(p)
-            via_ranks = _unique_max(start_ranks(p))
+            direct = _has_ulis(e)
+            via_ranks = _unique_max(_start_ranks(e))
             if direct != via_ranks:
                 return _fail(
-                    {"n": n, "permutation": str(p), "has_ulis": direct,
+                    {"n": n, "permutation": format_values(e), "has_ulis": direct,
                      "unique_max": via_ranks},
                     permutations=permutations,
                 )
@@ -223,7 +239,9 @@ def _suite_catalan(max_n: int) -> dict[str, Any]:
     """Avoiders and rank sequences are both counted by the Catalan numbers.
     Each walk certifies its own length: one that yields other than
     catalan(n) objects raises `ConstructionError`, so the suite passes once
-    both walks of every length end."""
+    both walks of every length end.  The walks are drained through the
+    public enumerators, objects and all: the claim is about what they
+    yield."""
     for n in range(1, max_n + 1):
         for walk in (enumerate_avoiders(n), enumerate_rank_sequences(n)):
             for _ in walk:

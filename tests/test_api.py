@@ -87,9 +87,11 @@ def test_hot_helpers_stay_private():
     # any name
     helpers = [ulisperm.Permutation._trusted.__func__,
                ulisperm.RankSequence._trusted.__func__, ulisperm.ulis._unique_max,
-               ulisperm.ulis._restore_max, ulisperm.ulis._bump,
-               ulisperm.permutations._admissible,
-               ulisperm.ranks._generate_sequences,
+               ulisperm.ulis._restore_max, ulisperm.ulis._bump, ulisperm.ulis._stages,
+               ulisperm.permutations._admissible, ulisperm.permutations._generate_avoiders,
+               ulisperm.permutations._start_ranks, ulisperm.permutations._avoider_ranks,
+               ulisperm.permutations._start_lengths_counts, ulisperm.permutations._has_ulis,
+               ulisperm.ranks._generate_sequences, ulisperm.ranks._decode,
                ulisperm.errors._int_text, ulisperm.errors._text_int]
     codes = {fn.__code__ for fn in helpers}
     # every module, including those a test has not loaded yet
@@ -104,8 +106,7 @@ def test_hot_helpers_stay_private():
               if not name.startswith("_")
               and getattr(getattr(obj, "__func__", obj), "__code__", None) in codes]
     assert public == []
-    assert {"_trusted", "_unique_max", "_restore_max", "_bump", "_admissible",
-            "_generate_sequences", "_int_text", "_text_int"}.isdisjoint(ulisperm.__all__)
+    assert {fn.__name__ for fn in helpers}.isdisjoint(ulisperm.__all__)
     # the quadratic start-length scan lives on only as a test oracle
     assert not hasattr(ulisperm.permutations, "_fill_starts")
     # `map` decides ties from the ranks, so subsequence counts serve

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 from pathlib import Path
@@ -165,3 +166,57 @@ def test_startup_summary_is_reported_not_gated(monkeypatch, capsys):
     # the change's median is 91.0 against 90.0, but no bound applies
     assert out[-2] == ("startup_ms: parent 90 ms (spread 0.061), change 91, "
                        "change wins 1/3 (gain not shown)")
+
+
+def test_suites_run_parses_the_last_line(monkeypatch, tmp_path):
+    # made-up output of the child; no process is started
+    best = {"suite.bijection_s": 0.31, "suite.oeis_s": 0.03}
+
+    def fake_run(command, **kwargs):
+        assert command[1:] == ["-c", bench_pairs.SUITES_SCRIPT]
+        assert kwargs["cwd"] == tmp_path
+        assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == "src"
+        return subprocess.CompletedProcess(command, 0, f"{json.dumps(best)}\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_suites(tmp_path) == best
+    assert "run_suite(name)" in bench_pairs.SUITES_SCRIPT
+    assert f"range({bench_pairs.SUITES_RUNS})" in bench_pairs.SUITES_SCRIPT
+
+
+def test_suites_run_stops_on_a_failing_suite(monkeypatch, tmp_path):
+    def fake_run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 1, "", "verify lemma1 failed\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match="suites exited 1:\nverify lemma1 failed"):
+        bench_pairs.run_suites(tmp_path)
+
+
+def test_suites_summary_is_reported_not_gated(monkeypatch, capsys):
+    # made-up best times per pair; no process is started
+    runs = iter([(0.60, 1.10), (0.35, 1.12), (0.34, 1.08), (0.63, 1.11), (0.62, 1.50),
+                 (0.36, 1.20)])
+
+    def fake_suites(checkout):
+        bijection, injection_f = next(runs)
+        return {"suite.bijection_s": bijection, "suite.injection-f_s": injection_f}
+
+    monkeypatch.setattr(bench_pairs, "run_suites", fake_suites)
+    root = str(_PATH.parents[1])  # its BENCHMARK.json is read, its code not run
+    assert bench_pairs.main([root, root, "suites", "1", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # pair 0 runs the parent first, pair 1 the change, pair 2 the parent
+    command = bench_pairs.SUITES_TEXT
+    assert json.loads(out[-1]) == {"workload": "suites", "suites": {
+        "parent": {"command": command, "suite.bijection_s": [0.60, 0.63, 0.62],
+                   "suite.injection-f_s": [1.10, 1.11, 1.50]},
+        "change": {"command": command, "suite.bijection_s": [0.35, 0.34, 0.36],
+                   "suite.injection-f_s": [1.12, 1.08, 1.20]}}}
+    # one row per suite; a slower suite is not flagged, since no bound applies
+    assert out[-3:-1] == [
+        "suite.bijection_s: parent 0.62 s (spread 0.048), change 0.35, "
+        "change wins 3/3 (gain shown)",
+        "suite.injection-f_s: parent 1.11 s (spread 0.360), change 1.12, "
+        "change wins 2/3 (gain not shown)",
+    ]

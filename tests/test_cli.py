@@ -21,7 +21,6 @@ from ulisperm import (
     AVOIDER_CAP,
     SEQUENCE_CAP,
     InputError,
-    Permutation,
     RankSequence,
     catalan,
     enumerate_rank_sequences,
@@ -35,7 +34,7 @@ from ulisperm import permutations as permutations_mod
 from ulisperm import ranks as ranks_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
-from ulisperm.permutations import start_lengths_counts
+from ulisperm.permutations import _start_lengths_counts
 
 from oracles import _digit_limit, census_summary_by_fractions
 
@@ -148,19 +147,20 @@ def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
     # `rank` on an avoider, `rank --invert`, `invert`'s check and `map` take
     # ranks from the linear 132 sweep; the general kernel runs only on a 132
     calls = 0
-    kernel = start_lengths_counts
+    kernel = _start_lengths_counts
 
-    def counting(p):
+    def counting(e):
         nonlocal calls
         calls += 1
-        return kernel(p)
+        return kernel(e)
 
-    # every module, so that none the commands load later keeps the kernel
+    # every module, so that none the commands load later keeps the kernel;
+    # `start_lengths_counts` and `start_ranks` reach it through its tuple twin
     for info in pkgutil.iter_modules(ulisperm.__path__):
         importlib.import_module(f"ulisperm.{info.name}")
     for name, module in list(sys.modules.items()):
-        if name.startswith("ulisperm") and hasattr(module, "start_lengths_counts"):
-            monkeypatch.setattr(module, "start_lengths_counts", counting)
+        if name.startswith("ulisperm") and hasattr(module, "_start_lengths_counts"):
+            monkeypatch.setattr(module, "_start_lengths_counts", counting)
     for n in range(1, 7):
         for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             p = invert(t)
@@ -402,8 +402,8 @@ def test_construction_fault_exits_1(capsys, monkeypatch):
     # `invert`'s certificate fails: an error line and exit 1, not a traceback
     real_ranks = ranks_mod._avoider_ranks
 
-    def misreports_12(p):
-        return (1, 1) if p.entries == (1, 2) else real_ranks(p)
+    def misreports_12(e):
+        return (1, 1) if e == (1, 2) else real_ranks(e)
 
     monkeypatch.setattr(ranks_mod, "_avoider_ranks", misreports_12)
     assert run(capsys, "rank", "--invert", "2 1") == (
@@ -700,12 +700,12 @@ def test_verify_over_cap(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    real_invert = verify_mod.invert
+    real_decode = verify_mod._decode
 
-    def broken_invert(t):
-        return Permutation(tuple(reversed(real_invert(t).entries)))
+    def broken_decode(values):
+        return real_decode(values)[::-1]
 
-    monkeypatch.setattr(verify_mod, "invert", broken_invert)
+    monkeypatch.setattr(verify_mod, "_decode", broken_decode)
     code, out, _ = run(capsys, "verify", "bijection", "--max-n", "4")
     assert code == 1
     assert out.startswith("FAIL bijection")

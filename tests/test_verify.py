@@ -12,17 +12,16 @@ from ulisperm import (
     catalan,
     census_enumerative,
     census_rows_dp,
-    invert,
     run_suite,
     ulis_count_all,
-    uniquify_lis,
 )
 from ulisperm import cli as cli_mod
 from ulisperm import permutations as permutations_mod
 from ulisperm import ranks as ranks_mod
 from ulisperm import verify as verify_mod
-from ulisperm.permutations import start_lengths_counts
-from ulisperm.ulis import _bump
+from ulisperm.permutations import _start_lengths_counts
+from ulisperm.ranks import _decode
+from ulisperm.ulis import _bump, _stages
 
 
 def test_suite_names():
@@ -80,9 +79,9 @@ def test_run_report_is_dataclass():
     assert report.passed
 
 
-def _miscounts_3124(p):
-    lengths, counts = start_lengths_counts(p)
-    if p.entries == (3, 1, 2, 4):
+def _miscounts_3124(e):
+    lengths, counts = _start_lengths_counts(e)
+    if e == (3, 1, 2, 4):
         counts[1] = 2
     return lengths, counts
 
@@ -95,34 +94,41 @@ def _f_joins_fifth_to_third(values):
     return _bump(values)
 
 
-def _g_joins_fifth_to_third(p):
+def _g_joins_fifth_to_third(e):
     # Likewise for the 3rd and 5th avoiders of length 5 without a unique
     # longest increasing subsequence.
-    if p.entries == (3, 4, 1, 2, 5):
-        p = Permutation((3, 2, 4, 1, 5))
-    return uniquify_lis(p)
+    if e == (3, 4, 1, 2, 5):
+        e = (3, 2, 4, 1, 5)
+    return _stages(e)
+
+
+def _g_image(image_of):
+    # `ulis._stages` with its last stage, the image, replaced
+    return lambda e: (*_stages(e)[:2], image_of(e))
 
 
 # One case per failure site of every suite, plus a second case for each
 # collision whose first preimage is not the first input of its length: the
 # name broken in ulisperm.verify, its replacement, and the counterexample and
-# counters of the failing run at max_n = 6.  A miscounted walk has no site in
-# the suites; the walk itself fails, as tested below.
+# counters of the failing run at max_n = 6.  The suites call the tuple twins
+# of the public kernels, so the fakes take and return plain tuples; a fake
+# bump returns None where `_bump` does, on a unique maximum.  A miscounted
+# walk has no site in the suites; the walk itself fails, as tested below.
 FAILURE_CASES = [
     pytest.param(
-        "bijection", "invert", lambda t: Permutation(tuple(reversed(invert(t).entries))),
+        "bijection", "_decode", lambda values: _decode(values)[::-1],
         {"n": 2, "permutation": "1 2", "rank_sequence": "2 1", "reconstructed": "2 1"},
         {"round_trips": 3}, id="bijection-avoider-round-trip"),
     pytest.param(
-        "lemma1", "start_lengths_counts", _miscounts_3124,
+        "lemma1", "_start_lengths_counts", _miscounts_3124,
         {"n": 4, "permutation": "3 1 2 4", "position": 2, "count": 2},
         {"permutations": 13}, id="lemma1-count"),
     pytest.param(
-        "injection-f", "_bump", lambda values: (1,) * len(values),
+        "injection-f", "_bump", lambda values: _bump(values) and (1,) * len(values),
         {"n": 2, "sequence": "1 1", "image": "1 1", "restored": None},
         {"inputs": 1}, id="injection-f-round-trip"),
     pytest.param(
-        "injection-f", "_bump", lambda values: _bump((1,) * len(values)),
+        "injection-f", "_bump", lambda values: _bump(values) and _bump((1,) * len(values)),
         {"n": 3, "first": "1 1 1", "second": "2 2 1", "image": "1 2 1"},
         {"inputs": 3}, id="injection-f-collision"),
     pytest.param(
@@ -130,20 +136,20 @@ FAILURE_CASES = [
         {"n": 5, "first": "1 2 1 2 1", "second": "1 2 2 2 1", "image": "1 3 2 2 1"},
         {"inputs": 14}, id="injection-f-collision-later-first"),
     pytest.param(
-        "injection-g", "uniquify_lis", lambda p: p,
+        "injection-g", "_stages", _g_image(lambda e: e),
         {"n": 2, "permutation": "2 1", "image": "2 1",
          "reason": "image lacks a unique longest increasing subsequence"},
         {"domain": 1}, id="injection-g-no-ulis"),
     pytest.param(
-        "injection-g", "uniquify_lis", lambda p: Permutation(tuple(range(1, p.n + 1))),
+        "injection-g", "_stages", _g_image(lambda e: tuple(range(1, len(e) + 1))),
         {"n": 3, "first": "2 1 3", "second": "3 2 1", "image": "1 2 3"},
         {"domain": 3}, id="injection-g-collision"),
     pytest.param(
-        "injection-g", "uniquify_lis", _g_joins_fifth_to_third,
+        "injection-g", "_stages", _g_joins_fifth_to_third,
         {"n": 5, "first": "3 2 4 1 5", "second": "3 4 1 2 5", "image": "2 3 4 1 5"},
         {"domain": 14}, id="injection-g-collision-later-first"),
     pytest.param(
-        "characterization", "has_ulis", lambda p: True,
+        "characterization", "_has_ulis", lambda e: True,
         {"n": 2, "permutation": "2 1", "has_ulis": True, "unique_max": False},
         {"permutations": 3}, id="characterization-object"),
     pytest.param(
@@ -183,10 +189,10 @@ def test_construction_fault_fails_the_suite(monkeypatch, capsys):
     # in the library and in the CLI, not in a traceback.
     real_ranks = ranks_mod._avoider_ranks
 
-    def misreports_12(p):
-        if p.entries == (1, 2):
+    def misreports_12(e):
+        if e == (1, 2):
             return 1, 1
-        return real_ranks(p)
+        return real_ranks(e)
 
     monkeypatch.setattr(ranks_mod, "_avoider_ranks", misreports_12)
     for suite in ("bijection", "injection-g"):
@@ -275,3 +281,41 @@ def test_passing_injection_runs_format_nothing(monkeypatch):
     assert formatted == []
     assert str(RankSequence((1,))) == str(Permutation((1,))) == "1"
     assert len(formatted) == 2
+
+
+def test_suites_wrap_nothing_on_a_passing_run(monkeypatch):
+    # bijection, lemma1, injection-g and characterization walk and check the
+    # plain tuples of the private walks; only catalan, whose claim is about
+    # the public enumerators, drains them, objects and all
+    built = []
+    for cls in (Permutation, RankSequence):
+        def counting_wrap(values, cls=cls, wrap=cls._trusted):
+            built.append((cls.__name__, "_trusted"))
+            return wrap(values)
+
+        def counting_init(self, values, init=cls.__init__):
+            built.append((type(self).__name__, "__init__"))
+            init(self, values)
+
+        monkeypatch.setattr(cls, "_trusted", counting_wrap)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    for suite in ("bijection", "lemma1", "injection-g", "characterization"):
+        assert run_suite(suite, 7).passed, suite
+    assert built == []
+    # the counters do see each way in
+    Permutation._trusted((1,)), RankSequence._trusted((1,))
+    Permutation((1,)), RankSequence((1,))
+    assert built == [("Permutation", "_trusted"), ("RankSequence", "_trusted"),
+                     ("Permutation", "__init__"), ("RankSequence", "__init__")]
+
+    items = {}
+    for name in ("enumerate_avoiders", "enumerate_rank_sequences"):
+        def tally(n, real=getattr(verify_mod, name), name=name):
+            for item in real(n):
+                items[name] = items.get(name, 0) + 1
+                yield item
+        monkeypatch.setattr(verify_mod, name, tally)
+    assert run_suite("catalan", 5).passed
+    total = sum(catalan(n) for n in range(1, 6))
+    assert total == 64
+    assert items == {"enumerate_avoiders": total, "enumerate_rank_sequences": total}

@@ -4,8 +4,9 @@
 Usage:
     python3 tools/bench_pairs.py <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
 with <pairs> at least 2, the fewest runs the parent's spread is defined for.
-<workload> is a benchmark workload, tier1 for the Tier-1 tests, or startup
-for the start-up of one command in a fresh process.
+<workload> is a benchmark workload, tier1 for the Tier-1 tests, startup
+for the start-up of one command in a fresh process, or suites for each
+verify suite on its own.
 
 Pair i (0-based) runs the benchmark's command from BENCHMARK.json,
 
@@ -48,6 +49,18 @@ seeds are not used.  A process that exits other than 0 or prints other than
 summary has only the `startup_ms` row, and the last line is
 {"workload": "startup", "startup": {side: {"command": ..., "startup_ms":
 [median per pair]}}}.
+
+With the workload suites, each run is instead one fresh process,
+
+    PYTHONPATH=src python3 -c SUITES_SCRIPT
+
+in the checkout, in the same alternating order; the seeds are not used.  It
+runs each of the seven verify suites at its default bound through
+`run_suite`, SUITES_RUNS times in a row, and reports the least
+`duration_ms` of each as `suite.<name>_s`.  A failing suite or a non-zero
+exit stops the comparison.  It is reported, not gated: the summary has one
+row per suite, and the last line is {"workload": "suites", "suites":
+{side: {"command": ..., "suite.<name>_s": [seconds per pair], ...}}}.
 Standard library only.
 """
 
@@ -71,6 +84,20 @@ STARTUP_TEXT = "PYTHONPATH=src python3 -m ulisperm.cli rank '2 1'"
 STARTUP_RUNS = 11
 STARTUP_METRICS = [{"name": "startup_ms", "unit": "ms", "better": "lower",
                     "bound": math.inf}]
+SUITES_RUNS = 3
+SUITES_SCRIPT = f"""
+import json
+from ulisperm.errors import SUITE_NAMES
+from ulisperm.verify import run_suite
+best = {{}}
+for name in SUITE_NAMES:
+    reports = [run_suite(name) for _ in range({SUITES_RUNS})]
+    if not all(report.passed for report in reports):
+        raise SystemExit(f"verify {{name}} failed")
+    best[f"suite.{{name}}_s"] = min(report.duration_ms for report in reports) / 1000
+print(json.dumps(best))
+"""
+SUITES_TEXT = "PYTHONPATH=src python3 -c SUITES_SCRIPT"
 # pytest's last line: "1 failed, 389 passed, 9 skipped, 2 warnings in 65.12s (0:01:05)"
 _SUMMARY = re.compile(r"=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([0-9.]+)s\b")
 
@@ -171,6 +198,16 @@ def run_startup(checkout: Path) -> dict:
     return {"startup_ms": statistics.median(times)}
 
 
+def run_suites(checkout: Path) -> dict:
+    """Each verify suite's best time in one fresh process in `checkout`:
+    the JSON object SUITES_SCRIPT prints last."""
+    proc = subprocess.run([sys.executable, "-c", SUITES_SCRIPT], cwd=checkout,
+                          env=_src_env(), capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{checkout} suites exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 5 or int(argv[4]) < 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -180,13 +217,14 @@ def main(argv: list[str]) -> int:
     benchmark = json.loads((change_dir / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    pseudo = {"tier1": run_tier1, "startup": run_startup, "suites": run_suites}.get(workload)
     for i in range(pairs):
         seed = first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = parent_dir if side == "parent" else change_dir
-            if workload in ("tier1", "startup"):
-                result = (run_tier1 if workload == "tier1" else run_startup)(checkout)
+            if pseudo is not None:
+                result = pseudo(checkout)
                 runs[side].append(result)
                 print(f"{side} pair={i} {json.dumps(result)}", flush=True)
                 continue
@@ -207,6 +245,16 @@ def main(argv: list[str]) -> int:
         print(format_row(summarise(STARTUP_METRICS, runs["parent"], runs["change"])[0]))
         print(json.dumps({"workload": workload, "startup": {
             side: {"command": STARTUP_TEXT, "startup_ms": [r["startup_ms"] for r in results]}
+            for side, results in runs.items()}}))
+        return 0
+    if workload == "suites":
+        names = list(runs["parent"][0])
+        metrics = [{"name": name, "unit": "s", "better": "lower", "bound": math.inf}
+                   for name in names]
+        for row in summarise(metrics, runs["parent"], runs["change"]):
+            print(format_row(row))
+        print(json.dumps({"workload": workload, "suites": {
+            side: {"command": SUITES_TEXT, **{name: [r[name] for r in results] for name in names}}
             for side, results in runs.items()}}))
         return 0
     for side, results in runs.items():
