@@ -17,7 +17,11 @@ of its public function (`_start_ranks`, `_start_lengths_counts`,
 `_has_ulis`, `ranks._decode`, `ulis._bump`, `ulis._stages`): a passing run
 wraps no `Permutation` or `RankSequence`, and a failing one formats its
 counterexample with `format_values`.  `catalan` drains the public
-enumerators, since its claim is about what they yield.
+enumerators, since its claim is about what they yield.  A passing
+`bijection` run calls only `ranks._decode`, once per rank sequence:
+decoding reverses lexicographic order, so the avoider walk must give back
+the decodes in reverse, and `_start_ranks` and `validate_values` run only
+on a length that check cannot confirm.
 """
 
 from __future__ import annotations
@@ -81,30 +85,80 @@ def _pass(**stats: Any) -> dict[str, Any]:
 
 
 def _suite_bijection(max_n: int) -> dict[str, Any]:
-    """Both round trips of the rank map are identities.  From avoiders, the
-    ranks of p (`_start_ranks`, validated as a member of the family, as
-    `rank_sequence` does) must decode to p again; from rank sequences, the
-    check is the decode's own certificate (`ranks._decode`, `invert`'s
-    body): the decode avoids 132 and has ranks t, or `ConstructionError`
-    stops the run.  Both walks run in full, as plain tuples; each certifies
-    that it yields catalan(n) objects."""
+    """Both round trips of the rank map are identities, confirmed for each
+    length by one pass over each family (`_confirm_by_reversal`).
+
+    Decoding reverses lexicographic order: where two avoiders first differ,
+    the smaller entry has more larger values to its right, so it has the
+    larger rank, and the ranks before that position agree.  So the k-th
+    avoider must be the decode of the k-th rank sequence from the end.
+    Each rank sequence is decoded once, by `ranks._decode` (`invert`'s
+    body), whose certificate checks that the decode avoids 132 and has
+    ranks t; then the avoider walk must give back the decodes in reverse.
+    Together they prove both trips: one trip per decode, one per matched
+    avoider.
+
+    A length the pass cannot confirm is walked again object by object
+    (`_walk_bijection`), which decides the outcome, so a failing run
+    reports what the per-object walk finds first."""
     trips = 0
     for n in range(1, max_n + 1):
-        for e in _generate_avoiders(n, _SIG):
-            t = _start_ranks(e)
-            validate_values(t)
-            back = _decode(t)
-            trips += 1
-            if back != e:
-                return _fail(
-                    {"n": n, "permutation": format_values(e), "rank_sequence": format_values(t),
-                     "reconstructed": format_values(back)},
-                    round_trips=trips,
-                )
-        for t in _generate_sequences(n):
-            _decode(t)
-            trips += 1
+        confirmed = _confirm_by_reversal(n)
+        if confirmed is not None:
+            trips += confirmed
+            continue
+        trips, fault = _walk_bijection(n, trips)
+        if fault is not None:
+            return fault
     return _pass(round_trips=trips)
+
+
+def _confirm_by_reversal(n: int) -> int | None:
+    """The round trips one pass over each family of length n confirms, or
+    None if it confirms none: a decode raises `ConstructionError` (so does
+    a walk that miscounts), an avoider is not the decode it meets from the
+    end, or decodes are left over.  The decodes are kept as n bytes each,
+    exact while every entry is below 256 (the cap is far lower); the store
+    of length 10 holds 168 kB."""
+    store = bytearray()
+    extend = store.extend
+    decodes = 0
+    try:
+        for t in _generate_sequences(n):
+            extend(_decode(t))
+            decodes += 1
+        for e in _generate_avoiders(n, _SIG):
+            if store[-n:] != bytes(e):
+                return None
+            del store[-n:]
+    except ConstructionError:
+        return None
+    # each certified decode has length n, so an empty store matched each once
+    return None if store else 2 * decodes
+
+
+def _walk_bijection(n: int, trips: int) -> tuple[int, dict[str, Any] | None]:
+    """The per-object walk of length n, from the `trips` of the lengths
+    before it: the trips after it and its failing outcome, or None.  From
+    avoiders, the ranks of p (`_start_ranks`, validated as a member of the
+    family, as `rank_sequence` does) must decode to p again; then each rank
+    sequence is decoded, its certificate checked.  A `ConstructionError`
+    propagates and ends the run."""
+    for e in _generate_avoiders(n, _SIG):
+        t = _start_ranks(e)
+        validate_values(t)
+        back = _decode(t)
+        trips += 1
+        if back != e:
+            return trips, _fail(
+                {"n": n, "permutation": format_values(e), "rank_sequence": format_values(t),
+                 "reconstructed": format_values(back)},
+                round_trips=trips,
+            )
+    for t in _generate_sequences(n):
+        _decode(t)
+        trips += 1
+    return trips, None
 
 
 def _suite_lemma1(max_n: int) -> dict[str, Any]:

@@ -220,3 +220,38 @@ def test_suites_summary_is_reported_not_gated(monkeypatch, capsys):
         "suite.injection-f_s: parent 1.11 s (spread 0.360), change 1.12, "
         "change wins 2/3 (gain not shown)",
     ]
+
+
+@pytest.mark.parametrize("change_failed, change_attempted, flagged", [
+    # per run, the parent fails 2 of 1 000 operations
+    (3, 1_000, True),
+    (2, 1_000, False),
+    # the same count out of more operations is a smaller share
+    (2, 1_100, False),
+    # a smaller count out of fewer operations can still be a larger share
+    (1, 400, True),
+    (0, 1_000, False),
+])
+def test_a_larger_share_failed_is_marked_and_exits_1(monkeypatch, capsys, change_failed,
+                                                       change_attempted, flagged):
+    # made-up runs of two pairs, every metric 1.0 on both sides; no process is
+    # started
+    root = _PATH.parents[1]  # its BENCHMARK.json is read, its code not run
+    names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    sides = iter(["parent", "change", "change", "parent"])  # pair 1 runs the change first
+
+    def fake_run_once(command, checkout, workload, seed, seconds):
+        failed, attempted = (2, 1_000) if next(sides) == "parent" else (
+            change_failed, change_attempted)
+        return {"failed": failed, "attempted": attempted,
+                "metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main([str(root), str(root), "verify", "1", "2"]) == int(flagged)
+    out = capsys.readouterr().out.splitlines()
+    totals = f"{2 * change_failed}/{2 * change_attempted}"
+    # four run lines, then one total per side
+    assert out[4:6] == ["parent: failed/attempted = 4/2000",
+                       f"change: failed/attempted = {totals}"
+                       + (", LARGER SHARE FAILED" if flagged else "")]
+    assert json.loads(out[-1])["workload"] == "verify"

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from ulisperm import (
+    ConstructionError,
     InputError,
     Permutation,
     RankSequence,
@@ -19,7 +20,7 @@ from ulisperm import cli as cli_mod
 from ulisperm import permutations as permutations_mod
 from ulisperm import ranks as ranks_mod
 from ulisperm import verify as verify_mod
-from ulisperm.permutations import _start_lengths_counts
+from ulisperm.permutations import _start_lengths_counts, format_values
 from ulisperm.ranks import _decode
 from ulisperm.ulis import _bump, _stages
 
@@ -244,29 +245,92 @@ def test_every_suite_fails_fast_on_a_miscounted_walk(monkeypatch, module, shift,
 
 
 def test_injection_g_cap_fits_bytes_keys():
-    # injection-g keys its images by bytes(image.entries), which is exact
-    # only while every entry is below 256.
-    _, _, cap = verify_mod._SUITES["injection-g"]
-    assert cap < 256
+    # injection-g keys its images by bytes(image), and bijection stores its
+    # decodes as bytes: both exact only while every entry is below 256.
+    for suite in ("injection-g", "bijection"):
+        _, _, cap = verify_mod._SUITES[suite]
+        assert cap < 256, suite
 
 
-def test_injection_f_peak_memory_per_image():
+@pytest.mark.parametrize("suite, objects", [
     # No image is kept: each one is checked against its input by the bump's
-    # left inverse and dropped, so the traced peak of the run to n = 10 stays
-    # below 40 B per image of length 10.  An untraced run first fills
-    # CPython's free lists, so little of the figure depends on what ran before.
-    # On Python 3.11 it measures 6-19 B; a set of bytes keys measured
-    # 120-127 B, and a dict from image tuples to formatted preimages 236-291 B.
-    images = list(census_rows_dp(10))[-1].v
-    assert images == 7_979
-    assert run_suite("injection-f", 10).passed
+    # left inverse and dropped.  On Python 3.11 it measures 6-19 B per image;
+    # a set of bytes keys measured 120-127 B, and a dict from image tuples to
+    # formatted preimages 236-291 B.
+    pytest.param("injection-f", list(census_rows_dp(10))[-1].v, id="injection-f"),
+    # The decodes of one length are kept as n bytes each until the avoider
+    # walk has matched them.  On Python 3.11 it measures about 11 B per rank
+    # sequence; a list of decoded tuples measured about 127 B.
+    pytest.param("bijection", catalan(10), id="bijection"),
+])
+def test_peak_memory_per_object(suite, objects):
+    # The traced peak of the run to n = 10 stays below 40 B per object of
+    # length 10: per image for injection-f, per rank sequence for bijection.
+    # An untraced run first fills CPython's free lists, so little of the
+    # figure depends on what ran before.
+    assert objects == {"injection-f": 7_979, "bijection": 16_796}[suite]
+    assert run_suite(suite, 10).passed
     tracemalloc.start()
     try:
-        assert run_suite("injection-f", 10).passed
+        assert run_suite(suite, 10).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / images < 40
+    assert peak / objects < 40
+
+
+def _counting(monkeypatch, calls, module, name):
+    # replace module.name with a wrapper that counts its calls in calls[name]
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    calls[name] = 0
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_bijection_decodes_each_rank_sequence_once(monkeypatch):
+    # A passing run decodes each rank sequence once and matches the avoider
+    # walk against the decodes in reverse; it takes no avoider's ranks.
+    calls = {}
+    for name in ("_decode", "_start_ranks", "validate_values"):
+        _counting(monkeypatch, calls, verify_mod, name)
+    report = run_suite("bijection", 7)
+    sequences = sum(catalan(n) for n in range(1, 8))
+    assert sequences == 625
+    assert report.outcome == {"status": "pass", "round_trips": 2 * sequences}
+    assert calls == {"_decode": sequences, "_start_ranks": 0, "validate_values": 0}
+
+
+def test_bijection_fallback_keeps_the_suite_order(monkeypatch):
+    # A length the one pass cannot confirm is walked again avoiders first, so
+    # the fault reported is the one that walk meets first: 2 2 1, the ranks of
+    # 2 1 3, not 1 2 1, which the rank-sequence walk meets first.
+    def refuses_121_and_221(values):
+        if values in ((1, 2, 1), (2, 2, 1)):
+            raise ConstructionError(f"refused {format_values(values)}")
+        return _decode(values)
+
+    monkeypatch.setattr(verify_mod, "_decode", refuses_121_and_221)
+    assert run_suite("bijection", 6).outcome == {
+        "status": "fail", "counterexample": {"error": "refused 2 2 1"}}
+
+
+def test_bijection_fallback_passes_avoiders_out_of_order(monkeypatch):
+    # The avoiders of length 4 yielded in reverse are no longer the decodes in
+    # reverse, so that length alone is walked object by object, and passes.
+    real = verify_mod._generate_avoiders
+
+    def length_4_reversed(n, sig):
+        return reversed(list(real(n, sig))) if n == 4 else real(n, sig)
+
+    calls = {}
+    _counting(monkeypatch, calls, verify_mod, "_start_ranks")
+    monkeypatch.setattr(verify_mod, "_generate_avoiders", length_4_reversed)
+    assert run_suite("bijection", 6).outcome == {"status": "pass", "round_trips": 392}
+    assert calls == {"_start_ranks": catalan(4)}
 
 
 def test_passing_injection_runs_format_nothing(monkeypatch):

@@ -24,7 +24,10 @@ metric's `better`; ties count for neither), whether a gain is shown (the
 change wins at least 9 in 10 of the pairs and its median beats the parent's
 by more than the parent's spread) and whether the change's median is worse
 than the parent's by more than the metric's bound, a share of the parent's
-median.  The last line is a JSON object with every run's metrics.
+median.  The last line is a JSON object with every run's metrics.  If a
+larger share of the change's operations failed than of the parent's, the
+change's failed/attempted line ends ", LARGER SHARE FAILED" and the tool
+exits 1 once it has printed everything.
 
 With the workload tier1, each run is instead the Tier-1 command,
 
@@ -257,15 +260,19 @@ def main(argv: list[str]) -> int:
             side: {"command": SUITES_TEXT, **{name: [r[name] for r in results] for name in names}}
             for side, results in runs.items()}}))
         return 0
-    for side, results in runs.items():
-        print(f"{side}: failed/attempted = {sum(r['failed'] for r in results)}/"
-              f"{sum(r['attempted'] for r in results)}")
+    totals = {side: (sum(r["failed"] for r in results), sum(r["attempted"] for r in results))
+              for side, results in runs.items()}
+    (parent_failed, parent_attempted), (change_failed, change_attempted) = totals.values()
+    larger_share_failed = change_failed * parent_attempted > parent_failed * change_attempted
+    for side, (failed, attempted) in totals.items():
+        print(f"{side}: failed/attempted = {failed}/{attempted}"
+              + (", LARGER SHARE FAILED" if side == "change" and larger_share_failed else ""))
     values = {side: [{name: m["value"] for name, m in r["metrics"].items()} for r in results]
               for side, results in runs.items()}
     for row in summarise(benchmark["end_to_end"], values["parent"], values["change"]):
         print(format_row(row))
     print(json.dumps({"workload": workload, "seconds": seconds, "runs": runs}))
-    return 0
+    return 1 if larger_share_failed else 0
 
 
 if __name__ == "__main__":
