@@ -66,14 +66,22 @@ def test_gain_shown_where_higher_is_better():
 
 
 def test_fewer_than_two_pairs_is_a_usage_error(monkeypatch, capsys):
-    # the parent's spread needs two runs: refused before any run, not after
-    def run_once(*args):
-        pytest.fail("run_once was called")
+    # the parent's spread needs two runs: refused before any run, not after;
+    # so are other bad arguments
+    def fake_run(*args, **kwargs):
+        pytest.fail("a child was started")
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    assert bench_pairs.main(["parent", "change", "verify", "1", "1"]) == 2
-    out, err = capsys.readouterr()
-    assert (out, err) == ("", bench_pairs.__doc__.split("\n\n")[1] + "\n")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    root = str(_PATH.parents[1])  # its BENCHMARK.json is read, its code not run
+    for argv in (["parent", "change", "verify", "1", "1"],
+                 ["parent", "change", "verify", "x", "3"],
+                 ["parent", "change", "verify", "1", "2.5"],
+                 ["parent", "change", "verify", "1"],
+                 # neither a workload of BENCHMARK.json nor a pseudo-workload
+                 [root, root, "nosuch", "1", "2"]):
+        assert bench_pairs.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", bench_pairs.__doc__.split("\n\n")[1] + "\n")
 
 
 def test_worse_than_bound_only_past_the_bound():
@@ -81,6 +89,18 @@ def test_worse_than_bound_only_past_the_bound():
     metrics = METRICS[:1]
     assert not bench_pairs.summarise(metrics, parent, [{"verify_s": 1.25}] * 4)[0]["worse_than_bound"]
     assert bench_pairs.summarise(metrics, parent, [{"verify_s": 1.26}] * 4)[0]["worse_than_bound"]
+
+
+@pytest.mark.parametrize("stdout", ["", "Traceback (most recent call last):\n"])
+def test_run_stops_on_a_last_line_that_is_not_json(monkeypatch, tmp_path, stdout):
+    # a made-up child that exits 0 without its result line
+    def fake_run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 0, stdout, "error: x\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.run_once(["perfbench"], tmp_path, "verify", 7, 1.0)
+    assert str(stopped.value) == f"{tmp_path} seed=7 printed no JSON last line:\nerror: x\n"
 
 
 @pytest.mark.parametrize("line, expected", [
@@ -147,27 +167,6 @@ def test_startup_stops_on_a_wrong_exit_or_output(monkeypatch, tmp_path, code, st
         bench_pairs.run_startup(tmp_path)
 
 
-def test_startup_summary_is_reported_not_gated(monkeypatch, capsys):
-    # made-up medians per pair; no process is started
-    medians = iter([90.0, 88.0, 91.0, 89.5, 95.0, 130.0])
-
-    def fake_startup(checkout):
-        return {"startup_ms": next(medians)}
-
-    monkeypatch.setattr(bench_pairs, "run_startup", fake_startup)
-    root = str(_PATH.parents[1])  # its BENCHMARK.json is read, its code not run
-    assert bench_pairs.main([root, root, "startup", "1", "3"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    # pair 0 runs the parent first, pair 1 the change, pair 2 the parent
-    assert out[-1] == ('{"workload": "startup", "startup": {"parent": {"command": '
-                       f'"{bench_pairs.STARTUP_TEXT}", "startup_ms": [90.0, 89.5, 95.0]}}, '
-                       f'"change": {{"command": "{bench_pairs.STARTUP_TEXT}", '
-                       '"startup_ms": [88.0, 91.0, 130.0]}}}')
-    # the change's median is 91.0 against 90.0, but no bound applies
-    assert out[-2] == ("startup_ms: parent 90 ms (spread 0.061), change 91, "
-                       "change wins 1/3 (gain not shown)")
-
-
 def test_suites_run_parses_the_last_line(monkeypatch, tmp_path):
     # made-up output of the child; no process is started
     best = {"suite.bijection_s": 0.31, "suite.oeis_s": 0.03}
@@ -193,33 +192,71 @@ def test_suites_run_stops_on_a_failing_suite(monkeypatch, tmp_path):
         bench_pairs.run_suites(tmp_path)
 
 
-def test_suites_summary_is_reported_not_gated(monkeypatch, capsys):
-    # made-up best times per pair; no process is started
-    runs = iter([(0.60, 1.10), (0.35, 1.12), (0.34, 1.08), (0.63, 1.11), (0.62, 1.50),
-                 (0.36, 1.20)])
+@pytest.mark.parametrize("stdout", ["", "no line of JSON\n"])
+def test_suites_run_stops_on_a_last_line_that_is_not_json(monkeypatch, tmp_path, stdout):
+    def fake_run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 0, stdout, "Killed\n")
 
-    def fake_suites(checkout):
-        bijection, injection_f = next(runs)
-        return {"suite.bijection_s": bijection, "suite.injection-f_s": injection_f}
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match="suites printed no JSON last line:\nKilled"):
+        bench_pairs.run_suites(tmp_path)
 
-    monkeypatch.setattr(bench_pairs, "run_suites", fake_suites)
+
+@pytest.mark.parametrize("workload, runs, rows, last", [
+    # the change's median is 91.0 against 90.0, but no bound applies
+    pytest.param(
+        "startup", [{"startup_ms": v} for v in (90.0, 88.0, 91.0, 89.5, 95.0, 130.0)],
+        ["startup_ms: parent 90 ms (spread 0.061), change 91, "
+         "change wins 1/3 (gain not shown)"],
+        '{"workload": "startup", "startup": {"parent": {"command": '
+        '"PYTHONPATH=src python3 -m ulisperm.cli rank \'2 1\'", "startup_ms": [90.0, 89.5, 95.0]}, '
+        '"change": {"command": "PYTHONPATH=src python3 -m ulisperm.cli rank \'2 1\'", '
+        '"startup_ms": [88.0, 91.0, 130.0]}}}',
+        id="startup"),
+    # one row per suite; a slower suite is not flagged, since no bound applies
+    pytest.param(
+        "suites", [{"suite.bijection_s": b, "suite.injection-f_s": f}
+                   for b, f in [(0.60, 1.10), (0.35, 1.12), (0.34, 1.08), (0.63, 1.11),
+                                (0.62, 1.50), (0.36, 1.20)]],
+        ["suite.bijection_s: parent 0.62 s (spread 0.048), change 0.35, "
+         "change wins 3/3 (gain shown)",
+         "suite.injection-f_s: parent 1.11 s (spread 0.360), change 1.12, "
+         "change wins 2/3 (gain not shown)"],
+        '{"workload": "suites", "suites": {"parent": {"command": '
+        '"PYTHONPATH=src python3 -c SUITES_SCRIPT", "suite.bijection_s": [0.6, 0.63, 0.62], '
+        '"suite.injection-f_s": [1.1, 1.11, 1.5]}, "change": {"command": '
+        '"PYTHONPATH=src python3 -c SUITES_SCRIPT", "suite.bijection_s": [0.35, 0.34, 0.36], '
+        '"suite.injection-f_s": [1.12, 1.08, 1.2]}}}',
+        id="suites"),
+    # the counts are each side's first run's, after the wall times, as in the
+    # tier1 entry of the BENCH_*.json files
+    pytest.param(
+        "tier1", [{"passed": p, "skipped": 9, "wall_s": w}
+                  for p, w in [(427, 27.1), (427, 27.5), (428, 26.2), (428, 26.4),
+                               (428, 28.0), (428, 30.2)]],
+        ["wall_s: parent 27.1 s (spread 0.059), change 27.5, "
+         "change wins 1/3 (gain not shown)"],
+        '{"workload": "tier1", "tier1": {"parent": {"command": "PYTHONPATH=src python -m pytest '
+        '-q --continue-on-collection-errors", "wall_s": [27.1, 26.4, 28.0], "passed": 427, '
+        '"skipped": 9}, "change": {"command": "PYTHONPATH=src python -m pytest -q '
+        '--continue-on-collection-errors", "wall_s": [27.5, 26.2, 30.2], "passed": 427, '
+        '"skipped": 9}}}',
+        id="tier1"),
+])
+def test_pseudo_workload_summary_is_reported_not_gated(monkeypatch, capsys, workload, runs,
+                                                       rows, last):
+    # made-up runs in the order they start; no process is started
+    started = iter(runs)
+    monkeypatch.setitem(bench_pairs.PSEUDO, workload,
+                        (lambda checkout: next(started), bench_pairs.PSEUDO[workload][1]))
     root = str(_PATH.parents[1])  # its BENCHMARK.json is read, its code not run
-    assert bench_pairs.main([root, root, "suites", "1", "3"]) == 0
+    assert bench_pairs.main([root, root, workload, "1", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
     # pair 0 runs the parent first, pair 1 the change, pair 2 the parent
-    command = bench_pairs.SUITES_TEXT
-    assert json.loads(out[-1]) == {"workload": "suites", "suites": {
-        "parent": {"command": command, "suite.bijection_s": [0.60, 0.63, 0.62],
-                   "suite.injection-f_s": [1.10, 1.11, 1.50]},
-        "change": {"command": command, "suite.bijection_s": [0.35, 0.34, 0.36],
-                   "suite.injection-f_s": [1.12, 1.08, 1.20]}}}
-    # one row per suite; a slower suite is not flagged, since no bound applies
-    assert out[-3:-1] == [
-        "suite.bijection_s: parent 0.62 s (spread 0.048), change 0.35, "
-        "change wins 3/3 (gain shown)",
-        "suite.injection-f_s: parent 1.11 s (spread 0.360), change 1.12, "
-        "change wins 2/3 (gain not shown)",
-    ]
+    assert out[:6] == [f"{side} pair={i} {json.dumps(run)}" for (side, i), run in zip(
+        [("parent", 0), ("change", 0), ("change", 1), ("parent", 1), ("parent", 2),
+         ("change", 2)], runs)]
+    assert out[6:] == [*rows, last]
 
 
 @pytest.mark.parametrize("change_failed, change_attempted, flagged", [

@@ -4,9 +4,8 @@
 Usage:
     python3 tools/bench_pairs.py <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
 with <pairs> at least 2, the fewest runs the parent's spread is defined for.
-<workload> is a benchmark workload, tier1 for the Tier-1 tests, startup
-for the start-up of one command in a fresh process, or suites for each
-verify suite on its own.
+<workload> is a workload of BENCHMARK.json or a pseudo-workload: tier1,
+startup or suites.
 
 Pair i (0-based) runs the benchmark's command from BENCHMARK.json,
 
@@ -27,43 +26,27 @@ than the parent's by more than the metric's bound, a share of the parent's
 median.  The last line is a JSON object with every run's metrics.  If a
 larger share of the change's operations failed than of the parent's, the
 change's failed/attempted line ends ", LARGER SHARE FAILED" and the tool
-exits 1 once it has printed everything.
+exits 1 once it has printed everything.  A child that exits other than 0,
+or whose last stdout line is not JSON, stops the comparison.
 
-With the workload tier1, each run is instead the Tier-1 command,
+A pseudo-workload instead runs, in the same alternating order and without
+the seeds, children of this interpreter with `src` first on PYTHONPATH:
 
-    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+    tier1    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+             wall_s, passed and skipped from pytest's summary line; a failure,
+             an error or no such line stops the comparison
+    startup  PYTHONPATH=src python3 -m ulisperm.cli rank '2 1'
+             startup_ms, the median wall time of STARTUP_RUNS such processes;
+             an exit other than 0 or a stdout other than "1 1" stops it
+    suites   PYTHONPATH=src python3 -c SUITES_SCRIPT
+             suite.<name>_s, each verify suite's least duration_ms of
+             SUITES_RUNS runs at its default bound; a failing suite stops it
 
-in the same alternating order, and the seeds are not used.  Its wall time
-is the seconds of pytest's summary line ("396 passed, 9 skipped in
-19.71s"); a run with a failure or an error, or without that line, stops the
-comparison.  The time is reported, not gated: the summary has only the
-`wall_s` row, and the last line is {"workload": "tier1", "tier1": {...}}
-with each side in the shape of the `tier1` entry of the BENCH_*.json files
-(command, wall_s per run, passed and skipped of its first run).
-
-With the workload startup, each run is instead the median wall time of 11
-fresh processes of the interpreter running this tool,
-
-    PYTHONPATH=src python3 -m ulisperm.cli rank "2 1"
-
-started one at a time in the checkout, in the same alternating order; the
-seeds are not used.  A process that exits other than 0 or prints other than
-"1 1" stops the comparison.  Like tier1 it is reported, not gated: the
-summary has only the `startup_ms` row, and the last line is
-{"workload": "startup", "startup": {side: {"command": ..., "startup_ms":
-[median per pair]}}}.
-
-With the workload suites, each run is instead one fresh process,
-
-    PYTHONPATH=src python3 -c SUITES_SCRIPT
-
-in the checkout, in the same alternating order; the seeds are not used.  It
-runs each of the seven verify suites at its default bound through
-`run_suite`, SUITES_RUNS times in a row, and reports the least
-`duration_ms` of each as `suite.<name>_s`.  A failing suite or a non-zero
-exit stops the comparison.  It is reported, not gated: the summary has one
-row per suite, and the last line is {"workload": "suites", "suites":
-{side: {"command": ..., "suite.<name>_s": [seconds per pair], ...}}}.
+Each key of a run that ends in _s or _ms is a metric, reported, not gated:
+its row has the unit of the suffix, lower is better, and no bound applies.
+The last line is {"workload": w, w: {side: {"command": ..., metric: [value
+per pair], ...the other keys of the side's first run}}}; for tier1 that is
+the shape of the `tier1` entry of the BENCH_*.json files.
 Standard library only.
 """
 
@@ -80,13 +63,8 @@ import time
 from pathlib import Path
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-TIER1_TEXT = " ".join(["PYTHONPATH=src python", *TIER1])
-TIER1_METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": math.inf}]
 STARTUP = ["-m", "ulisperm.cli", "rank", "2 1"]
-STARTUP_TEXT = "PYTHONPATH=src python3 -m ulisperm.cli rank '2 1'"
 STARTUP_RUNS = 11
-STARTUP_METRICS = [{"name": "startup_ms", "unit": "ms", "better": "lower",
-                    "bound": math.inf}]
 SUITES_RUNS = 3
 SUITES_SCRIPT = f"""
 import json
@@ -100,15 +78,15 @@ for name in SUITE_NAMES:
     best[f"suite.{{name}}_s"] = min(report.duration_ms for report in reports) / 1000
 print(json.dumps(best))
 """
-SUITES_TEXT = "PYTHONPATH=src python3 -c SUITES_SCRIPT"
 # pytest's last line: "1 failed, 389 passed, 9 skipped, 2 warnings in 65.12s (0:01:05)"
 _SUMMARY = re.compile(r"=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([0-9.]+)s\b")
 
 
 def summarise(metrics: list[dict], parent: list[dict[str, float]],
               change: list[dict[str, float]]) -> list[dict]:
-    """One row per metric of BENCHMARK.json's `end_to_end` list, from the
-    runs of each side in pair order (`parent[i]` and `change[i]` are pair i).
+    """One row per metric (an entry of BENCHMARK.json's `end_to_end` list, or
+    a pseudo-workload's metric with no bound), from the runs of each side in
+    pair order (`parent[i]` and `change[i]` are pair i).
     """
     rows = []
     for metric in metrics:
@@ -142,6 +120,18 @@ def format_row(row: dict) -> str:
             + (", WORSE THAN BOUND" if row["worse_than_bound"] else ""))
 
 
+def _last_json(proc: subprocess.CompletedProcess, label: str) -> dict:
+    """The JSON object on a child's last stdout line; a non-zero exit, or a
+    last line that is missing or not JSON, stops the comparison with `label`
+    and the child's stderr."""
+    if proc.returncode:
+        sys.exit(f"{label} exited {proc.returncode}:\n{proc.stderr}")
+    try:
+        return json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.exit(f"{label} printed no JSON last line:\n{proc.stderr}")
+
+
 def run_once(command: list[str], checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
     """One untraced run of the benchmark in `checkout`: its last stdout line."""
@@ -149,9 +139,7 @@ def run_once(command: list[str], checkout: Path, workload: str, seed: int,
         [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
-    if proc.returncode:
-        sys.exit(f"{checkout} seed={seed} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    return _last_json(proc, f"{checkout} seed={seed}")
 
 
 def parse_tier1(output: str) -> dict | None:
@@ -168,32 +156,33 @@ def parse_tier1(output: str) -> dict | None:
     return None
 
 
-def _src_env() -> dict[str, str]:
-    """This process's environment with `src` first on PYTHONPATH."""
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _child(checkout: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """This interpreter run with `args` in `checkout`, `src` first on
+    PYTHONPATH, its output captured."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                          capture_output=True, text=True)
 
 
 def run_tier1(checkout: Path) -> dict:
-    """One run of the Tier-1 tests in `checkout`: its parsed summary line."""
-    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=_src_env(),
-                          capture_output=True, text=True)
+    """One run of the Tier-1 tests in `checkout`: the wall time and counts
+    of its summary line."""
+    proc = _child(checkout, TIER1)
     result = parse_tier1(proc.stdout)
     if result is None or result["failed"] or result["errors"]:
         tail = "\n".join(proc.stdout.splitlines()[-20:])
         sys.exit(f"{checkout} tier1 exited {proc.returncode}:\n{tail}\n{proc.stderr}")
-    return result
+    return {key: result[key] for key in ("passed", "skipped", "wall_s")}
 
 
 def run_startup(checkout: Path) -> dict:
     """The median wall time of STARTUP_RUNS fresh `rank "2 1"` processes in
     `checkout`, started one after another."""
-    env = _src_env()
     times = []
     for _ in range(STARTUP_RUNS):
         started = time.perf_counter()
-        proc = subprocess.run([sys.executable, *STARTUP], cwd=checkout, env=env,
-                              capture_output=True, text=True)
+        proc = _child(checkout, STARTUP)
         times.append((time.perf_counter() - started) * 1000)
         if proc.returncode or proc.stdout != "1 1\n":
             sys.exit(f"{checkout} startup exited {proc.returncode}:\n"
@@ -204,60 +193,62 @@ def run_startup(checkout: Path) -> dict:
 def run_suites(checkout: Path) -> dict:
     """Each verify suite's best time in one fresh process in `checkout`:
     the JSON object SUITES_SCRIPT prints last."""
-    proc = subprocess.run([sys.executable, "-c", SUITES_SCRIPT], cwd=checkout,
-                          env=_src_env(), capture_output=True, text=True)
-    if proc.returncode:
-        sys.exit(f"{checkout} suites exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    return _last_json(_child(checkout, ["-c", SUITES_SCRIPT]), f"{checkout} suites")
+
+
+# name: (one run in a checkout, the command text of the last line)
+PSEUDO = {
+    "tier1": (run_tier1, " ".join(["PYTHONPATH=src python", *TIER1])),
+    "startup": (run_startup, "PYTHONPATH=src python3 -m ulisperm.cli rank '2 1'"),
+    "suites": (run_suites, "PYTHONPATH=src python3 -c SUITES_SCRIPT"),
+}
+
+
+def _usage() -> int:
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 5 or int(argv[4]) < 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    parent_dir, change_dir = Path(argv[0]), Path(argv[1])
-    workload, first_seed, pairs = argv[2], int(argv[3]), int(argv[4])
-    benchmark = json.loads((change_dir / "BENCHMARK.json").read_text(encoding="utf-8"))
+    try:
+        parent_dir, change_dir, workload, first_seed, pairs = argv
+        first_seed, pairs = int(first_seed), int(pairs)
+    except ValueError:
+        return _usage()
+    if pairs < 2:
+        return _usage()
+    benchmark = json.loads((Path(change_dir) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if workload not in PSEUDO and workload not in [w["name"] for w in benchmark["workloads"]]:
+        return _usage()
     seconds = benchmark["run_seconds"]
+    runner, command_text = PSEUDO.get(workload, (None, None))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    pseudo = {"tier1": run_tier1, "startup": run_startup, "suites": run_suites}.get(workload)
     for i in range(pairs):
         seed = first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            checkout = parent_dir if side == "parent" else change_dir
-            if pseudo is not None:
-                result = pseudo(checkout)
-                runs[side].append(result)
-                print(f"{side} pair={i} {json.dumps(result)}", flush=True)
-                continue
-            result = run_once(benchmark["command"], checkout, workload, seed, seconds)
-            result["seed"] = seed
+            checkout = Path(parent_dir if side == "parent" else change_dir)
+            if runner is not None:
+                result = runner(checkout)
+                line = f"pair={i} {json.dumps(result)}"
+            else:
+                result = run_once(benchmark["command"], checkout, workload, seed, seconds)
+                result["seed"] = seed
+                values = {name: m["value"] for name, m in result["metrics"].items()}
+                line = (f"seed={seed} failed/attempted={result['failed']}/"
+                        f"{result['attempted']} {json.dumps(values)}")
             runs[side].append(result)
-            values = {name: m["value"] for name, m in result["metrics"].items()}
-            print(f"{side} seed={seed} failed/attempted={result['failed']}/"
-                  f"{result['attempted']} {json.dumps(values)}", flush=True)
-    if workload == "tier1":
-        print(format_row(summarise(TIER1_METRICS, runs["parent"], runs["change"])[0]))
-        print(json.dumps({"workload": workload, "tier1": {
-            side: {"command": TIER1_TEXT, "wall_s": [r["wall_s"] for r in results],
-                   "passed": results[0]["passed"], "skipped": results[0]["skipped"]}
-            for side, results in runs.items()}}))
-        return 0
-    if workload == "startup":
-        print(format_row(summarise(STARTUP_METRICS, runs["parent"], runs["change"])[0]))
-        print(json.dumps({"workload": workload, "startup": {
-            side: {"command": STARTUP_TEXT, "startup_ms": [r["startup_ms"] for r in results]}
-            for side, results in runs.items()}}))
-        return 0
-    if workload == "suites":
-        names = list(runs["parent"][0])
-        metrics = [{"name": name, "unit": "s", "better": "lower", "bound": math.inf}
-                   for name in names]
-        for row in summarise(metrics, runs["parent"], runs["change"]):
+            print(f"{side} {line}", flush=True)
+    if runner is not None:
+        metrics = [name for name in runs["parent"][0] if name.endswith(("_s", "_ms"))]
+        for row in summarise([{"name": name, "unit": name.rpartition("_")[2], "better": "lower",
+                               "bound": math.inf} for name in metrics],
+                             runs["parent"], runs["change"]):
             print(format_row(row))
-        print(json.dumps({"workload": workload, "suites": {
-            side: {"command": SUITES_TEXT, **{name: [r[name] for r in results] for name in names}}
+        print(json.dumps({"workload": workload, workload: {
+            side: {"command": command_text,
+                   **{name: [r[name] for r in results] for name in metrics},
+                   **{key: v for key, v in results[0].items() if key not in metrics}}
             for side, results in runs.items()}}))
         return 0
     totals = {side: (sum(r["failed"] for r in results), sum(r["attempted"] for r in results))
