@@ -82,6 +82,10 @@ def test_fewer_than_two_pairs_is_a_usage_error(monkeypatch, capsys):
         assert bench_pairs.main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert (out, err) == ("", bench_pairs.__doc__.split("\n\n")[1] + "\n")
+    # a change checkout without BENCHMARK.json: one line, not a traceback
+    assert bench_pairs.main(["/nonexist-a", "/nonexist-b", "verify", "1", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "cannot read /nonexist-b/BENCHMARK.json: No such file or directory\n")
 
 
 def test_worse_than_bound_only_past_the_bound():
@@ -213,13 +217,14 @@ def test_suites_run_stops_on_a_last_line_that_is_not_json(monkeypatch, tmp_path,
         '"change": {"command": "PYTHONPATH=src python3 -m ulisperm.cli rank \'2 1\'", '
         '"startup_ms": [88.0, 91.0, 130.0]}}}',
         id="startup"),
-    # one row per suite; a slower suite is not flagged, since no bound applies
+    # one row per suite; a slower suite is not flagged, since no bound
+    # applies, and 3 wins in 3 pairs show no gain: that needs 10 pairs
     pytest.param(
         "suites", [{"suite.bijection_s": b, "suite.injection-f_s": f}
                    for b, f in [(0.60, 1.10), (0.35, 1.12), (0.34, 1.08), (0.63, 1.11),
                                 (0.62, 1.50), (0.36, 1.20)]],
         ["suite.bijection_s: parent 0.62 s (spread 0.048), change 0.35, "
-         "change wins 3/3 (gain shown)",
+         "change wins 3/3 (gain not shown)",
          "suite.injection-f_s: parent 1.11 s (spread 0.360), change 1.12, "
          "change wins 2/3 (gain not shown)"],
         '{"workload": "suites", "suites": {"parent": {"command": '

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -339,36 +340,53 @@ def test_avoiders_are_complete_past_the_filter(sig):
 
 @pytest.mark.parametrize("sig", ALL_SIGS)
 def test_avoider_search_has_no_dead_ends(sig, monkeypatch):
-    # the search visits catalan(n+1) prefixes, the empty one included, when
-    # every visited prefix completes.  For n >= 2, catalan(n) of them are
-    # complete and catalan(n) are one value short, completed by their one
-    # unplaced value with no offer.  Every other nonempty one is a candidate
-    # offered once: by range(1, n + 1) after the empty prefix, by
-    # `_admissible` after the others that are two or more values short.  So
-    # the offers number catalan(n+1) - catalan(n) - 1 exactly when no offered
-    # candidate is a dead end, and the helper is called once per visited
-    # prefix that is nonempty and two or more values short.
-    calls = offered = 0
-    admissible = permutations_mod._admissible
+    # the walk makes one `_extend` search for the prefixes of length
+    # head = n - _TAIL, and one more, a table fill, per distinct placed set of
+    # those prefixes, for its tails.  A search offers each candidate once, and
+    # a candidate is its prefix or tail so far; it offers no dead end exactly
+    # when every candidate is a prefix of something it must produce.  So the
+    # offers equal the distinct nonempty prefixes of length at most head of
+    # the yielded avoiders, and, over the fills, the distinct pairs of a
+    # placed set and a nonempty tail part one value or more short (the last
+    # value is taken without an offer), both counted from the yielded
+    # avoiders.  `range(1, n + 1)` is the offer after the empty prefix;
+    # `_admissible` makes the others.
+    head = 0
+    offered = {"prefix": 0, "fill": 0}
+    searches = 0
+    admissible, extend = permutations_mod._admissible, permutations_mod._extend
 
-    def counting(*args):
-        nonlocal calls, offered
-        values = admissible(*args)
-        calls += 1
-        offered += len(values)
+    def counting_admissible(sig, used):
+        values = admissible(sig, used)
+        placed = len(used) - 2 - used.count(0)
+        offered["prefix" if placed < head else "fill"] += len(values)
         return values
 
-    monkeypatch.setattr(permutations_mod, "_admissible", counting)
+    def counting_extend(*args):
+        nonlocal searches
+        searches += 1
+        return extend(*args)
+
+    monkeypatch.setattr(permutations_mod, "_admissible", counting_admissible)
+    monkeypatch.setattr(permutations_mod, "_extend", counting_extend)
     pattern = Permutation(sig)
     for n, only in ((0, ()), (1, (1,))):
         assert [p.entries for p in enumerate_avoiders(n, pattern)] == [only]
-    assert calls == 0
-    for n in range(2, 8):
-        calls = 0
-        offered = n
-        assert sum(1 for _ in enumerate_avoiders(n, pattern)) == catalan(n)
-        assert offered == catalan(n + 1) - catalan(n) - 1, (n, offered)
-        assert calls == catalan(n + 1) - 2 * catalan(n) - 1, (n, calls)
+    assert (offered, searches) == ({"prefix": 0, "fill": 0}, 0)
+    tail = permutations_mod._TAIL
+    for n in range(2, 11):
+        head = max(n - tail, 0)
+        offered = {"prefix": n, "fill": 0} if head else {"prefix": 0, "fill": n}
+        searches = 0
+        walk = [p.entries for p in enumerate_avoiders(n, pattern)]
+        assert len(walk) == catalan(n)
+        prefixes = {e[:k] for e in walk for k in range(1, head + 1)}
+        tails = {(frozenset(e[:head]), e[head:k]) for e in walk for k in range(head + 1, n)}
+        placed_sets = {frozenset(e[:head]) for e in walk}
+        assert offered == {"prefix": len(prefixes), "fill": len(tails)}, n
+        assert searches == 1 + len(placed_sets), n
+        # every set of n - _TAIL values starts some avoider
+        assert len(placed_sets) == math.comb(n, min(tail, n)), n
 
 
 def test_enumerations_go_deep_without_recursion():

@@ -19,15 +19,17 @@ BENCHMARK.json.
 Each run's line is printed as it ends.  Then, for each metric: both medians,
 the parent's spread (interquartile range over median, from
 `statistics.quantiles(n=4)`), the pairs the change wins (better by the
-metric's `better`; ties count for neither), whether a gain is shown (the
-change wins at least 9 in 10 of the pairs and its median beats the parent's
-by more than the parent's spread) and whether the change's median is worse
-than the parent's by more than the metric's bound, a share of the parent's
-median.  The last line is a JSON object with every run's metrics.  If a
-larger share of the change's operations failed than of the parent's, the
-change's failed/attempted line ends ", LARGER SHARE FAILED" and the tool
-exits 1 once it has printed everything.  A child that exits other than 0,
-or whose last stdout line is not JSON, stops the comparison.
+metric's `better`; ties count for neither), whether a gain is shown (of at
+least 10 pairs, the change wins at least 9 in 10, and its median beats the
+parent's by more than the parent's spread) and whether the change's median
+is worse than the parent's by more than the metric's bound, a share of the
+parent's median.  The last line is a JSON object with every run's metrics.
+If a larger share of the change's operations failed than of the parent's,
+the change's failed/attempted line ends ", LARGER SHARE FAILED" and the
+tool exits 1 once it has printed everything.  A child that exits other than 0,
+or whose last stdout line is not JSON, stops the comparison.  A change
+checkout without a readable BENCHMARK.json is named on one stderr line, and
+the tool exits 2 before any child starts.
 
 A pseudo-workload instead runs, in the same alternating order and without
 the seeds, children of this interpreter with `src` first on PYTHONPATH:
@@ -66,6 +68,7 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 STARTUP = ["-m", "ulisperm.cli", "rank", "2 1"]
 STARTUP_RUNS = 11
 SUITES_RUNS = 3
+GAIN_PAIRS = 10  # the fewest pairs a gain can be shown on
 SUITES_SCRIPT = f"""
 import json
 from ulisperm.errors import SUITE_NAMES
@@ -106,7 +109,8 @@ def summarise(metrics: list[dict], parent: list[dict[str, float]],
             "parent_spread": (q3 - q1) / median,
             "change_wins": wins,
             "pairs": len(before),
-            "gain_shown": 10 * wins >= 9 * len(before) and -worse > q3 - q1,
+            "gain_shown": (len(before) >= GAIN_PAIRS and 10 * wins >= 9 * len(before)
+                           and -worse > q3 - q1),
             "worse_than_bound": worse > bound * abs(median),
         })
     return rows
@@ -217,7 +221,12 @@ def main(argv: list[str]) -> int:
         return _usage()
     if pairs < 2:
         return _usage()
-    benchmark = json.loads((Path(change_dir) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    path = Path(change_dir) / "BENCHMARK.json"
+    try:
+        benchmark = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        print(f"cannot read {path}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
+        return 2
     if workload not in PSEUDO and workload not in [w["name"] for w in benchmark["workloads"]]:
         return _usage()
     seconds = benchmark["run_seconds"]
