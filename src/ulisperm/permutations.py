@@ -372,8 +372,7 @@ def _walk_fault(family: str, n: int, walked: int, total: int) -> ConstructionErr
 # value must still be placed.  It is sufficient, because any prefix that
 # obeys it completes: append the remaining values in increasing order for
 # 132, 321 and 231, in decreasing order for 123, 312 and 213, and each one
-# blocks only values already placed.  So every visited prefix completes, and
-# one a value short takes its one unplaced value without an offer.
+# blocks only values already placed.  So every visited prefix completes.
 #
 # The admissible values after a prefix depend only on its placed set, so the
 # search below a prefix does too: prefixes with the same placed set have the
@@ -405,8 +404,7 @@ _TAIL = 5  # the last values of an avoider, searched once per placed set
 
 
 def _admissible(sig: tuple[int, int, int], used: bytearray) -> Sequence[int]:
-    """The admissible values after a nonempty, incomplete prefix, increasing.
-    The search asks only after a prefix at least two values short."""
+    """The admissible values after an incomplete prefix, increasing."""
     top = len(used) - 1
     if sig[0] == 1:  # 132 or 123: below m, then one value above
         m = used.find(1, 1)
@@ -432,11 +430,10 @@ def enumerate_avoiders(n: int, pattern: Permutation = PATTERN_132, *,
     miscounts raises ConstructionError.  The default cap keeps accidental
     `n` typos from enumerating millions of objects; pass a larger `cap`
     explicitly to go further.  The search visits no dead end: every prefix
-    it extends completes, and one a value short completes with its unplaced
-    value, taken without a search step.  The search below a prefix depends
-    only on its placed set, so the tails of its last five values are
-    searched once per placed set, kept in a table local to the walk, and
-    shared by every prefix with that set.
+    it extends completes.  The search below a prefix depends only on its
+    placed set, so the tails of its last five values are searched once per
+    placed set, kept in a table local to the walk, and shared by every
+    prefix with that set.
 
     The search itself, `_generate_avoiders`, yields plain tuples, and each
     is wrapped unvalidated (`Permutation._trusted`).  The verify suites
@@ -458,9 +455,6 @@ def _generate_avoiders(n: int, sig: tuple[int, int, int]) -> Iterator[tuple[int,
     finite, so it can only miscount: it raises ConstructionError before
     yielding a chunk of tails that would pass catalan(n), and at an end
     short of catalan(n)."""
-    if n < 2:  # the empty prefix is complete or one value short
-        yield tuple(range(1, n + 1))
-        return
     total = catalan(n)
     walked = 0
     used = bytearray(n + 2)
@@ -484,28 +478,22 @@ def _extend(sig: tuple[int, int, int], used: bytearray,
     """Every way to place `count` more values after a prefix whose placed
     set is `used` (sentinels included), as tuples in lexicographic order.
     Each value placed is marked in `used` while its branch is searched, so
-    `used` holds the whole prefix at each yield and is restored at the end.
-    `count` is 0, or leaves at least two values unplaced, or places all of
-    at least two; then the last value is taken without an offer."""
+    `used` holds the whole prefix at each yield and is restored at the end."""
     if not count:
         yield ()
         return
-    short = used.count(0)
-    last = count - (count == short)  # values placed by an offer
     out: list[int] = []
     # one iterator per prefix, longest last
-    offers = [iter(range(1, short + 1) if short == len(used) - 2
-                   else _admissible(sig, used))]
+    offers = [iter(_admissible(sig, used))]
     while True:
         v = next(offers[-1], 0)
         if v:
             used[v] = 1
             out.append(v)
-            if len(out) < last:
+            if len(out) < count:
                 offers.append(iter(_admissible(sig, used)))
                 continue
-            # every visited prefix completes, so its one unplaced value does
-            yield (*out, used.find(0)) if last < count else tuple(out)
+            yield tuple(out)
         else:
             offers.pop()
             if not out:

@@ -398,6 +398,21 @@ def test_listing_fails_on_a_walk_of_the_wrong_length(capsys, monkeypatch, comman
             assert err == f"error: walk bug: {message}\n"
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_avoider_listing_fails_on_a_miscounted_short_walk(capsys, monkeypatch, n):
+    # the walks of length 0 and 1 certify their one item like any other walk:
+    # told 0, the walk stops before it, and told 2, it ends short
+    for told, message in (
+            (0, f"the avoider walk of length {n} yielded more than catalan({n}) = 0 items"),
+            (2, f"the avoider walk of length {n} yielded 1 items, not catalan({n}) = 2")):
+        monkeypatch.setattr(permutations_mod, "catalan", lambda k: told)
+        for fmt in ("plain", "json", "csv"):
+            code, out, err = run(capsys, "avoiders", str(n), "--format", fmt)
+            assert code == 1
+            assert len(out.splitlines()) <= told + (fmt == "csv")  # the csv header
+            assert err == f"error: walk bug: {message}\n"
+
+
 def test_construction_fault_exits_1(capsys, monkeypatch):
     # `invert`'s certificate fails: an error line and exit 1, not a traceback
     real_ranks = ranks_mod._avoider_ranks

@@ -347,13 +347,8 @@ def test_avoider_search_has_no_dead_ends(sig, monkeypatch):
     # when every candidate is a prefix of something it must produce.  So the
     # offers equal the distinct nonempty prefixes of length at most head of
     # the yielded avoiders, and, over the fills, the distinct pairs of a
-    # placed set and a nonempty tail part one value or more short (the last
-    # value is taken without an offer), both counted from the yielded
-    # avoiders.  `range(1, n + 1)` is the offer after the empty prefix;
-    # `_admissible` makes the others.
-    head = 0
-    offered = {"prefix": 0, "fill": 0}
-    searches = 0
+    # placed set and a nonempty tail part, both counted from the yielded
+    # avoiders.  `_admissible` makes every offer.
     admissible, extend = permutations_mod._admissible, permutations_mod._extend
 
     def counting_admissible(sig, used):
@@ -370,18 +365,15 @@ def test_avoider_search_has_no_dead_ends(sig, monkeypatch):
     monkeypatch.setattr(permutations_mod, "_admissible", counting_admissible)
     monkeypatch.setattr(permutations_mod, "_extend", counting_extend)
     pattern = Permutation(sig)
-    for n, only in ((0, ()), (1, (1,))):
-        assert [p.entries for p in enumerate_avoiders(n, pattern)] == [only]
-    assert (offered, searches) == ({"prefix": 0, "fill": 0}, 0)
     tail = permutations_mod._TAIL
-    for n in range(2, 11):
+    for n in range(11):
         head = max(n - tail, 0)
-        offered = {"prefix": n, "fill": 0} if head else {"prefix": 0, "fill": n}
+        offered = {"prefix": 0, "fill": 0}
         searches = 0
         walk = [p.entries for p in enumerate_avoiders(n, pattern)]
         assert len(walk) == catalan(n)
         prefixes = {e[:k] for e in walk for k in range(1, head + 1)}
-        tails = {(frozenset(e[:head]), e[head:k]) for e in walk for k in range(head + 1, n)}
+        tails = {(frozenset(e[:head]), e[head:k]) for e in walk for k in range(head + 1, n + 1)}
         placed_sets = {frozenset(e[:head]) for e in walk}
         assert offered == {"prefix": len(prefixes), "fill": len(tails)}, n
         assert searches == 1 + len(placed_sets), n

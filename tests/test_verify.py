@@ -216,22 +216,23 @@ _AVOIDER_SUITES = ("bijection", "lemma1", "injection-g", "characterization", "ca
 # Each Catalan walk certifies its own length against the `catalan` binding of
 # its module, and the suites count no walk themselves, so a walk told one item
 # less or one more than catalan(n) fails every suite that walks that family.
-# Told one less, a walk of length 1 is told 0 and its one item is still the
-# last member, so the fault shows at n = 2.  Told one more, the rank-sequence
-# walk ends short at n = 1; the avoider walk of length 1 yields its one item
-# without a count, so its fault shows at n = 2.
+# The suites start at n = 1.  The avoider walk counts at every length, so its
+# fault shows there either way.  The rank-sequence walk certifies its last
+# member: told one less, a walk of length 1 is told 0 and its one item is
+# still the last member, so that fault shows at n = 2; told one more, it ends
+# short at n = 1.
 @pytest.mark.parametrize("module, shift, suites, error", [
     pytest.param(ranks_mod, -1, _RANK_SEQUENCE_SUITES,
                  "the rank-sequence walk of length 2 yielded more than catalan(2) = 1 items",
                  id="rank-sequence"),
     pytest.param(permutations_mod, -1, _AVOIDER_SUITES,
-                 "the avoider walk of length 2 yielded more than catalan(2) = 1 items",
+                 "the avoider walk of length 1 yielded more than catalan(1) = 0 items",
                  id="avoider"),
     pytest.param(ranks_mod, 1, _RANK_SEQUENCE_SUITES,
                  "the rank-sequence walk of length 1 yielded 1 items, not catalan(1) = 2",
                  id="rank-sequence-short"),
     pytest.param(permutations_mod, 1, _AVOIDER_SUITES,
-                 "the avoider walk of length 2 yielded 2 items, not catalan(2) = 3",
+                 "the avoider walk of length 1 yielded 1 items, not catalan(1) = 2",
                  id="avoider-short"),
 ])
 def test_every_suite_fails_fast_on_a_miscounted_walk(monkeypatch, module, shift, suites, error):
