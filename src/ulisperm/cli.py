@@ -48,9 +48,8 @@ from .errors import (
 from .permutations import (
     AVOIDER_CAP,
     Permutation,
-    _avoider_ranks,
+    _sweep_132,
     catalan,
-    contains_pattern,
     enumerate_avoiders,
     format_values,
     start_lengths_counts,
@@ -193,9 +192,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         print(ranks.invert(ranks.RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
-    values = _avoider_ranks(p.entries)  # one sweep: the 132 test and an avoider's ranks
-    if values is None:
-        witness = contains_pattern(p).witness
+    witness, values = _sweep_132(p.entries)  # one sweep: a 132 or an avoider's ranks
+    if witness:
         print(f"warning: input contains 132 at positions {witness}; "
               "ranks are still well-defined", file=sys.stderr)
         values, _ = start_lengths_counts(p)  # `start_ranks` without its sweep

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import ConstructionError, InputError, _check_length, _int_text
@@ -49,10 +50,13 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-        n = len(self.entries)
-        if sorted(self.entries) != list(range(1, n + 1)):
+        try:  # exact ints: a float, a string or any other non-integer is refused
+            entries = tuple(map(index, self.entries))
+        except TypeError:
+            raise InputError(f"not an integer sequence: {self.entries!r}") from None
+        object.__setattr__(self, "entries", entries)
+        n = len(entries)
+        if sorted(entries) != list(range(1, n + 1)):
             raise InputError(
                 f"not a permutation of 1..{n}: {self.entries}"
             )
@@ -68,11 +72,11 @@ class Permutation:
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
         """Wrap `entries` without validating them.  Only for tuples that are
-        permutations by construction.  Four callers: `enumerate_avoiders`,
+        permutations by construction.  Three callers: `enumerate_avoiders`,
         on what `_generate_avoiders` yields; `ranks.invert`, on what
-        `ranks._decode` certified; `ulis.uniquify_stages`, on the image of
-        `ulis._stages`; and `ulis._stages` itself, on a rejected input, to
-        name its 132.  The verify suites other than `catalan` wrap nothing.
+        `ranks._decode` certified; and `ulis.uniquify_stages`, on the image
+        of `ulis._stages`.  The verify suites other than `catalan` wrap
+        nothing.
         Its twin is `RankSequence._trusted`."""
         p = object.__new__(cls)
         p.__dict__["entries"] = entries  # past the frozen __setattr__
@@ -133,41 +137,24 @@ def contains_pattern(p: Permutation) -> PatternVerdict:
     """Decide whether `p` contains 132.
 
     Containment means some positions i < j < k carry entries e_i < e_k < e_j.
-    The witness returned is the lexicographically least triple.  Linear
-    time: `_sweep_132` finds the least i that starts an occurrence; for that
-    i alone, one more pass from the right keeps the least entry above e_i so
-    far, the last entry it finds above that one is the least j, and a forward
-    scan from j finds the least k.  The sweep also builds the start ranks, discarded
-    here; `rank` and `map` call this only on an input that contains 132, to
-    name its witness, and take the ranks of an avoider from
-    `_avoider_ranks`.
+    The witness returned is the lexicographically least triple, from one
+    linear `_sweep_132`; `rank`, `map` and `invert`'s certificate call the
+    sweep themselves, which gives an avoider's ranks in the same pass.
 
     >>> contains_pattern(Permutation.from_text("2413"))
     PatternVerdict(contains=True, witness=(1, 2, 4))
     >>> contains_pattern(Permutation.from_text("34256178")).contains
     False
     """
-    e = p.entries
-    i = _sweep_132(e)[0]
-    if i < 0:
-        return PatternVerdict(False)
-    n = len(e)
-    ei = e[i]
-    low = n + 1  # the least entry above e_i right of m, or above every entry
-    for m in range(n - 1, i, -1):
-        em = e[m]
-        if em > low:
-            j = m
-        elif em > ei:
-            low = em
-    ej = e[j]
-    k = next(k for k in range(j + 1, n) if ei < e[k] < ej)
-    return PatternVerdict(True, (i + 1, j + 1, k + 1))
+    witness = _sweep_132(p.entries)[0]
+    return PatternVerdict(witness is not None, witness)
 
 
-def _sweep_132(e: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """The least 0-based i that starts a 132 in `e`, or -1, and, when it is
-    -1, the start ranks of `e`, from one right-to-left sweep in O(n).
+def _sweep_132(e: Sequence[int]) -> tuple[tuple[int, int, int] | None, tuple[int, ...] | None]:
+    """`(None, ranks)`, the start ranks of `e`, if `e` avoids 132, else
+    `(witness, None)`, the lexicographically least 1-based triple of positions
+    whose entries form a 132: the 132 test of `rank`, `map` and `invert`,
+    from one right-to-left sweep in O(n).
 
     `third` is the largest entry right of i with a larger one between them,
     found when its nearest larger entry to the left pops it; an entry below
@@ -176,12 +163,13 @@ def _sweep_132(e: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     once e[i] is pushed the stack is its chain of nearest larger entries.  In
     a 132-avoider the larger entries right of e[i] increase, so they are that
     chain, and the rank of e[i] is the stack's height (r_i = 1 + r_k, k the
-    nearest larger entry).  On an input with a 132 the heights are not ranks.
+    nearest larger entry).  On an input with a 132 the heights are not ranks,
+    and `_least_132` completes the least start the sweep found.
 
     >>> _sweep_132((3, 4, 2, 5, 6, 1, 7, 8))
-    (-1, (6, 5, 5, 4, 3, 3, 2, 1))
-    >>> _sweep_132((2, 4, 1, 3))[0]
-    0
+    (None, (6, 5, 5, 4, 3, 3, 2, 1))
+    >>> _sweep_132((2, 4, 1, 3))
+    ((1, 2, 4), None)
     """
     first = -1
     third = 0  # below every entry
@@ -196,7 +184,31 @@ def _sweep_132(e: Sequence[int]) -> tuple[int, tuple[int, ...]]:
                 third = stack.pop()
             stack.append(v)
         ranks[i] = len(stack)
-    return first, tuple(ranks)
+    if first < 0:
+        return None, tuple(ranks)
+    return _least_132(e, first), None
+
+
+def _least_132(e: Sequence[int], i: int) -> tuple[int, int, int]:
+    """The lexicographically least 1-based triple of positions of a 132 in
+    `e`, given the 0-based least start i that `_sweep_132` found.  One pass
+    from the right keeps the least entry above e_i so far, the last entry it
+    finds above that one is the least j, and a forward scan from j finds the
+    least k.  Kept out of the sweep: there the generator below would make
+    `e` a cell variable, read more slowly in the sweep's loop, and these
+    locals would enlarge the frame of every sweep."""
+    n = len(e)
+    ei = e[i]
+    low = n + 1  # the least entry above e_i right of m, or above every entry
+    for m in range(n - 1, i, -1):
+        em = e[m]
+        if em > low:
+            j = m
+        elif em > ei:
+            low = em
+    ej = e[j]
+    k = next(k for k in range(j + 1, n) if ei < e[k] < ej)
+    return i + 1, j + 1, k + 1
 
 
 PATTERN_132 = Permutation((1, 3, 2))
@@ -270,12 +282,12 @@ def _fenwick_starts(e: Sequence[int]) -> tuple[list[int], list[int]]:
 def start_ranks(p: Permutation) -> tuple[int, ...]:
     """The rank of each entry: length of the longest increasing subsequence
     starting there.  Defined for every permutation.  On a 132-avoider one
-    linear sweep gives them (`_avoider_ranks`); only an input containing 132
-    is passed on to the O(n log n) Fenwick pass.  `rank_sequence` finds
-    ranks through it, and the bijection and characterization suites through
-    its body, `_start_ranks`, on the plain entries.  `rank` and `map` run
-    `_avoider_ranks` themselves, and `rank` passes an input that contains
-    132, already swept once, straight to `start_lengths_counts`.
+    linear `_sweep_132` gives them; only an input containing 132 is passed
+    on to the O(n log n) Fenwick pass.  `rank_sequence` finds ranks through
+    it, and the bijection and characterization suites through its body,
+    `_start_ranks`, on the plain entries.  `rank` and `map` run the sweep
+    themselves, and `rank` passes an input that contains 132, swept once,
+    straight to `start_lengths_counts`.
 
     >>> start_ranks(Permutation.from_text("213"))
     (2, 2, 1)
@@ -289,18 +301,8 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
 
 def _start_ranks(e: Sequence[int]) -> tuple[int, ...]:
     """`start_ranks` on the entries of a permutation."""
-    ranks = _avoider_ranks(e)
-    if ranks is None:
-        return tuple(_start_lengths_counts(e)[0])
-    return ranks
-
-
-def _avoider_ranks(e: Sequence[int]) -> tuple[int, ...] | None:
-    """The ranks of the entries `e` from one `_sweep_132` if they avoid 132,
-    else None: a 132 verdict and the ranks of an avoider at the cost of one
-    sweep."""
-    first, ranks = _sweep_132(e)
-    return ranks if first < 0 else None
+    witness, ranks = _sweep_132(e)
+    return ranks if witness is None else tuple(_start_lengths_counts(e)[0])
 
 
 def lis_stats(p: Permutation) -> tuple[int, int]:

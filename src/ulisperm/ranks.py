@@ -17,7 +17,7 @@ avoider's larger-to-the-right inversion table, which `invert` decodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from operator import index, sub
 from typing import Iterator
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .permutations import (
     Permutation,
-    _avoider_ranks,
+    _sweep_132,
     _walk_fault,
     catalan,
     format_values,
@@ -43,11 +43,12 @@ class RankSequence:
     adjacent drops at most 1.
 
     Direct construction, `from_text` and `rank_sequence` validate their
-    values (any sequence of ints is stored as a tuple).  Only tuples that
-    are members by construction, or already validated, are wrapped
-    unchecked, through `_trusted`: those `enumerate_rank_sequences` yields,
-    and the stages `ulis._stages` validated.  The verify suites other than
-    `catalan` check the plain values and build none.
+    values (any sequence of integers, bools included, is stored as a tuple
+    of ints).  Only tuples that are members by construction, or already
+    validated, are wrapped unchecked, through `_trusted`: those
+    `enumerate_rank_sequences` yields, and the stages `ulis._stages`
+    validated.  The verify suites other than `catalan` check the plain
+    values and build none.
 
     >>> RankSequence((2, 2, 1)).n
     3
@@ -62,9 +63,20 @@ class RankSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        validate_values(self.values)
+        values = tuple(self.values)
+        try:  # exact ints: a float, a string or any other non-integer is refused
+            values = tuple(map(index, values))
+        except TypeError:
+            for i, v in enumerate(values, 1):
+                try:
+                    index(v)
+                except TypeError:
+                    raise SequenceValidationError(
+                        "integer", i, f"entry {v!r} at position {i} is not an integer"
+                    ) from None
+            raise
+        object.__setattr__(self, "values", values)
+        validate_values(values)
 
     @property
     def n(self) -> int:
@@ -164,10 +176,13 @@ def _generate_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """The values of every rank sequence of length n, in lexicographic
     order, as plain tuples; the length is not checked.  After catalan(n) - 1
     successor steps, each of which must find an entry to raise, the last
-    tuple must be the last member, n ... 2 1; else ConstructionError."""
+    tuple must be the last member, n ... 2 1; else ConstructionError, raised
+    before yielding past catalan(n) and at an end short of it."""
     values = [1] * n
     stairs = [*range(n, 1, -1), *[1] * n]
     total = catalan(n)
+    if total < 1:  # even the first member is one too many
+        raise _walk_fault("rank-sequence", n, 1, total)
     for walked in range(1, total):
         yield tuple(values)
         i = n - 2
@@ -196,7 +211,7 @@ def invert(t: RankSequence) -> Permutation:
     a cursor stops after each entry on the value just above it, the
     (r_i - 1)-th largest left.  By membership r_{i+1} >= r_i - 1, so from
     there the cursor only moves down, and the decoding takes O(n) steps.
-    The result is then checked in O(n) by `permutations._avoider_ranks`: it
+    The result is then checked in O(n) by `permutations._sweep_132`: it
     must avoid 132 and have the ranks t; otherwise ConstructionError is
     raised, under `python -O` too.  The decoding and its certificate are
     `_decode`'s, on the plain values; the bijection and injection-g suites
@@ -234,7 +249,7 @@ def _decode(values: tuple[int, ...]) -> tuple[int, ...]:
         rank -= 1
     # every value is unlinked once, so the result is a permutation as built
     result = tuple(entries)
-    if _avoider_ranks(result) != values:
+    if _sweep_132(result) != (None, values):
         raise ConstructionError(f"decoding {format_values(values)} gave "
                                 f"{format_values(result)}, not a 132-avoider with those ranks")
     return result

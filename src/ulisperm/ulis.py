@@ -13,7 +13,7 @@ count of the former below the count of the latter.
 from __future__ import annotations
 
 from .errors import ConstructionError, InputError
-from .permutations import Permutation, _avoider_ranks, contains_pattern, format_values
+from .permutations import Permutation, _sweep_132, format_values
 from .ranks import RankSequence, _decode, validate_values
 
 
@@ -119,9 +119,9 @@ def uniquify_stages(p: Permutation) -> tuple[RankSequence, RankSequence, Permuta
     """`uniquify_lis` stage by stage: the rank sequence of `p`, that sequence
     with its maximum made unique by `uniquify_max`, and its inverse, the image
     of `p`.  Preconditions are recomputed here rather than trusted, in O(n):
-    one linear sweep (`permutations._avoider_ranks`, which `start_ranks` runs
-    first) decides that `p` avoids 132 and gives its ranks, and only a
-    rejected input is swept again, by `contains_pattern`, to name a witness.
+    one linear sweep (`permutations._sweep_132`, which `start_ranks` runs
+    first) gives the ranks of an avoider, or names the least 132 of a
+    rejected input.
     By Lemma 1 each entry of an avoider starts exactly one longest increasing
     subsequence among those starting there, so `p` has as many longest
     increasing subsequences as its ranks have positions of maximal rank: it
@@ -146,9 +146,8 @@ def _stages(e: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple
     only then are they validated as a member of the family: the ranks of a
     rejected input are not.
     """
-    values = _avoider_ranks(e)
-    if values is None:
-        witness = contains_pattern(Permutation._trusted(e)).witness
+    witness, values = _sweep_132(e)
+    if witness:
         raise InputError(f"input contains 132 at positions {witness}: {format_values(e)}")
     lifted = _bump(values) if values else None
     if lifted is None:

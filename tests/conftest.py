@@ -1,7 +1,10 @@
 import contextlib
 import gc
+import importlib
 import os
+import pkgutil
 import signal
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,36 @@ def child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """`record_calls(module, name)` replaces the function `module.name` at
+    every binding of it in every `ulisperm` module, found by identity under
+    any name, and returns the list that each call's first argument is then
+    appended to.  A caller that binds the function in a module of its own is
+    counted too, so moving a binding cannot make a count read 0 unnoticed."""
+    def record(module, name):
+        import ulisperm
+
+        real = getattr(module, name)
+        calls = []
+
+        def recording(first, *args, **kwargs):
+            calls.append(first)
+            return real(first, *args, **kwargs)
+
+        # every module, so that none a command loads later keeps the original
+        for info in pkgutil.iter_modules(ulisperm.__path__):
+            importlib.import_module(f"ulisperm.{info.name}")
+        for module_name, namespace in list(sys.modules.items()):
+            if module_name.split(".")[0] == "ulisperm":
+                for attr, obj in list(vars(namespace).items()):
+                    if obj is real:
+                        monkeypatch.setattr(namespace, attr, recording)
+        return calls
+
+    return record
 
 
 def pytest_collection_modifyitems(config, items):

@@ -89,7 +89,7 @@ def test_hot_helpers_stay_private():
                ulisperm.RankSequence._trusted.__func__, ulisperm.ulis._unique_max,
                ulisperm.ulis._restore_max, ulisperm.ulis._bump, ulisperm.ulis._stages,
                ulisperm.permutations._admissible, ulisperm.permutations._generate_avoiders,
-               ulisperm.permutations._start_ranks, ulisperm.permutations._avoider_ranks,
+               ulisperm.permutations._start_ranks, ulisperm.permutations._sweep_132,
                ulisperm.permutations._start_lengths_counts, ulisperm.permutations._has_ulis,
                ulisperm.ranks._generate_sequences, ulisperm.ranks._decode,
                ulisperm.errors._int_text, ulisperm.errors._text_int]
@@ -114,9 +114,9 @@ def test_hot_helpers_stay_private():
     assert not hasattr(ulisperm.permutations, "_lis_stats")
     # `invert` certifies every decode, so no suite tests its output for 132
     assert not hasattr(ulisperm.verify, "contains_pattern")
-    # `invert` certifies through `_avoider_ranks`, so only `permutations`
-    # reads the sweep's (first, ranks) pair
-    assert not hasattr(ulisperm.ranks, "_sweep_132")
+    # one sweep gives the 132 witness or the ranks, so nothing wraps it to
+    # drop the witness
+    assert not hasattr(ulisperm.permutations, "_avoider_ranks")
     # census rows derive v and ratio, so nothing builds or checks them apart
     assert not hasattr(ulisperm.census, "_make_row")
     assert not hasattr(ulisperm.census, "CSV_COLUMNS")

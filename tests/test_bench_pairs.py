@@ -161,6 +161,24 @@ def test_startup_is_the_median_of_fresh_processes(monkeypatch, tmp_path):
     assert result == {"startup_ms": pytest.approx(6.0)}
 
 
+def test_startup_bare_runs_the_same_children_without_site(monkeypatch, tmp_path):
+    # made-up children; no process is started
+    started = []
+
+    def fake_run(command, **kwargs):
+        assert command[1:] == ["-S", *bench_pairs.STARTUP]
+        assert kwargs["cwd"] == tmp_path
+        assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == "src"
+        started.append(command)
+        return subprocess.CompletedProcess(command, 0, "1 1\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    runner, command_text = bench_pairs.PSEUDO["startup_bare"]
+    assert set(runner(tmp_path)) == {"startup_ms"}
+    assert len(started) == bench_pairs.STARTUP_RUNS
+    assert command_text == "PYTHONPATH=src python3 -S -m ulisperm.cli rank '2 1'"
+
+
 @pytest.mark.parametrize("code, stdout", [(2, ""), (0, "1 2\n"), (0, "")])
 def test_startup_stops_on_a_wrong_exit_or_output(monkeypatch, tmp_path, code, stdout):
     def fake_run(command, **kwargs):

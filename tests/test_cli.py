@@ -183,41 +183,27 @@ def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
     assert calls == 1  # the counter does see the kernel
 
 
-def test_map_sweeps_an_avoider_twice(capsys, monkeypatch):
+def test_map_sweeps_an_avoider_twice(capsys, record_calls):
     # once for the 132 test and the ranks together, once for `invert`'s
-    # certificate of the image; a rejected input is swept again for its
-    # witness and never decoded
-    sweeps = []
-    sweep = permutations_mod._sweep_132
-
-    def counting(entries):
-        sweeps.append(tuple(entries))
-        return sweep(entries)
-
-    monkeypatch.setattr(permutations_mod, "_sweep_132", counting)
+    # certificate of the image; a rejected input is swept once, for its
+    # witness, and never decoded
+    sweeps = record_calls(permutations_mod, "_sweep_132")
     assert run(capsys, "map", "3 2 1") == (0, "3 1 2\n", "")
     assert sweeps == [(3, 2, 1), (3, 1, 2)]
     sweeps.clear()
-    assert run(capsys, "map", "1 3 2")[0] == 2
-    assert sweeps == [(1, 3, 2), (1, 3, 2)]
+    assert run(capsys, "map", "1 3 2") == (
+        2, "", "error: input contains 132 at positions (1, 2, 3): 1 3 2\n")
+    assert sweeps == [(1, 3, 2)]
 
 
-def test_rank_sweeps_a_132_input_twice(capsys, monkeypatch):
-    # once for the 132 test and an avoider's ranks together, once more on an
-    # input that contains 132, for its witness; its ranks then come from the
-    # Fenwick pass alone
-    sweeps = []
-    sweep = permutations_mod._sweep_132
-
-    def counting(entries):
-        sweeps.append(tuple(entries))
-        return sweep(entries)
-
-    monkeypatch.setattr(permutations_mod, "_sweep_132", counting)
+def test_rank_sweeps_once(capsys, record_calls):
+    # one sweep gives the witness of an input that contains 132, whose ranks
+    # then come from the Fenwick pass alone, or the ranks of an avoider
+    sweeps = record_calls(permutations_mod, "_sweep_132")
     assert run(capsys, "rank", "1 3 2") == (
         0, "2 1 1\n", "warning: input contains 132 at positions (1, 2, 3); "
                       "ranks are still well-defined\n")
-    assert sweeps == [(1, 3, 2), (1, 3, 2)]
+    assert sweeps == [(1, 3, 2)]
     sweeps.clear()
     assert run(capsys, "rank", "3 2 1") == (0, "1 1 1\n", "")
     assert sweeps == [(3, 2, 1)]
@@ -398,16 +384,22 @@ def test_listing_fails_on_a_walk_of_the_wrong_length(capsys, monkeypatch, comman
             assert err == f"error: walk bug: {message}\n"
 
 
-@pytest.mark.parametrize("n", [0, 1])
-def test_avoider_listing_fails_on_a_miscounted_short_walk(capsys, monkeypatch, n):
+@pytest.mark.parametrize("command, module, family, n", [
+    pytest.param("avoiders", permutations_mod, "avoider", 0, id="0"),
+    pytest.param("avoiders", permutations_mod, "avoider", 1, id="1"),
+    # a rank sequence has length 1 at least
+    pytest.param("sequences", ranks_mod, "rank-sequence", 1, id="sequences-1"),
+])
+def test_avoider_listing_fails_on_a_miscounted_short_walk(capsys, monkeypatch, command,
+                                                          module, family, n):
     # the walks of length 0 and 1 certify their one item like any other walk:
     # told 0, the walk stops before it, and told 2, it ends short
     for told, message in (
-            (0, f"the avoider walk of length {n} yielded more than catalan({n}) = 0 items"),
-            (2, f"the avoider walk of length {n} yielded 1 items, not catalan({n}) = 2")):
-        monkeypatch.setattr(permutations_mod, "catalan", lambda k: told)
+            (0, f"the {family} walk of length {n} yielded more than catalan({n}) = 0 items"),
+            (2, f"the {family} walk of length {n} yielded 1 items, not catalan({n}) = 2")):
+        monkeypatch.setattr(module, "catalan", lambda k: told)
         for fmt in ("plain", "json", "csv"):
-            code, out, err = run(capsys, "avoiders", str(n), "--format", fmt)
+            code, out, err = run(capsys, command, str(n), "--format", fmt)
             assert code == 1
             assert len(out.splitlines()) <= told + (fmt == "csv")  # the csv header
             assert err == f"error: walk bug: {message}\n"
@@ -415,12 +407,12 @@ def test_avoider_listing_fails_on_a_miscounted_short_walk(capsys, monkeypatch, n
 
 def test_construction_fault_exits_1(capsys, monkeypatch):
     # `invert`'s certificate fails: an error line and exit 1, not a traceback
-    real_ranks = ranks_mod._avoider_ranks
+    real_sweep = ranks_mod._sweep_132
 
     def misreports_12(e):
-        return (1, 1) if e == (1, 2) else real_ranks(e)
+        return (None, (1, 1)) if e == (1, 2) else real_sweep(e)
 
-    monkeypatch.setattr(ranks_mod, "_avoider_ranks", misreports_12)
+    monkeypatch.setattr(ranks_mod, "_sweep_132", misreports_12)
     assert run(capsys, "rank", "--invert", "2 1") == (
         1, "", "error: decoding 2 1 gave 1 2, not a 132-avoider with those ranks\n")
 

@@ -112,6 +112,32 @@ def test_text_round_trip():
     assert Permutation.from_text(str(p)) == p
 
 
+@pytest.mark.parametrize("cls, entries, position", [
+    (Permutation, (1.0, 2.0), 1),
+    (Permutation, (2, "1"), 2),
+    (RankSequence, (1.5, 1), 1),
+    (RankSequence, (2, 2, 1.0), 3),
+    (RankSequence, (1, None), 2),
+])
+def test_constructors_refuse_non_integer_entries(cls, entries, position):
+    # a float equal to an int is refused too: a construction holds exact ints
+    with pytest.raises(InputError) as caught:
+        cls(entries)
+    if cls is RankSequence:
+        assert (caught.value.condition, caught.value.position) == ("integer", position)
+        assert str(caught.value) == (
+            f"entry {entries[position - 1]!r} at position {position} is not an integer")
+    else:
+        assert str(caught.value) == f"not an integer sequence: {entries!r}"
+
+
+def test_constructors_store_exact_ints():
+    # bools, like any integer with __index__, become plain ints
+    p, t = Permutation([2, True]), RankSequence((True,))
+    assert (p.entries, t.values) == ((2, 1), (1,))
+    assert {type(v) for v in p.entries + t.values} == {int}
+
+
 # --- pattern containment ----------------------------------------------------
 
 def test_pattern_contains_itself():
@@ -243,15 +269,13 @@ def test_start_ranks_examples():
 # --- the 132 sweep and its ranks ----------------------------------------------
 
 def check_sweep(entries):
-    """`_sweep_132` gives the least 132 start of the scan oracle and, on an
+    """`_sweep_132` gives the least 132 of the scan oracle, or, on an
     avoider, the start lengths of the Fenwick kernel; `start_ranks` equals
     the kernel's lengths on every input."""
-    first, ranks = permutations_mod._sweep_132(entries)
-    witness = contains_by_scan(entries, (1, 3, 2))
-    assert first == (-1 if witness is None else witness[0] - 1), entries
     lengths, _ = permutations_mod.start_lengths_counts(Permutation(entries))
-    if first < 0:
-        assert ranks == tuple(lengths), entries
+    witness = contains_by_scan(entries, (1, 3, 2))
+    expected = (None, tuple(lengths)) if witness is None else (witness, None)
+    assert permutations_mod._sweep_132(entries) == expected, entries
     assert start_ranks(Permutation(entries)) == tuple(lengths), entries
 
 
@@ -267,7 +291,7 @@ def test_sweep_ranks_match_kernel_on_avoiders():
         for p in enumerate_avoiders(n):
             avoiders += 1
             lengths, _ = permutations_mod.start_lengths_counts(p)
-            assert permutations_mod._sweep_132(p.entries) == (-1, tuple(lengths)), p
+            assert permutations_mod._sweep_132(p.entries) == (None, tuple(lengths)), p
     assert avoiders == 23713
 
 

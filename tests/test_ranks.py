@@ -356,11 +356,11 @@ def test_invert_raises_when_its_check_fails(monkeypatch):
     t = RankSequence.from_text("1 2 1")
     assert invert(t) == Permutation((3, 1, 2))
     # ranks that differ from t
-    monkeypatch.setattr(ranks, "_avoider_ranks", lambda p: (2, 2, 1))
+    monkeypatch.setattr(ranks, "_sweep_132", lambda e: (None, (2, 2, 1)))
     with pytest.raises(ConstructionError):
         invert(t)
     # a 132 in the decode
-    monkeypatch.setattr(ranks, "_avoider_ranks", lambda p: None)
+    monkeypatch.setattr(ranks, "_sweep_132", lambda e: ((1, 2, 3), None))
     with pytest.raises(ConstructionError):
         invert(t)
 

@@ -188,14 +188,14 @@ _DECODE_FAULT = "decoding 2 1 gave 1 2, not a 132-avoider with those ranks"
 def test_construction_fault_fails_the_suite(monkeypatch, capsys):
     # A decode whose certificate fails ends the run as a failure naming it,
     # in the library and in the CLI, not in a traceback.
-    real_ranks = ranks_mod._avoider_ranks
+    real_sweep = ranks_mod._sweep_132
 
     def misreports_12(e):
         if e == (1, 2):
-            return 1, 1
-        return real_ranks(e)
+            return None, (1, 1)
+        return real_sweep(e)
 
-    monkeypatch.setattr(ranks_mod, "_avoider_ranks", misreports_12)
+    monkeypatch.setattr(ranks_mod, "_sweep_132", misreports_12)
     for suite in ("bijection", "injection-g"):
         assert run_suite(suite, 6).to_payload() == {
             "command": "verify",
@@ -216,14 +216,12 @@ _AVOIDER_SUITES = ("bijection", "lemma1", "injection-g", "characterization", "ca
 # Each Catalan walk certifies its own length against the `catalan` binding of
 # its module, and the suites count no walk themselves, so a walk told one item
 # less or one more than catalan(n) fails every suite that walks that family.
-# The suites start at n = 1.  The avoider walk counts at every length, so its
-# fault shows there either way.  The rank-sequence walk certifies its last
-# member: told one less, a walk of length 1 is told 0 and its one item is
-# still the last member, so that fault shows at n = 2; told one more, it ends
-# short at n = 1.
+# The suites start at n = 1, and both walks certify their one item there:
+# told one less, a walk of length 1 is told 0 and stops before its item; told
+# one more, it ends short.
 @pytest.mark.parametrize("module, shift, suites, error", [
     pytest.param(ranks_mod, -1, _RANK_SEQUENCE_SUITES,
-                 "the rank-sequence walk of length 2 yielded more than catalan(2) = 1 items",
+                 "the rank-sequence walk of length 1 yielded more than catalan(1) = 0 items",
                  id="rank-sequence"),
     pytest.param(permutations_mod, -1, _AVOIDER_SUITES,
                  "the avoider walk of length 1 yielded more than catalan(1) = 0 items",

@@ -5,7 +5,7 @@ Usage:
     python3 tools/bench_pairs.py <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
 with <pairs> at least 2, the fewest runs the parent's spread is defined for.
 <workload> is a workload of BENCHMARK.json or a pseudo-workload: tier1,
-startup or suites.
+startup, startup_bare or suites.
 
 Pair i (0-based) runs the benchmark's command from BENCHMARK.json,
 
@@ -40,6 +40,9 @@ the seeds, children of this interpreter with `src` first on PYTHONPATH:
     startup  PYTHONPATH=src python3 -m ulisperm.cli rank '2 1'
              startup_ms, the median wall time of STARTUP_RUNS such processes;
              an exit other than 0 or a stdout other than "1 1" stops it
+    startup_bare  PYTHONPATH=src python3 -S -m ulisperm.cli rank '2 1'
+             the same as startup, each child without the `site` module, so
+             that what the site hooks load cannot hide package start-up
     suites   PYTHONPATH=src python3 -c SUITES_SCRIPT
              suite.<name>_s, each verify suite's least wall time of
              SUITES_RUNS runs at its default bound, timed around run_suite
@@ -185,13 +188,14 @@ def run_tier1(checkout: Path) -> dict:
     return {key: result[key] for key in ("passed", "skipped", "wall_s")}
 
 
-def run_startup(checkout: Path) -> dict:
+def run_startup(checkout: Path, flags: tuple[str, ...] = ()) -> dict:
     """The median wall time of STARTUP_RUNS fresh `rank "2 1"` processes in
-    `checkout`, started one after another."""
+    `checkout`, started one after another, with the interpreter options
+    `flags`."""
     times = []
     for _ in range(STARTUP_RUNS):
         started = time.perf_counter()
-        proc = _child(checkout, STARTUP)
+        proc = _child(checkout, [*flags, *STARTUP])
         times.append((time.perf_counter() - started) * 1000)
         if proc.returncode or proc.stdout != "1 1\n":
             sys.exit(f"{checkout} startup exited {proc.returncode}:\n"
@@ -209,6 +213,8 @@ def run_suites(checkout: Path) -> dict:
 PSEUDO = {
     "tier1": (run_tier1, " ".join(["PYTHONPATH=src python", *TIER1])),
     "startup": (run_startup, "PYTHONPATH=src python3 -m ulisperm.cli rank '2 1'"),
+    "startup_bare": (lambda checkout: run_startup(checkout, ("-S",)),
+                     "PYTHONPATH=src python3 -S -m ulisperm.cli rank '2 1'"),
     "suites": (run_suites, "PYTHONPATH=src python3 -c SUITES_SCRIPT"),
 }
 
