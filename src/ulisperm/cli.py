@@ -48,8 +48,8 @@ from .errors import (
 from .permutations import (
     AVOIDER_CAP,
     Permutation,
-    _sweep_132,
     catalan,
+    contains_pattern,
     enumerate_avoiders,
     format_values,
     start_lengths_counts,
@@ -192,9 +192,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         print(ranks.invert(ranks.RankSequence.from_text(args.text)))
         return 0
     p = Permutation.from_text(args.text)
-    witness, values = _sweep_132(p.entries)  # one sweep: a 132 or an avoider's ranks
-    if witness:
-        print(f"warning: input contains 132 at positions {witness}; "
+    verdict = contains_pattern(p)  # one sweep: a 132 or an avoider's ranks
+    values = verdict.ranks
+    if verdict.contains:
+        print(f"warning: input contains 132 at positions {verdict.witness}; "
               "ranks are still well-defined", file=sys.stderr)
         values, _ = start_lengths_counts(p)  # `start_ranks` without its sweep
     print(format_values(values))

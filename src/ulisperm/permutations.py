@@ -22,7 +22,7 @@ kept as Python ints, never floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index
 from typing import Iterator, Sequence
 
@@ -94,11 +94,13 @@ class PatternVerdict:
     """Outcome of a containment check.
 
     When `contains` is true, `witness` holds the lexicographically least
-    triple of 1-based positions whose entries form a 132.
+    triple of 1-based positions whose entries form a 132; else `ranks` holds
+    the start ranks from the same sweep, which neither print nor compare.
     """
 
     contains: bool
     witness: tuple[int, int, int] | None = None
+    ranks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
 
 def parse_values(text: str) -> tuple[int, ...]:
@@ -137,24 +139,24 @@ def contains_pattern(p: Permutation) -> PatternVerdict:
     """Decide whether `p` contains 132.
 
     Containment means some positions i < j < k carry entries e_i < e_k < e_j.
-    The witness returned is the lexicographically least triple, from one
-    linear `_sweep_132`; `rank`, `map` and `invert`'s certificate call the
-    sweep themselves, which gives an avoider's ranks in the same pass.
+    One linear `_sweep_132` gives the lexicographically least triple as the
+    witness, or, on an avoider, its start ranks, which `rank` prints.  `map`
+    and `invert`'s certificate call the sweep themselves, on plain entries.
 
     >>> contains_pattern(Permutation.from_text("2413"))
     PatternVerdict(contains=True, witness=(1, 2, 4))
     >>> contains_pattern(Permutation.from_text("34256178")).contains
     False
     """
-    witness = _sweep_132(p.entries)[0]
-    return PatternVerdict(witness is not None, witness)
+    witness, ranks = _sweep_132(p.entries)
+    return PatternVerdict(witness is not None, witness, ranks)
 
 
 def _sweep_132(e: Sequence[int]) -> tuple[tuple[int, int, int] | None, tuple[int, ...] | None]:
     """`(None, ranks)`, the start ranks of `e`, if `e` avoids 132, else
     `(witness, None)`, the lexicographically least 1-based triple of positions
-    whose entries form a 132: the 132 test of `rank`, `map` and `invert`,
-    from one right-to-left sweep in O(n).
+    whose entries form a 132: the 132 test of `contains_pattern` (so of
+    `rank`), `map` and `invert`, from one right-to-left sweep in O(n).
 
     `third` is the largest entry right of i with a larger one between them,
     found when its nearest larger entry to the left pops it; an entry below
@@ -285,9 +287,9 @@ def start_ranks(p: Permutation) -> tuple[int, ...]:
     linear `_sweep_132` gives them; only an input containing 132 is passed
     on to the O(n log n) Fenwick pass.  `rank_sequence` finds ranks through
     it, and the bijection and characterization suites through its body,
-    `_start_ranks`, on the plain entries.  `rank` and `map` run the sweep
-    themselves, and `rank` passes an input that contains 132, swept once,
-    straight to `start_lengths_counts`.
+    `_start_ranks`, on the plain entries.  `rank` reads them from
+    `contains_pattern`'s verdict, or passes an input that contains 132,
+    swept once, straight to `start_lengths_counts`.
 
     >>> start_ranks(Permutation.from_text("213"))
     (2, 2, 1)

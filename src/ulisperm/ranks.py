@@ -23,6 +23,7 @@ from typing import Iterator
 from .errors import (
     SEQUENCE_CAP,
     ConstructionError,
+    InputError,
     SequenceValidationError,
     _check_length,
 )
@@ -63,18 +64,16 @@ class RankSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        values = tuple(self.values)
         try:  # exact ints: a float, a string or any other non-integer is refused
-            values = tuple(map(index, values))
+            values = tuple(map(index, self.values))
         except TypeError:
-            for i, v in enumerate(values, 1):
-                try:
-                    index(v)
-                except TypeError:
-                    raise SequenceValidationError(
-                        "integer", i, f"entry {v!r} at position {i} is not an integer"
-                    ) from None
-            raise
+            try:  # name the first entry without __index__
+                i, v = next((i, v) for i, v in enumerate(self.values, 1)
+                            if not hasattr(type(v), "__index__"))
+            except (TypeError, StopIteration):  # not a sequence at all
+                raise InputError(f"not an integer sequence: {self.values!r}") from None
+            raise SequenceValidationError(
+                "integer", i, f"entry {v!r} at position {i} is not an integer") from None
         object.__setattr__(self, "values", values)
         validate_values(values)
 

@@ -197,8 +197,9 @@ def test_map_sweeps_an_avoider_twice(capsys, record_calls):
 
 
 def test_rank_sweeps_once(capsys, record_calls):
-    # one sweep gives the witness of an input that contains 132, whose ranks
-    # then come from the Fenwick pass alone, or the ranks of an avoider
+    # one sweep, in `contains_pattern`, gives the witness of an input that
+    # contains 132, whose ranks then come from the Fenwick pass alone, or
+    # the ranks of an avoider
     sweeps = record_calls(permutations_mod, "_sweep_132")
     assert run(capsys, "rank", "1 3 2") == (
         0, "2 1 1\n", "warning: input contains 132 at positions (1, 2, 3); "

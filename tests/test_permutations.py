@@ -118,12 +118,14 @@ def test_text_round_trip():
     (RankSequence, (1.5, 1), 1),
     (RankSequence, (2, 2, 1.0), 3),
     (RankSequence, (1, None), 2),
+    (Permutation, 5, None),
+    (RankSequence, 5, None),
 ])
 def test_constructors_refuse_non_integer_entries(cls, entries, position):
     # a float equal to an int is refused too: a construction holds exact ints
     with pytest.raises(InputError) as caught:
         cls(entries)
-    if cls is RankSequence:
+    if cls is RankSequence and position is not None:
         assert (caught.value.condition, caught.value.position) == ("integer", position)
         assert str(caught.value) == (
             f"entry {entries[position - 1]!r} at position {position} is not an integer")
@@ -152,6 +154,15 @@ def test_long_example_avoids_132():
 def test_witness_is_lex_least():
     verdict = contains_pattern(perm("2413"))
     assert verdict.contains and verdict.witness == (1, 2, 4)
+
+
+def test_verdict_carries_an_avoiders_ranks():
+    # `rank` prints them: they come from the verdict's sweep, but are no part
+    # of the verdict's value
+    avoider = contains_pattern(perm("34256178"))
+    assert avoider.ranks == (6, 5, 5, 4, 3, 3, 2, 1)
+    assert avoider == PatternVerdict(False) and "ranks" not in repr(avoider)
+    assert contains_pattern(perm("2413")).ranks is None
 
 
 @given(permutations_st(max_n=40))
