@@ -43,9 +43,9 @@ placements.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import DP_CAP, _check_length, _int_text
 from .permutations import ALL_PERMUTATION_CAP

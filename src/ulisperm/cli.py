@@ -27,11 +27,9 @@ of its attributes, so each command runs only the modules it calls into.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import census, oeis, ranks, ulis, verify
 from .errors import (
@@ -170,11 +168,15 @@ def _emit(fmt: str, header: Sequence[str], rows: Iterable[Sequence],
     space-joined, streamed."""
     if fmt == "json":
         if json_line is None:
+            import json
+
             if json_value is None:
                 json_value = [row[0] for row in rows]
             json_line = json.dumps(json_value, sort_keys=True)
         print(json_line)
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator=csv_end)
         writer.writerow(header)
         writer.writerows(rows)
@@ -270,6 +272,8 @@ def _census_summary(rows: list[census.CensusRow]) -> dict:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    import json
+
     rows = _census_rows(args)
     summary = _census_summary(rows)
     records = [row.to_json_dict() for row in rows]
@@ -292,6 +296,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
     report = verify.run_suite(args.suite, args.max_n)
     max_n = report.parameters["max_n"]
     stats = {k: v for k, v in report.outcome.items() if k != "status"}

@@ -22,9 +22,9 @@ kept as Python ints, never floats.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import index
-from typing import Iterator, Sequence
 
 from .errors import ConstructionError, InputError, _check_length, _int_text
 

@@ -16,9 +16,9 @@ avoider's larger-to-the-right inversion table, which `invert` decodes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import index, sub
-from typing import Iterator
 
 from .errors import (
     SEQUENCE_CAP,
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .permutations import (
     Permutation,
+    _TAIL,
     _sweep_132,
     _walk_fault,
     catalan,
@@ -153,13 +154,13 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
     order.  There are catalan(n) of them; a walk that miscounts raises
     ConstructionError.
 
-    Generated as lexicographic successors, without recursion: raise the
-    rightmost entry below n - i (the most that still reaches the final 1 by
-    drops of at most 1) and refill the rest, each entry one below the last
-    down to 1: one slice of a list built once per n.  Every successor is a
-    member, so it is wrapped unvalidated (`RankSequence._trusted`); the
-    constructor, `from_text` and `rank_sequence` still validate.  The walk
-    itself, `_generate_sequences`, yields plain tuples: the enumerative
+    Generated by a search without recursion that visits no dead end: the
+    entries after a prefix depend only on its last value, so the tails of
+    the last five entries are searched once per value, kept in a table
+    local to the walk, and shared by every prefix that ends in it.  Every
+    item is a member, so it is wrapped unvalidated (`RankSequence._trusted`);
+    the constructor, `from_text` and `rank_sequence` still validate.  The
+    walk itself, `_generate_sequences`, yields plain tuples: the enumerative
     census classifies them, the bijection suite decodes them and the
     injection-f suite bumps and restores them, and none wraps any.
 
@@ -173,27 +174,69 @@ def enumerate_rank_sequences(n: int, *, cap: int = SEQUENCE_CAP) -> Iterator[Ran
 
 def _generate_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """The values of every rank sequence of length n, in lexicographic
-    order, as plain tuples; the length is not checked.  After catalan(n) - 1
-    successor steps, each of which must find an entry to raise, the last
-    tuple must be the last member, n ... 2 1; else ConstructionError, raised
-    before yielding past catalan(n) and at an end short of it."""
-    values = [1] * n
-    stairs = [*range(n, 1, -1), *[1] * n]
+    order, as plain tuples; the length is not checked.
+
+    The entries that may follow a prefix depend only on its length and its
+    last value v: at 0-based position k they are max(1, v - 1) .. n - k, the
+    most that still reaches the final 1 by drops of at most 1.  So every
+    prefix of length n - _TAIL that ends in v has the same tails.  The walk
+    searches the prefixes, and the last _TAIL entries once per last value,
+    the first time it comes up, into a table local to the walk; each prefix
+    then takes its value's tails.  The table holds at most _TAIL + 1 keys
+    of at most catalan(_TAIL) tails each.  Every offer completes, so the
+    search visits no dead end.
+
+    The search is finite, so it can only miscount: it raises
+    ConstructionError before yielding a chunk of tails that would pass
+    catalan(n), at an end short of it, and if the last tuple is not the
+    last member, n ... 2 1."""
     total = catalan(n)
-    if total < 1:  # even the first member is one too many
-        raise _walk_fault("rank-sequence", n, 1, total)
-    for walked in range(1, total):
-        yield tuple(values)
-        i = n - 2
-        while i >= 0 and values[i] == n - i:
-            i -= 1
-        if i < 0:
+    walked = 0
+    head = max(n - _TAIL, 0)
+    tails: dict[int, list[tuple[int, ...]]] = {}  # last prefix value -> its tails
+    for prefix in _extend(n, 0, head, 1):
+        v = prefix[-1] if prefix else 1  # the empty prefix allows 1 .. n
+        chunk = tails.get(v)
+        if chunk is None:
+            chunk = tails[v] = list(_extend(n, head, n - head, v))
+        walked += len(chunk)
+        if walked > total:
             raise _walk_fault("rank-sequence", n, walked, total)
-        start = n - 1 - values[i]  # where stairs holds values[i] + 1
-        values[i:] = stairs[start:start + n - i]
-    yield tuple(values)
-    if values != stairs[:n]:
+        yield from map(prefix.__add__, chunk)
+    if walked != total:
+        raise _walk_fault("rank-sequence", n, walked, total)
+    if prefix + chunk[-1] != tuple(range(n, 0, -1)):
         raise _walk_fault("rank-sequence", n, total + 1, total)
+
+
+def _admissible(n: int, k: int, v: int) -> range:
+    """The entries a rank sequence of length n may have at 0-based position
+    k after the entry v, increasing."""
+    return range(max(1, v - 1), n - k + 1)
+
+
+def _extend(n: int, k: int, count: int, v: int) -> Iterator[tuple[int, ...]]:
+    """Every way to fill the `count` positions from k on of a rank sequence
+    of length n after the entry v, as tuples in lexicographic order."""
+    if not count:
+        yield ()
+        return
+    out: list[int] = []
+    # one iterator per position filled, the last one last
+    offers = [iter(_admissible(n, k, v))]
+    while True:
+        u = next(offers[-1], 0)
+        if u:
+            out.append(u)
+            if len(out) < count:
+                offers.append(iter(_admissible(n, k + len(out), u)))
+                continue
+            yield tuple(out)
+        else:
+            offers.pop()
+            if not out:
+                return
+        out.pop()
 
 
 def invert(t: RankSequence) -> Permutation:

@@ -27,9 +27,13 @@ on a length that check cannot confirm.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Any, Callable
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # `Any` for type checkers only: no run-time import of typing
+    from typing import Any
 
 from .census import census_enumerative, census_rows_dp, ulis_count_all
 from .errors import SUITE_NAMES, ConstructionError, InputError
