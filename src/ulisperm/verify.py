@@ -31,10 +31,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import takewhile
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # `Any` for type checkers only: no run-time import of typing
-    from typing import Any
-
 from .census import census_enumerative, census_rows_dp, ulis_count_all
 from .errors import SUITE_NAMES, ConstructionError, InputError
 from .oeis import FIXTURE_ID, fixture_text, parse_bfile
@@ -58,6 +54,10 @@ from .ranks import (
     validate_values,
 )
 from .ulis import _bump, _restore_max, _stages, _unique_max
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # `Any` for type checkers only: no run-time import of typing
+    from typing import Any
 
 _SIG = PATTERN_132.entries
 

@@ -9,8 +9,9 @@ library's avoider enumeration and ranks, independently of `ulisperm.invert`;
 `invert_by_pop` decodes them by the list pops `invert` ran before its
 linked-list cursor, `validate_by_loops` checks membership by the loops
 alone, as `validate_values` did before its fast path, and
-`rank_sequences_by_successor` refills each successor one entry at a time, as
-`enumerate_rank_sequences` did before its slice refill.
+`rank_sequences_by_successor` walks lexicographic successors and refills
+each one entry at a time, independently of the search with a table of tails
+that `enumerate_rank_sequences` runs.
 `max_positions` lists where a sequence attains its maximum, the tests'
 reading of the unique-maximum rule apart from the library's `_unique_max`,
 and `uniquify_max_by_profile` bumps between the final two of those
@@ -161,10 +162,9 @@ def rank_sequences_by_filter(n: int) -> list[tuple[int, ...]]:
 
 
 def rank_sequences_by_successor(n: int) -> list[tuple[int, ...]]:
-    """The rank sequences of length n by the lexicographic successor
-    `enumerate_rank_sequences` ran before its slice refill: raise the
-    rightmost entry below n - i, then refill the rest one entry at a time
-    with max(1, previous - 1)."""
+    """The rank sequences of length n by lexicographic successors: raise
+    the rightmost entry below n - i, then refill the rest one entry at a
+    time with max(1, previous - 1)."""
     values = [1] * n
     out = []
     while True:

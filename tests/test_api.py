@@ -91,7 +91,8 @@ def test_hot_helpers_stay_private():
                ulisperm.permutations._admissible, ulisperm.permutations._generate_avoiders,
                ulisperm.permutations._start_ranks, ulisperm.permutations._sweep_132,
                ulisperm.permutations._start_lengths_counts, ulisperm.permutations._has_ulis,
-               ulisperm.ranks._generate_sequences, ulisperm.ranks._decode,
+               ulisperm.ranks._generate_sequences, ulisperm.ranks._admissible,
+               ulisperm.ranks._extend, ulisperm.ranks._decode,
                ulisperm.errors._int_text, ulisperm.errors._text_int]
     codes = {fn.__code__ for fn in helpers}
     # every module, including those a test has not loaded yet

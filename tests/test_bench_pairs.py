@@ -315,3 +315,101 @@ def test_a_larger_share_failed_is_marked_and_exits_1(monkeypatch, capsys, change
                        f"change: failed/attempted = {totals}"
                        + (", LARGER SHARE FAILED" if flagged else "")]
     assert json.loads(out[-1])["workload"] == "verify"
+
+
+def _fake_benchmark_runs(monkeypatch, values, failed):
+    """Made-up benchmark runs: the i-th run started has every metric of
+    BENCHMARK.json at values[i] and fails failed[i] of 100 operations."""
+    root = _PATH.parents[1]  # its BENCHMARK.json is read, its code not run
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    started = iter(zip(values, failed))
+
+    def fake_run_once(command, checkout, workload, seed, seconds):
+        value, bad = next(started)
+        return {"correct": not bad, "attempted": 100, "failed": bad,
+                "metrics": {m["name"]: {"value": value, "unit": m["unit"]} for m in metrics}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    return str(root), [m["name"] for m in metrics]
+
+
+def test_write_records_the_change_side_in_bench_shape(monkeypatch, capsys, tmp_path):
+    # no process is started; the file goes to the current directory
+    monkeypatch.chdir(tmp_path)
+    # pairs run parent, change / change, parent / parent, change
+    root, names = _fake_benchmark_runs(monkeypatch, [1.0, 2.0, 4.0, 1.0, 1.0, 3.0],
+                                       [2, 0, 0, 1, 0, 0])
+    commits = "bd3bca2..c626284"
+    assert bench_pairs.main(["--write", commits, root, root, "census", "101", "3"]) == 0
+    bench = json.loads((tmp_path / "BENCH_c626284.json").read_text())
+    assert list(bench) == ["commit", "machine", "command", "end_to_end", "runs"]
+    assert bench["commit"] == "c626284"
+    assert bench["machine"] == bench_pairs._machine()
+    assert bench["command"] == ("python3 perfbench/run.py --workload <w> --seed <s> "
+                                "--seconds 40 --trace 0")
+    census = bench["end_to_end"]["census"]
+    # the change's runs are the 2nd, 3rd and 6th started
+    assert {key: census[key] for key in ("seeds", "failed", "attempted", "correct")} == {
+        "seeds": [101, 102, 103], "failed": 0, "attempted": 300, "correct": True}
+    assert list(census["metrics"]) == names
+    # quantiles(n=4) of 2, 3, 4 are 2 and 4
+    assert census["metrics"]["census_enum_s"] == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "spread": 2 / 3, "unit": "s",
+        "values": [2.0, 4.0, 3.0]}
+    assert census["metrics"]["peak_rss_mb"]["unit"] == "MB"
+    assert bench["runs"] == (f"{bench_pairs.RUNS}; census: 3 pairs against the parent "
+                             "bd3bca2, seeds 101-103")
+    capsys.readouterr()
+
+    # a second workload is added, a third invocation extends the first
+    _fake_benchmark_runs(monkeypatch, [1.0, 5.0, 5.0, 1.0], [0] * 4)
+    assert bench_pairs.main(["--write", commits, root, root, "verify", "1", "2"]) == 0
+    _fake_benchmark_runs(monkeypatch, [1.0, 6.0, 8.0, 1.0], [0, 1, 0, 0])
+    # a larger share failed: still written, and the tool exits 1
+    assert bench_pairs.main(["--write", "0da3728..c626284", root, root, "census", "201",
+                             "2"]) == 1
+    bench = json.loads((tmp_path / "BENCH_c626284.json").read_text())
+    assert list(bench["end_to_end"]) == ["census", "verify"]
+    assert bench["end_to_end"]["verify"]["seeds"] == [1, 2]
+    census = bench["end_to_end"]["census"]
+    assert (census["seeds"], census["failed"], census["attempted"], census["correct"]) == (
+        [101, 102, 103, 201, 202], 1, 500, False)
+    assert census["metrics"]["verify_s"]["values"] == [2.0, 4.0, 3.0, 6.0, 8.0]
+    assert census["metrics"]["verify_s"]["median"] == 4.0
+    assert bench["runs"].endswith(
+        "; census: 3 pairs against the parent bd3bca2, seeds 101-103"
+        "; verify: 2 pairs against the parent bd3bca2, seeds 1-2"
+        "; census: 2 pairs against the parent 0da3728, seeds 201-202")
+
+
+def test_write_puts_a_pseudo_workload_under_its_name(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    started = iter([{"passed": 445, "skipped": 9, "wall_s": w} for w in (20.0, 21.0, 23.0, 22.0)])
+    monkeypatch.setitem(bench_pairs.PSEUDO, "tier1",
+                        (lambda checkout: next(started), bench_pairs.PSEUDO["tier1"][1]))
+    root = str(_PATH.parents[1])
+    assert bench_pairs.main(["--write", "bd3bca2..c626284", root, root, "tier1", "0",
+                             "2"]) == 0
+    bench = json.loads((tmp_path / "BENCH_c626284.json").read_text())
+    assert bench["end_to_end"] == {}
+    # the shape of the change side of the last line, and of older files' tier1
+    assert bench["tier1"] == {"command": bench_pairs.PSEUDO["tier1"][1],
+                              "wall_s": [21.0, 23.0], "passed": 445, "skipped": 9}
+    assert bench["runs"].endswith("; tier1: 2 pairs against the parent bd3bca2")
+    last = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert last["tier1"]["change"] == bench["tier1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--write"],
+    ["--write", "c626284"],
+    ["--write", "bd3bca2..", "p", "c", "verify", "1", "2"],
+    ["--write", "bd3bca2..../x", "p", "c", "verify", "1", "2"],
+    ["--write", "bd3bca2..C626284", "p", "c", "verify", "1", "2"],
+])
+def test_write_needs_two_commits(monkeypatch, capsys, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: pytest.fail("started"))
+    assert bench_pairs.main(argv) == 2
+    assert capsys.readouterr() == ("", bench_pairs.__doc__.split("\n\n")[1] + "\n")
+    assert list(tmp_path.iterdir()) == []

@@ -1,10 +1,8 @@
 import contextlib
 import hashlib
-import importlib
 import io
 import itertools
 import json
-import pkgutil
 import shlex
 import subprocess
 import sys
@@ -15,7 +13,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ulisperm
 from ulisperm import (
     ALL_PERMUTATION_CAP,
     AVOIDER_CAP,
@@ -34,7 +31,6 @@ from ulisperm import permutations as permutations_mod
 from ulisperm import ranks as ranks_mod
 from ulisperm import verify as verify_mod
 from ulisperm.cli import main
-from ulisperm.permutations import _start_lengths_counts
 
 from oracles import _digit_limit, census_summary_by_fractions
 
@@ -118,6 +114,36 @@ def test_each_command_runs_only_its_modules(child_env, argv, modules):
     assert (code, ran) == ("0", sorted(modules))
 
 
+# Runs one argv in a new interpreter and prints which of the standard modules
+# that a one-line command has no use for have been imported.
+_STDLIB_PROBE = """
+import contextlib, io, sys
+from ulisperm.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(name for name in ("csv", "json", "typing") if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, imported", [
+    (["rank", "2 1"], ()),
+    (["rank", "1 3 2"], ()),
+    (["rank", "--invert", "1 1"], ()),
+    (["map", "3 2 1"], ()),
+    # the probe does see each module where a command uses it
+    (["sequences", "3", "--format", "csv"], ("csv",)),
+    (["census", "--max-n", "3"], ("json",)),
+    (["oeis"], ("typing",)),
+], ids=" ".join)
+def test_one_line_commands_import_no_typing_json_or_csv(child_env, argv, imported):
+    # -S: without `site`, whose hooks may import any of them by themselves
+    proc = subprocess.run([sys.executable, "-S", "-c", _STDLIB_PROBE, *argv],
+                          env=child_env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, *names = proc.stdout.split()
+    assert (code, names) == ("0", list(imported))
+
+
 # --- rank ------------------------------------------------------------------
 
 def test_rank(capsys):
@@ -143,24 +169,11 @@ def test_rank_warns_on_pattern(capsys):
     assert "contains 132" in err and "still well-defined" in err
 
 
-def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
+def test_avoider_paths_skip_the_fenwick_kernel(capsys, record_calls):
     # `rank` on an avoider, `rank --invert`, `invert`'s check and `map` take
-    # ranks from the linear 132 sweep; the general kernel runs only on a 132
-    calls = 0
-    kernel = _start_lengths_counts
-
-    def counting(e):
-        nonlocal calls
-        calls += 1
-        return kernel(e)
-
-    # every module, so that none the commands load later keeps the kernel;
+    # ranks from the linear 132 sweep; the general kernel runs only on a 132.
     # `start_lengths_counts` and `start_ranks` reach it through its tuple twin
-    for info in pkgutil.iter_modules(ulisperm.__path__):
-        importlib.import_module(f"ulisperm.{info.name}")
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ulisperm") and hasattr(module, "_start_lengths_counts"):
-            monkeypatch.setattr(module, "_start_lengths_counts", counting)
+    calls = record_calls(permutations_mod, "_start_lengths_counts")
     for n in range(1, 7):
         for t in itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1):
             p = invert(t)
@@ -178,9 +191,9 @@ def test_avoider_paths_skip_the_fenwick_kernel(capsys, monkeypatch):
     image = invert(uniquify_max(RankSequence.from_text(ones)))
     assert run(capsys, "map", staircase) == (0, f"{image}\n", "")
     assert verify_mod.run_suite("bijection", 8).passed
-    assert calls == 0
+    assert calls == []
     assert run(capsys, "rank", "1 3 2")[1] == "2 1 1\n"
-    assert calls == 1  # the counter does see the kernel
+    assert calls == [(1, 3, 2)]  # the counter does see the kernel
 
 
 def test_map_sweeps_an_avoider_twice(capsys, record_calls):
@@ -651,15 +664,8 @@ def test_census_prints_past_the_digit_limit(capsys):
     assert _decimal(u) + _decimal(v) == catalan(1100)
 
 
-def test_census_over_cap_enumerates_nothing(capsys, monkeypatch):
-    calls = []
-    walk = census_mod._generate_sequences
-
-    def recording(n):
-        calls.append(n)
-        return walk(n)
-
-    monkeypatch.setattr(census_mod, "_generate_sequences", recording)
+def test_census_over_cap_enumerates_nothing(capsys, record_calls):
+    calls = record_calls(ranks_mod, "_generate_sequences")
     code, out, err = run(capsys, "census", "--max-n", "13", "--engine", "enumerative")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "capped" in err

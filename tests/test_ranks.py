@@ -163,11 +163,13 @@ def test_sequences_match_condition_filter():
 
 
 def test_sequences_match_per_entry_successor():
-    # the slice refill against the refill one entry at a time, past the
-    # reach of the condition filter
-    for n in range(1, 12):
-        got = itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
-        assert [t.values for t in got] == rank_sequences_by_successor(n), n
+    # the table walk against the lexicographic successor, past the reach of
+    # the condition filter.  At n = 0 the head yields the empty prefix, whose
+    # one tail is empty: the walk yields exactly ()
+    for n in range(13):
+        got = itertools.islice(_generate_sequences(n), catalan(n) + 1)
+        assert list(got) == rank_sequences_by_successor(n), n
+    assert rank_sequences_by_successor(0) == [()]
 
 
 def test_enumerated_sequences_equal_validated_ones():
@@ -208,6 +210,74 @@ def test_walk_yields_the_enumerated_values():
         assert all(type(values) is tuple for values in walk)
         got = itertools.islice(enumerate_rank_sequences(n), catalan(n) + 1)
         assert walk == [t.values for t in got], n
+
+
+def test_sequence_search_has_no_dead_ends(monkeypatch):
+    # the walk makes one `_extend` search for the prefixes of length
+    # head = n - _TAIL, and one more, a table fill, per distinct last value
+    # of those prefixes (one for the empty prefix), for its tails.  A search
+    # offers each candidate once, and a candidate is its prefix or tail so
+    # far; it offers no dead end exactly when every candidate is a prefix of
+    # something it must produce.  So the offers equal the distinct nonempty
+    # prefixes of length at most head of the yielded sequences, and, over
+    # the fills, the distinct pairs of a last prefix value and a nonempty
+    # tail part.  `_admissible` makes every offer.
+    admissible, extend = ranks._admissible, ranks._extend
+
+    def counting_admissible(n, k, v):
+        values = admissible(n, k, v)
+        offered["prefix" if k < head else "fill"] += len(values)
+        return values
+
+    def counting_extend(*args):
+        nonlocal searches
+        searches += 1
+        return extend(*args)
+
+    monkeypatch.setattr(ranks, "_admissible", counting_admissible)
+    monkeypatch.setattr(ranks, "_extend", counting_extend)
+    for n in range(13):
+        head = max(n - ranks._TAIL, 0)
+        offered = {"prefix": 0, "fill": 0}
+        searches = 0
+        walk = list(_generate_sequences(n))
+        assert len(walk) == catalan(n)
+        prefixes = {t[:k] for t in walk for k in range(1, head + 1)}
+        # t[head - 1:head] is the last prefix value, or () for the empty prefix
+        states = {t[head - 1:head] for t in walk}
+        tails = {(t[head - 1:head], t[head:k]) for t in walk for k in range(head + 1, n + 1)}
+        assert offered == {"prefix": len(prefixes), "fill": len(tails)}, n
+        assert searches == 1 + len(states), n
+
+
+def test_walk_stops_before_the_chunk_that_passes_catalan(monkeypatch):
+    # told fewer items than there are, the walk yields whole chunks (the
+    # sequences of one prefix of length n - _TAIL) while they fit, then raises
+    n = 8
+    head = n - ranks._TAIL
+    walk = list(_generate_sequences(n))
+    ends = [i for i in range(1, len(walk) + 1)
+            if i == len(walk) or walk[i][:head] != walk[i - 1][:head]]
+    for told in (1, 100, catalan(n) - 2, catalan(n) - 1):
+        monkeypatch.setattr(ranks, "catalan", lambda k: told)
+        got = []
+        with pytest.raises(ConstructionError) as raised:
+            got.extend(_generate_sequences(n))
+        assert got == walk[:max([0, *(i for i in ends if i <= told)])], told
+        assert str(raised.value).endswith(f"yielded more than catalan({n}) = {told} items")
+
+
+def test_walk_checks_its_last_member(monkeypatch):
+    # every offer reversed: the same count, the last item 1 1 ... 1
+    admissible = ranks._admissible
+    monkeypatch.setattr(ranks, "_admissible", lambda n, k, v: admissible(n, k, v)[::-1])
+    for n in (2, 4, 8):
+        walk = []
+        with pytest.raises(ConstructionError) as raised:
+            walk.extend(_generate_sequences(n))
+        assert len(walk) == catalan(n) and walk[-1] == (1,) * n
+        assert str(raised.value) == (f"walk bug: the rank-sequence walk of length {n} "
+                                     f"yielded more than catalan({n}) = {catalan(n)} items")
 
 
 def test_census_and_injection_f_wrap_only_what_they_pass_on(monkeypatch):

@@ -2,10 +2,12 @@
 """Paired benchmark runs of a parent and a change, one run at a time.
 
 Usage:
-    python3 tools/bench_pairs.py <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
+    python3 tools/bench_pairs.py [--write <parent>..<change>] <parent-checkout> <change-checkout> <workload> <first-seed> <pairs>
 with <pairs> at least 2, the fewest runs the parent's spread is defined for.
 <workload> is a workload of BENCHMARK.json or a pseudo-workload: tier1,
-startup, startup_bare or suites.
+startup, startup_bare or suites.  --write names the two checkouts' commits
+(hexadecimal, 7 to 40 digits) and records the change's runs in
+BENCH_<change>.json in the current directory.
 
 Pair i (0-based) runs the benchmark's command from BENCHMARK.json,
 
@@ -53,6 +55,16 @@ its row has the unit of the suffix, lower is better, and no bound applies.
 The last line is {"workload": w, w: {side: {"command": ..., metric: [value
 per pair], ...the other keys of the side's first run}}}; for tier1 that is
 the shape of the `tier1` entry of the BENCH_*.json files.
+
+With --write, BENCH_<change>.json holds the change's side in the shape of
+the committed BENCH_*.json files: `commit`, `machine`, `command`, and
+`end_to_end[<workload>]` with the seeds, failed, attempted, correct and, per
+metric, the median, q1, q3, spread, unit and values of the change's runs.
+A pseudo-workload's entry goes under its own name, in the shape of its last
+line's change side.  `runs` is a sentence that names each invocation: its
+workload, pairs and parent.  An invocation on a file that exists merges
+into it: a new workload is added, and the runs of one already there are
+appended to its runs, its figures taken again over all of them.
 Standard library only.
 """
 
@@ -61,6 +73,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import re
 import statistics
 import subprocess
@@ -91,6 +104,11 @@ print(json.dumps(best))
 """
 # pytest's last line: "1 failed, 389 passed, 9 skipped, 2 warnings in 65.12s (0:01:05)"
 _SUMMARY = re.compile(r"=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([0-9.]+)s\b")
+_COMMITS = re.compile(r"([0-9a-f]{7,40})\.\.([0-9a-f]{7,40})")
+RUNS = ("paired runs from separate checkouts by tools/bench_pairs.py, one run at a time, "
+        "the parent first in the first, third, ... pair of each invocation; only the "
+        "change's runs are kept: q1/q3 are statistics.quantiles(n=4), spread is "
+        "(q3 - q1) / median, and values lists each run's value in pair order")
 
 
 def summarise(metrics: list[dict], parent: list[dict[str, float]],
@@ -122,6 +140,53 @@ def summarise(metrics: list[dict], parent: list[dict[str, float]],
             "worse_than_bound": worse > bound * abs(median),
         })
     return rows
+
+
+def _figures(values: list[float], unit: str) -> dict:
+    """One metric of a BENCH file: the median, quartiles and spread of
+    `values`, its unit and the values."""
+    median = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "spread": (q3 - q1) / median,
+            "unit": unit, "values": values}
+
+
+def _machine() -> str:
+    return (f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()} "
+            f"{platform.release()}, Python {platform.python_version()}")
+
+
+def record(bench: dict | None, parent: str, change: str, workload: str, command: str,
+           runs: list[dict]) -> dict:
+    """The object of BENCH_<change>.json: `bench`, the file's object so far
+    or None for a new file, with the change's `runs` of `workload` against
+    the parent commit `parent` merged in.  A workload of the benchmark gives
+    the results of `run_once`, each with its seed; a pseudo-workload gives
+    its runner's.  `command` is the benchmark's command, kept by a new file."""
+    if bench is None:
+        bench = {"commit": change, "machine": _machine(), "command": command,
+                 "end_to_end": {}, "runs": RUNS}
+    clause = f"{workload}: {len(runs)} pairs against the parent {parent}"
+    if workload in PSEUDO:
+        entry = bench.setdefault(workload, {"command": PSEUDO[workload][1]})
+        for name in _timed(runs[0]):
+            entry[name] = entry.get(name, []) + [run[name] for run in runs]
+        for key, value in runs[0].items():
+            entry.setdefault(key, value)
+    else:
+        clause += f", seeds {runs[0]['seed']}-{runs[-1]['seed']}"
+        entry = bench["end_to_end"].setdefault(workload, {
+            "seeds": [], "failed": 0, "attempted": 0, "correct": True, "metrics": {}})
+        entry["seeds"] += [run["seed"] for run in runs]
+        entry["failed"] += sum(run["failed"] for run in runs)
+        entry["attempted"] += sum(run["attempted"] for run in runs)
+        entry["correct"] = entry["failed"] == 0
+        for name, metric in runs[0]["metrics"].items():
+            kept = entry["metrics"].get(name, {}).get("values", [])
+            entry["metrics"][name] = _figures(
+                kept + [run["metrics"][name]["value"] for run in runs], metric["unit"])
+    bench["runs"] += f"; {clause}"
+    return bench
 
 
 def format_row(row: dict) -> str:
@@ -219,12 +284,23 @@ PSEUDO = {
 }
 
 
+def _timed(run: dict) -> list[str]:
+    """The metrics of a pseudo-workload's run: its keys that end in _s or _ms."""
+    return [name for name in run if name.endswith(("_s", "_ms"))]
+
+
 def _usage() -> int:
     print(__doc__.split("\n\n")[1], file=sys.stderr)
     return 2
 
 
 def main(argv: list[str]) -> int:
+    commits = None
+    if argv[:1] == ["--write"]:
+        commits = _COMMITS.fullmatch(argv[1]) if len(argv) > 1 else None
+        if commits is None:
+            return _usage()
+        argv = argv[2:]
     try:
         parent_dir, change_dir, workload, first_seed, pairs = argv
         first_seed, pairs = int(first_seed), int(pairs)
@@ -259,8 +335,15 @@ def main(argv: list[str]) -> int:
                         f"{result['attempted']} {json.dumps(values)}")
             runs[side].append(result)
             print(f"{side} {line}", flush=True)
+    if commits is not None:
+        path = Path(f"BENCH_{commits[2]}.json")
+        bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+        command = " ".join([*benchmark["command"], "--workload <w> --seed <s>",
+                            f"--seconds {seconds:g} --trace 0"])
+        bench = record(bench, commits[1], commits[2], workload, command, runs["change"])
+        path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     if runner is not None:
-        metrics = [name for name in runs["parent"][0] if name.endswith(("_s", "_ms"))]
+        metrics = _timed(runs["parent"][0])
         for row in summarise([{"name": name, "unit": name.rpartition("_")[2], "better": "lower",
                                "bound": math.inf} for name in metrics],
                              runs["parent"], runs["change"]):
